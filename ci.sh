@@ -180,6 +180,17 @@ else
   echo "skipping perf gates (build type: ${BUILD_TYPE:-unknown})"
 fi
 
+# Repository benchmark build: perfbench/ calls the pooled run_breathe and
+# the detail:: phase loops directly, so a library change that breaks it
+# must fail here. -k Fast builds the perfbench binary (always Release, into
+# .bench_build/), runs its --selftest and checks the metric catalogue; no
+# workload runs.
+if command -v python3 >/dev/null 2>&1; then
+  python3 perfbench/test_perfbench.py -k Fast
+else
+  echo "python3 not found; skipping the perfbench build check" >&2
+fi
+
 # FLIP_SIMD=ON pass: build the vector round kernels and re-run the whole
 # suite — the SIMD differential/property tests only bite in this
 # configuration (they SKIP in the scalar build above). The --simd perf gate

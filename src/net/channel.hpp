@@ -62,9 +62,9 @@ class BinarySymmetricChannel final : public NoiseChannel {
   explicit BinarySymmetricChannel(double eps);
 
   // transmit() is defined in-class (here and in the other concrete channels)
-  // so that statically typed callers — the BatchEngine fast path templates —
-  // can devirtualize AND inline the per-message draw. Virtual dispatch
-  // through NoiseChannel& behaves exactly as before.
+  // so that statically typed callers can devirtualize AND inline the
+  // per-message draw. Virtual dispatch through NoiseChannel& behaves exactly
+  // as before.
   [[nodiscard]] std::optional<Opinion> transmit(Opinion sent,
                                                 Xoshiro256& rng) override {
     return transmit_with(sent, rng);

@@ -214,7 +214,4 @@ void BatchEngine::finalize_stage2(std::uint64_t phase,
 }
 // flip-lint: end-noalloc
 
-// BatchEngineLease's constructor/destructor live in sim/trial_arena.cpp:
-// the lease is the engine-only view of the per-thread TrialArena stack.
-
 }  // namespace flip

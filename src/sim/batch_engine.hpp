@@ -3,31 +3,28 @@
 //
 // The classic Engine (sim/engine.hpp) pays, per accepted message, a virtual
 // channel call, a virtual protocol deliver, and — per trial — a fresh
-// Mailbox/Population/protocol allocation. BatchEngine removes all of that,
-// and on top partitions one trial's agents into S shards that execute each
-// round's route and deliver phases in parallel:
+// Mailbox/Population/protocol allocation. BatchEngine removes all of that
+// for the paper's two-stage breathe protocol — the hot workload behind
+// broadcast / majority / boost — and on top partitions one trial's agents
+// into S shards that execute each round's route and deliver phases in
+// parallel. Every other protocol (desync, the baselines) runs on the
+// classic Engine, the oracle this engine is held bit-equal to.
 //
-//  * run(): a statically dispatched replica of Engine::run. The protocol
-//    and channel are template parameters (FlipProtocolT / the concrete
-//    channel classes are `final`), so every per-message call devirtualizes
-//    and inlines, and the Mailbox + send buffer persist across trials in
-//    allocation-free reuse mode.
-//  * run_breathe(): a hand-packed structure-of-arrays implementation of
-//    Engine + BreatheProtocol for the paper's two-stage protocol — the hot
-//    workload behind broadcast / majority / boost. Each round runs two
-//    shard-parallel phases over the persistent ThreadPool workers:
-//      route   — every shard walks its own materialized sender list, draws
-//                each sender's recipient + acceptance priority from the
-//                sender's counter stream, and scatters the message into the
-//                destination shard's inbox bucket;
-//      deliver — every shard min-combines the arrivals for its agent range
-//                (smallest (priority, sender) pair wins — a commutative
-//                reduction, so any arrival order gives the same winner),
-//                then applies the recipient-keyed channel flip and bumps
-//                the packed per-agent counters.
-//    Phase ends merge shard partials in shard order (integer sums, so the
-//    merge is exact) and run the per-agent Stage II subset draws
-//    shard-parallel from per-agent streams.
+// run_breathe() is a hand-packed structure-of-arrays implementation of
+// Engine + BreatheProtocol. Each round runs two shard-parallel phases over
+// the persistent ThreadPool workers:
+//    route   — every shard walks its own materialized sender list, draws
+//              each sender's recipient + acceptance priority from the
+//              sender's counter stream, and scatters the message into the
+//              destination shard's inbox bucket;
+//    deliver — every shard min-combines the arrivals for its agent range
+//              (smallest (priority, sender) pair wins — a commutative
+//              reduction, so any arrival order gives the same winner),
+//              then applies the recipient-keyed channel flip and bumps
+//              the packed per-agent counters.
+// Phase ends merge shard partials in shard order (integer sums, so the
+// merge is exact) and run the per-agent Stage II subset draws
+// shard-parallel from per-agent streams.
 //
 // Exactness contract: every random draw comes from the counter-based
 // per-agent stream named by (trial key, round, agent, purpose) — see
@@ -40,15 +37,14 @@
 // treat any divergence as a bug in this file.
 //
 // One BatchEngine is meant to live per worker thread and run a whole block
-// of K trials of a scenario cell back to back (see BatchEngineLease);
-// every buffer is sized once and recycled, so trials after the first are
-// allocation-free.
+// of K trials of a scenario cell back to back (it lives in the thread's
+// TrialArena, sim/trial_arena.hpp); every buffer is sized once and
+// recycled, so trials after the first are allocation-free when the shard
+// phases run inline.
 
 #include <algorithm>
 #include <cmath>
-#include <concepts>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -67,21 +63,6 @@
 #include "util/thread_pool.hpp"
 
 namespace flip {
-
-/// Compile-time shape of a Flip-model protocol: everything the round loop
-/// calls, without requiring inheritance from Protocol. Every Protocol
-/// subclass satisfies it; the templates dispatch statically, so passing the
-/// concrete (`final`) type devirtualizes the whole loop.
-template <typename P>
-concept FlipProtocolT = requires(P p, const P cp, Round r, AgentId a,
-                                 Opinion o, std::vector<Message>& out) {
-  { p.collect_sends(r, out) };
-  { p.deliver(a, o, r) };
-  { p.end_round(r) };
-  { cp.done(r) } -> std::convertible_to<bool>;
-  { cp.current_bias() } -> std::convertible_to<double>;
-  { cp.current_opinionated() } -> std::convertible_to<std::size_t>;
-};
 
 /// Everything one run_breathe() execution yields. Mirrors what the classic
 /// path exposes through Metrics + BreatheProtocol introspection.
@@ -694,120 +675,14 @@ class BatchEngine {
                                           const BreatheConfig& config,
                                           bool stage1_only);
 
-  /// Statically dispatched replica of Engine::run for population n: same
-  /// counter-keyed draws, identical Metrics — but with `protocol` and
-  /// `channel` as concrete types every per-message call inlines, and the
-  /// mailbox/send buffers reused across calls.
-  template <FlipProtocolT P, typename C>
-  Metrics run(std::size_t n, P& protocol, C& channel, const StreamKey& key,
-              Round max_rounds, EngineOptions options = {}) {
-    mailbox_.reuse(n);
-    send_buffer_.clear();
-    if (send_buffer_.capacity() < n) send_buffer_.reserve(n);
-
-    const ResolvedTopology topo =
-        ResolvedTopology::resolve(options.topology, n);
-    const ChurnSpec& churn = options.churn;
-    const bool churn_on = churn.enabled();
-    if (churn_on) {
-      awake_.assign(n, 1);
-      if (churn.start_asleep > 0.0) {
-        for (AgentId a = 0; a < n; ++a) {
-          if (churn_starts_asleep(churn, key, a)) awake_[a] = 0;
-        }
-      }
-    }
-
-    Metrics metrics;
-    for (Round r = 0; r < max_rounds; ++r) {
-      send_buffer_.clear();
-      protocol.collect_sends(r, send_buffer_);
-
-      // Round-scoped environment events, exactly as in Engine::run: churn
-      // transitions, then the channel's round state.
-      if (churn_on) {
-        const StreamKey churn_key =
-            round_stream_key(key, RngPurpose::kChurn, r);
-        for (AgentId a = 0; a < n; ++a) {
-          awake_[a] =
-              churn_step(churn, churn_key, a, awake_[a] != 0) ? 1 : 0;
-        }
-      }
-      channel.begin_round(key, r);
-
-      mailbox_.reset();
-      const StreamKey route_key = round_stream_key(key, RngPurpose::kRoute, r);
-      const StreamKey topo_key =
-          topo.keyed() ? topo.round_key(key, r) : StreamKey{};
-      std::uint64_t sent = 0;
-      for (const Message& msg : send_buffer_) {
-        if (msg.sender >= mailbox_.population()) {
-          throw std::out_of_range("BatchEngine: sender id out of range");
-        }
-        if (churn_on && awake_[msg.sender] == 0) continue;
-        ++sent;
-        CounterRng rng(route_key, msg.sender);
-        const AgentId to = topo.recipient(rng, topo_key, msg.sender);
-        mailbox_.offer(to, msg.sender, msg.bit,
-                       acceptance_word(rng(), msg.bit, msg.sender));
-      }
-      metrics.messages_sent += sent;
-
-      const StreamKey channel_key =
-          round_stream_key(key, RngPurpose::kChannel, r);
-      for (AgentId to : mailbox_.recipients()) {
-        if (churn_on && awake_[to] == 0) {
-          ++metrics.dropped;
-          continue;
-        }
-        const Message& msg = mailbox_.accepted(to);
-        CounterRng rng(channel_key, to);
-        const std::optional<Opinion> seen = channel.transmit(msg.bit, rng);
-        if (!seen) {
-          ++metrics.erased;
-          continue;
-        }
-        if (*seen != msg.bit) ++metrics.flipped;
-        ++metrics.delivered;
-        protocol.deliver(to, *seen, r);
-      }
-      metrics.dropped += mailbox_.dropped_this_round();
-
-      protocol.end_round(r);
-      metrics.rounds = r + 1;
-
-      if (options.probe_every != 0 && r % options.probe_every == 0) {
-        metrics.bias_series.push_back({r, protocol.current_bias()});
-        metrics.activated_series.push_back(
-            {r, static_cast<double>(protocol.current_opinionated())});
-      }
-
-      if (protocol.done(r)) break;
-    }
-    return metrics;
-  }
-
   /// The sharded SoA fast path for the two-stage breathe protocol. Runs one
   /// execution; call in a loop for a block of trials (all buffers recycle).
   /// `stage1_only` truncates the budget to Stage I, like run_broadcast's
   /// stage1_only switch. Precondition: breathe_fast_supported(params).
   /// Results are identical for every options.shards / pool combination.
-  template <typename Channel>
-  BreatheFastResult run_breathe(const Params& params,
-                                const BreatheConfig& config, Channel& channel,
-                                const StreamKey& trial_key, bool stage1_only,
-                                const BreatheRunOptions& options = {}) {
-    BreatheFastResult result;
-    run_breathe(params, config, channel, trial_key, stage1_only, options,
-                result);
-    return result;
-  }
-
-  /// Pooled overload — the warm path of the Monte-Carlo harness and the
-  /// sweep service: fills `result` in place (reset() keeps vector
-  /// capacity), so a per-thread TrialArena recycles the stage stats and
-  /// metrics series across trials instead of reallocating them. The
-  /// value-returning overload above delegates here.
+  /// Fills `result` in place (reset() keeps vector capacity), so a
+  /// per-thread TrialArena recycles the stage stats and metrics series
+  /// across trials instead of reallocating them.
   template <typename Channel>
   void run_breathe(const Params& params, const BreatheConfig& config,
                    Channel& channel, const StreamKey& trial_key,
@@ -1105,12 +980,7 @@ class BatchEngine {
                        const StageTwoSchedule& s2,
                        std::vector<StageTwoPhaseStats>& out);
 
-  // Generic-path scratch.
-  Mailbox mailbox_{2};
-  std::vector<Message> send_buffer_;
-  std::vector<std::uint8_t> awake_;  ///< generic-path churn liveness
-
-  // Breathe fast-path scratch (structure-of-arrays, persistent).
+  // Structure-of-arrays scratch, persistent across trials.
   Population pop_{2};
   std::vector<std::uint64_t> acc_;   ///< packed sample counters per agent
   std::vector<std::uint64_t> slot_;  ///< best acceptance_word, or kEmptySlot
@@ -1123,28 +993,6 @@ class BatchEngine {
   std::size_t shard_block_ = 0;  ///< agents per shard, ceil(n / shards)
   std::uint64_t shard_mul_ = 0;  ///< ceil(2^64 / shard_block_)
   ThreadPool* pool_ = nullptr;
-};
-
-/// RAII lease on the calling thread's persistent BatchEngine. Worker
-/// threads of the shared ThreadPool live for the whole process, so a
-/// sweep's grid cells all recycle the same per-worker scratch. A lease —
-/// not a bare reference — because ThreadPool::parallel_for's helping wait
-/// can make a thread pick up ANOTHER trial while its own engine is
-/// mid-run (sharded trials nested in parallel sweeps); the nested lease
-/// then hands out a second per-thread engine instead of clobbering the
-/// busy one. Destruction returns the engine to the thread's pool.
-class BatchEngineLease {
- public:
-  BatchEngineLease();
-  ~BatchEngineLease();
-  BatchEngineLease(const BatchEngineLease&) = delete;
-  BatchEngineLease& operator=(const BatchEngineLease&) = delete;
-
-  [[nodiscard]] BatchEngine& operator*() const noexcept { return *engine_; }
-  [[nodiscard]] BatchEngine* operator->() const noexcept { return engine_; }
-
- private:
-  BatchEngine* engine_;
 };
 
 }  // namespace flip

@@ -91,8 +91,9 @@ struct EngineOptions {
   TopologySpec topology{};
 };
 
-/// Which simulation substrate a workload runs on. kBatch is the
-/// statically-dispatched fast path (sim/batch_engine.hpp); both exact
+/// Which simulation substrate a workload runs on. kBatch is the breathe
+/// protocol's packed fast path (sim/batch_engine.hpp; every other protocol
+/// runs on this Engine in either mode); both exact
 /// substrates draw from the same counter-keyed per-agent streams, so the
 /// two modes produce identical metrics for the same (seed, trial) —
 /// kClassic exists to prove that, and to time the difference. kSurrogate

@@ -18,18 +18,4 @@ void Mailbox::reset() noexcept {
   pushed_ = 0;
 }
 
-void Mailbox::reuse(std::size_t n) {
-  if (n < 2) throw std::invalid_argument("Mailbox: need n >= 2");
-  // Growing (or shrinking within capacity) zero-fills only what a fresh
-  // construction would: arrival counts. kept_ and priority_ entries are
-  // written before they are read (a recipient's slot is assigned on first
-  // touch).
-  arrival_count_.assign(n, 0);
-  kept_.resize(n, Message{0, Opinion::kZero});
-  priority_.resize(n, 0);
-  touched_.clear();
-  if (touched_.capacity() < n) touched_.reserve(n);
-  pushed_ = 0;
-}
-
 }  // namespace flip

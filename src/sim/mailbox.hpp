@@ -123,12 +123,6 @@ class Mailbox {
   /// Clears round state. Must be called between rounds.
   void reset() noexcept;
 
-  /// Allocation-free re-initialization for a (possibly different) population:
-  /// equivalent to constructing Mailbox(n) but reusing the touched/accepted
-  /// buffers, so a long-lived engine pays no heap churn between trials.
-  /// Throws std::invalid_argument if n < 2, like the constructor.
-  void reuse(std::size_t n);
-
   [[nodiscard]] std::size_t population() const noexcept {
     return arrival_count_.size();
   }

@@ -42,12 +42,4 @@ void release_arena() noexcept { --local_arenas().depth; }
 
 }  // namespace detail
 
-// BatchEngineLease is the engine-only view of the same per-thread stack:
-// one depth counter serves both lease types, so a BatchEngineLease and a
-// TrialArenaLease held simultaneously never alias the same engine.
-BatchEngineLease::BatchEngineLease()
-    : engine_(&detail::acquire_arena()->engine) {}
-
-BatchEngineLease::~BatchEngineLease() { detail::release_arena(); }
-
 }  // namespace flip

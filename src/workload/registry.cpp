@@ -10,7 +10,6 @@
 #include "baselines/voter.hpp"
 #include "core/theory.hpp"
 #include "net/channel.hpp"
-#include "sim/batch_engine.hpp"
 #include "sim/engine.hpp"
 #include "util/math.hpp"
 #include "workload/scenarios.hpp"
@@ -57,33 +56,6 @@ BroadcastScenario broadcast_from(const ScenarioConfig& config) {
     scenario.probe_every = kDynamicProbeEvery;
   }
   return scenario;
-}
-
-/// Copies the engine counters into a baseline's outcome (the scenario
-/// TrialFns get them through to_outcome). The pull/AAE dynamics bypass the
-/// engine entirely and keep the zero defaults.
-void copy_counters(const Metrics& metrics, TrialOutcome& outcome) {
-  outcome.delivered = metrics.delivered;
-  outcome.dropped = metrics.dropped;
-  outcome.erased = metrics.erased;
-  outcome.flipped = metrics.flipped;
-}
-
-/// Runs an Engine-style protocol on the substrate `config.engine` names:
-/// the classic virtual-dispatch Engine, or the calling thread's persistent
-/// BatchEngine with `protocol`/`channel` statically typed (devirtualized).
-/// Both draw from the same per-agent streams of (seed, trial)'s key, so
-/// the metrics are the same.
-template <typename P, typename C>
-Metrics run_on(const ScenarioConfig& config, P& protocol, C& channel,
-               std::uint64_t seed, std::size_t trial, Round max_rounds) {
-  const StreamKey key = trial_stream_key(seed, trial);
-  if (config.engine == EngineMode::kBatch) {
-    return BatchEngineLease()->run(config.n, protocol, channel, key,
-                                   max_rounds);
-  }
-  Engine engine(config.n, channel, key);
-  return engine.run(protocol, max_rounds);
 }
 
 void register_builtin(ScenarioRegistry& registry) {
@@ -216,8 +188,6 @@ void register_builtin(ScenarioRegistry& registry) {
           scenario.n = config.n;
           scenario.eps = config.eps;
           scenario.max_skew = 8;
-          scenario.engine = config.engine;
-          scenario.shards = config.shards;
           scenario.schedule = config.schedule;
           return desync_trial_fn(scenario);
         });
@@ -381,8 +351,6 @@ void register_builtin(ScenarioRegistry& registry) {
         scenario.n = config.n;
         scenario.eps = config.eps;
         scenario.max_skew = 8;
-        scenario.engine = config.engine;
-        scenario.shards = config.shards;
         scenario.schedule = config.schedule;
         return desync_trial_fn(scenario);
       });
@@ -396,8 +364,6 @@ void register_builtin(ScenarioRegistry& registry) {
         scenario.n = config.n;
         scenario.eps = config.eps;
         scenario.use_clock_sync = true;
-        scenario.engine = config.engine;
-        scenario.shards = config.shards;
         scenario.schedule = config.schedule;
         return desync_trial_fn(scenario);
       });
@@ -416,16 +382,13 @@ void register_builtin(ScenarioRegistry& registry) {
           silent.max_rounds = static_cast<Round>(
               64.0 * static_cast<double>(config.n) * unit);
           SilentListeningProtocol protocol(config.n, silent);
-          const Metrics metrics = run_on(config, protocol, channel, seed,
-                                         trial, silent.max_rounds);
-          TrialOutcome outcome;
+          Engine engine(config.n, channel, trial_stream_key(seed, trial));
+          TrialOutcome outcome =
+              metrics_outcome(engine.run(protocol, silent.max_rounds));
           outcome.correct_fraction =
               protocol.population().correct_fraction(Opinion::kOne);
           outcome.success =
               protocol.all_decided() && outcome.correct_fraction == 1.0;
-          outcome.rounds = static_cast<double>(metrics.rounds);
-          outcome.messages = static_cast<double>(metrics.messages_sent);
-          copy_counters(metrics, outcome);
           return outcome;
         });
       });
@@ -441,15 +404,12 @@ void register_builtin(ScenarioRegistry& registry) {
           forward.initial = {Seed{0, Opinion::kOne}};
           forward.stop_when_all_informed = true;
           ForwardGossipProtocol protocol(config.n, forward);
-          const Metrics metrics = run_on(config, protocol, channel, seed,
-                                         trial, Round{1} << 20);
-          TrialOutcome outcome;
+          Engine engine(config.n, channel, trial_stream_key(seed, trial));
+          TrialOutcome outcome =
+              metrics_outcome(engine.run(protocol, Round{1} << 20));
           outcome.success = protocol.population().unanimous(Opinion::kOne);
           outcome.correct_fraction =
               protocol.population().correct_fraction(Opinion::kOne);
-          outcome.rounds = static_cast<double>(metrics.rounds);
-          outcome.messages = static_cast<double>(metrics.messages_sent);
-          copy_counters(metrics, outcome);
           return outcome;
         });
       });
@@ -466,15 +426,12 @@ void register_builtin(ScenarioRegistry& registry) {
           voter.zealots = {Seed{0, Opinion::kOne}};
           voter.duration = static_cast<Round>(16.0 * unit);
           NoisyVoterProtocol protocol(config.n, voter);
-          const Metrics metrics = run_on(config, protocol, channel, seed,
-                                         trial, voter.duration);
-          TrialOutcome outcome;
+          Engine engine(config.n, channel, trial_stream_key(seed, trial));
+          TrialOutcome outcome =
+              metrics_outcome(engine.run(protocol, voter.duration));
           outcome.success = protocol.population().unanimous(Opinion::kOne);
           outcome.correct_fraction =
               protocol.population().correct_fraction(Opinion::kOne);
-          outcome.rounds = static_cast<double>(metrics.rounds);
-          outcome.messages = static_cast<double>(metrics.messages_sent);
-          copy_counters(metrics, outcome);
           return outcome;
         });
       });
@@ -701,6 +658,15 @@ ScenarioConfig ScenarioRegistry::resolve(std::string_view name,
     throw std::invalid_argument("scenario '" + entry.info.name +
                                 "' does not support channel '" +
                                 config.channel + "'");
+  }
+  // The heterogeneous channel and an eps schedule each pick the per-message
+  // noise, so they cannot combine. Rejected here, not when the cell runs:
+  // expand_grid resolves every cell first, so a grid crossing the two fails
+  // before its first point on every engine, and the daemon at ingest.
+  if (config.channel == kChannelHeterogeneous && config.schedule.enabled()) {
+    throw std::invalid_argument("scenario '" + entry.info.name +
+                                "': heterogeneous noise and an eps schedule "
+                                "are mutually exclusive");
   }
   return config;
 }

@@ -19,9 +19,9 @@ namespace {
 // Engine-level and BreatheProtocol randomness derives from the trial's
 // counter-stream root key (purposes keep the lanes apart; see
 // util/rng.hpp). The sequential Xoshiro streams below remain for the
-// desync protocol's internal draws and for scenario setup (wake offsets):
-// they are consumed in a fixed order that both substrates share. Keyed by
-// trial index so trials are independent and replayable.
+// desync protocol's internal draws and its clock-sync pre-phase: they are
+// consumed in a fixed order. Keyed by trial index so trials are
+// independent and replayable.
 constexpr std::uint64_t kStreamsPerTrial = 4;
 
 Xoshiro256 protocol_rng(std::uint64_t seed, std::size_t trial) {
@@ -43,53 +43,6 @@ CounterRng agent_setup_rng(const StreamKey& key, AgentId agent) {
 /// or none when the trial is unsharded.
 ThreadPool* shard_pool(std::size_t shards) {
   return shards > 1 ? &ThreadPool::shared() : nullptr;
-}
-
-// Shared scenario -> (Params, BreatheConfig) derivation, used by both
-// substrates of each run_* function so the two can never drift apart in
-// setup. Validation happens before Params::calibrated, preserving the
-// original exception order.
-
-BreatheConfig broadcast_breathe_config(const BroadcastScenario& scenario) {
-  BreatheConfig config = broadcast_config(scenario.correct);
-  config.stage1_pick = scenario.stage1_pick;
-  config.stage2_subset = scenario.stage2_subset;
-  return config;
-}
-
-Params majority_params(const MajorityScenario& scenario) {
-  if (!(scenario.majority_bias > 0.0) || scenario.majority_bias > 0.5) {
-    throw std::invalid_argument("run_majority: majority_bias not in (0, 0.5]");
-  }
-  return Params::calibrated(scenario.n, scenario.eps, scenario.tuning);
-}
-
-BreatheConfig majority_breathe_config(const Params& params,
-                                      const MajorityScenario& scenario) {
-  // majority-bias = (A_B - A_notB) / (2|A|)  =>  A_B = |A| (1/2 + bias).
-  const auto correct_count = static_cast<std::size_t>(
-      std::llround((0.5 + scenario.majority_bias) *
-                   static_cast<double>(scenario.initial_set)));
-  return majority_config(params, scenario.initial_set, correct_count,
-                         scenario.correct);
-}
-
-Params boost_params(const BoostScenario& scenario) {
-  if (!(scenario.initial_bias > 0.0) || scenario.initial_bias > 0.5) {
-    throw std::invalid_argument("run_boost: initial_bias not in (0, 0.5]");
-  }
-  return Params::calibrated(scenario.n, scenario.eps, scenario.tuning);
-}
-
-BreatheConfig boost_breathe_config(const Params& params,
-                                   const BoostScenario& scenario) {
-  const auto correct_count = static_cast<std::size_t>(
-      std::llround((0.5 + scenario.initial_bias) *
-                   static_cast<double>(scenario.n)));
-  BreatheConfig config =
-      majority_config(params, scenario.n, correct_count, scenario.correct);
-  config.skip_stage1 = true;
-  return config;
 }
 
 // Scenario -> SurrogateSpec derivations for EngineMode::kSurrogate. These
@@ -171,20 +124,6 @@ SurrogateSpec boost_surrogate_spec(const BoostScenario& scenario) {
   return spec;
 }
 
-/// Maps a BreatheFastResult onto the RunDetail shape the classic path
-/// produces from the protocol's introspection.
-RunDetail fast_to_detail(BreatheFastResult&& fast) {
-  RunDetail detail;
-  detail.protocol_rounds = fast.protocol_rounds;
-  detail.metrics = std::move(fast.metrics);
-  detail.success = fast.success;
-  detail.correct_fraction = fast.correct_fraction;
-  detail.final_bias = fast.final_bias;
-  detail.stage1 = std::move(fast.stage1);
-  detail.stage2 = std::move(fast.stage2);
-  return detail;
-}
-
 /// The convergence-round probe statistic: first stable crossing of 99%
 /// activation in the recorded series. NaN when no probes were recorded or
 /// the crossing never happens — reporting maps non-finite to null/"-".
@@ -207,251 +146,266 @@ struct BreatheEnvironment {
   std::uint64_t adversarial_budget = 0;
 };
 
-/// The environment exclusivity rules both the RunDetail and the pooled
-/// trial paths enforce: at most one of heterogeneous / schedule /
-/// adversarial selects the channel.
-void validate_breathe_env(const BreatheEnvironment& env) {
-  if (env.heterogeneous && env.schedule.enabled()) {
+/// Everything a breathe scenario fixes before its first trial: the
+/// calibrated schedule, the protocol config (whose initial seed list is
+/// O(n) for boost), the environment, and the execution knobs. The run_*
+/// functions build one per call; the *_trial_fn adapters build one per
+/// cell and share it read-only across the harness's worker threads.
+struct BreatheCell {
+  Params params;
+  BreatheConfig config;
+  double eps = 0.0;
+  BreatheEnvironment env{};
+  EngineMode engine = EngineMode::kBatch;
+  std::size_t shards = 1;
+  /// Truncates the budget to Stage I; success then means "every agent
+  /// activated".
+  bool stage1_only = false;
+  Round probe_every = 0;
+};
+
+// Scenario -> BreatheCell derivations. A bad bias is rejected before
+// Params::calibrated checks (n, eps).
+
+BreatheCell broadcast_cell(const BroadcastScenario& scenario) {
+  BreatheCell cell{
+      Params::calibrated(scenario.n, scenario.eps, scenario.tuning),
+      broadcast_config(scenario.correct)};
+  cell.config.stage1_pick = scenario.stage1_pick;
+  cell.config.stage2_subset = scenario.stage2_subset;
+  cell.eps = scenario.eps;
+  cell.env.heterogeneous = scenario.heterogeneous_noise;
+  cell.env.schedule = scenario.schedule;
+  cell.env.churn = scenario.churn;
+  cell.env.topology = scenario.topology;
+  cell.env.adversarial_budget = scenario.adversarial_budget;
+  cell.engine = scenario.engine;
+  cell.shards = scenario.shards;
+  cell.stage1_only = scenario.stage1_only;
+  cell.probe_every = scenario.probe_every;
+  if (cell.env.heterogeneous && cell.env.schedule.enabled()) {
     throw std::invalid_argument(
         "breathe scenario: heterogeneous noise and an eps schedule are "
         "mutually exclusive");
   }
-  if (env.adversarial_budget != 0 &&
-      (env.heterogeneous || env.schedule.enabled())) {
+  if (cell.env.adversarial_budget != 0 &&
+      (cell.env.heterogeneous || cell.env.schedule.enabled())) {
     throw std::invalid_argument(
         "breathe scenario: the adversarial channel excludes heterogeneous "
         "noise and eps schedules");
   }
+  return cell;
 }
 
-/// One breathe execution on the substrate the caller resolved: the shared
-/// body of run_broadcast / run_majority / run_boost (the former
-/// run_*_fast/run_* twins, deduplicated). `env` selects the channel and
-/// churn, `stage1_only`/`probe_every` mirror the broadcast knobs.
-RunDetail run_breathe_scenario(const Params& params,
-                               const BreatheConfig& config, double eps,
-                               const BreatheEnvironment& env,
-                               EngineMode engine_mode,
-                               std::size_t shards, bool stage1_only,
-                               Round probe_every, std::uint64_t seed,
-                               std::size_t trial) {
-  if (engine_mode == EngineMode::kSurrogate) {
+BreatheCell majority_cell(const MajorityScenario& scenario) {
+  if (!(scenario.majority_bias > 0.0) || scenario.majority_bias > 0.5) {
+    throw std::invalid_argument("run_majority: majority_bias not in (0, 0.5]");
+  }
+  const Params params =
+      Params::calibrated(scenario.n, scenario.eps, scenario.tuning);
+  // majority-bias = (A_B - A_notB) / (2|A|)  =>  A_B = |A| (1/2 + bias).
+  const auto correct_count = static_cast<std::size_t>(
+      std::llround((0.5 + scenario.majority_bias) *
+                   static_cast<double>(scenario.initial_set)));
+  BreatheCell cell{params, majority_config(params, scenario.initial_set,
+                                           correct_count, scenario.correct)};
+  cell.eps = scenario.eps;
+  cell.env.schedule = scenario.schedule;
+  cell.env.churn = scenario.churn;
+  cell.env.topology = scenario.topology;
+  cell.engine = scenario.engine;
+  cell.shards = scenario.shards;
+  cell.probe_every = scenario.probe_every;
+  return cell;
+}
+
+BreatheCell boost_cell(const BoostScenario& scenario) {
+  if (!(scenario.initial_bias > 0.0) || scenario.initial_bias > 0.5) {
+    throw std::invalid_argument("run_boost: initial_bias not in (0, 0.5]");
+  }
+  const Params params =
+      Params::calibrated(scenario.n, scenario.eps, scenario.tuning);
+  const auto correct_count = static_cast<std::size_t>(
+      std::llround((0.5 + scenario.initial_bias) *
+                   static_cast<double>(scenario.n)));
+  BreatheCell cell{params, majority_config(params, scenario.n, correct_count,
+                                           scenario.correct)};
+  cell.config.skip_stage1 = true;
+  cell.eps = scenario.eps;
+  cell.env.topology = scenario.topology;
+  cell.engine = scenario.engine;
+  cell.shards = scenario.shards;
+  return cell;
+}
+
+/// One breathe execution — the single substrate dispatch behind every
+/// run_broadcast / run_majority / run_boost call and every breathe trial
+/// fn. Builds the channel `cell.env` selects, runs it on the batch fast
+/// path unless the engine is classic, the channel is adversarial, or the
+/// schedule cannot be packed (breathe_fast_supported), and otherwise on
+/// the oracle Engine + BreatheProtocol. Either way it fills the leased
+/// arena's result; both substrates draw from the same keys, so the result
+/// is the same bits.
+const BreatheFastResult& run_breathe_trial(const BreatheCell& cell,
+                                           std::uint64_t seed,
+                                           std::size_t trial,
+                                           TrialArena& arena) {
+  const StreamKey key = trial_stream_key(seed, trial);
+  BreatheRunOptions options;
+  options.engine.probe_every = cell.probe_every;
+  options.engine.churn = cell.env.churn;
+  options.engine.topology = cell.env.topology;
+  options.shards = cell.shards;
+  options.pool = shard_pool(cell.shards);
+  const Round budget =
+      BatchEngine::breathe_schedule(cell.params, cell.config,
+                                    cell.stage1_only)
+          .budget;
+  BreatheFastResult& result = arena.result;
+
+  const auto run = [&](auto& channel) {
+    // The adversarial channel has no packed flip functor: it spends its
+    // budget in delivery order, so only the sequential oracle gives it a
+    // defined meaning (and batch == classic trivially).
+    if constexpr (requires { detail::make_flip(channel); }) {
+      if (cell.engine == EngineMode::kBatch &&
+          breathe_fast_supported(cell.params)) {
+        arena.engine.run_breathe(cell.params, cell.config, channel, key,
+                                 cell.stage1_only, options, result);
+        return;
+      }
+    }
+    Engine engine(cell.params.n(), channel, key, options.engine);
+    BreatheProtocol protocol(cell.params, cell.config, key);
+    result.reset();
+    result.protocol_rounds = budget;
+    result.metrics = engine.run(protocol, budget);
+    result.success = protocol.succeeded();
+    result.opinionated = protocol.population().opinionated();
+    result.correct_fraction =
+        protocol.population().correct_fraction(cell.config.correct);
+    result.final_bias = protocol.population().bias(cell.config.correct);
+    result.stage1 = protocol.stage1_stats();
+    result.stage2 = protocol.stage2_stats();
+  };
+  if (cell.env.adversarial_budget != 0) {
+    AdversarialChannel channel(cell.env.adversarial_budget);
+    run(channel);
+  } else if (cell.env.schedule.enabled()) {
+    // Anchor open-ended schedule segments ("ramp over the whole run") to
+    // the rounds this execution will actually run.
+    CorrelatedBurstChannel channel(
+        cell.env.schedule.resolved(cell.eps, budget));
+    run(channel);
+  } else if (cell.env.heterogeneous) {
+    HeterogeneousChannel channel(cell.eps);
+    run(channel);
+  } else {
+    BinarySymmetricChannel channel(cell.eps);
+    run(channel);
+  }
+
+  if (cell.stage1_only) {
+    // Stage-I-only success = every agent activated, counted from the
+    // Stage I stats (identical on both substrates).
+    const std::uint64_t activated =
+        result.stage1.empty() ? 0 : result.stage1.back().total_activated;
+    result.success = activated == cell.params.n();
+  }
+  return result;
+}
+
+/// The RunDetail of one breathe execution (the public run_* functions).
+RunDetail breathe_detail(const BreatheCell& cell, std::uint64_t seed,
+                         std::size_t trial) {
+  if (cell.engine == EngineMode::kSurrogate) {
     // The surrogate yields analytic moments, not one execution's samples:
     // there is no RunDetail to return. The *_trial_fn adapters intercept
-    // kSurrogate before reaching here.
+    // kSurrogate before a cell is built.
     throw std::invalid_argument(
         "breathe scenario: the surrogate engine has no per-execution "
         "RunDetail; use the trial-fn adapters");
   }
-  validate_breathe_env(env);
-  const StreamKey key = trial_stream_key(seed, trial);
-  EngineOptions options;
-  options.probe_every = probe_every;
-  options.churn = env.churn;
-  options.topology = env.topology;
-  const Round budget =
-      BatchEngine::breathe_schedule(params, config, stage1_only).budget;
-  // Anchor open-ended schedule segments ("ramp over the whole run") to the
-  // rounds this execution will actually run.
-  const EnvironmentSchedule schedule = env.schedule.resolved(eps, budget);
-
+  TrialArenaLease arena;
+  const BreatheFastResult& result =
+      run_breathe_trial(cell, seed, trial, *arena);
   RunDetail detail;
-  // The adversarial ablation always runs on the reference Engine: the
-  // channel spends its budget in delivery order, so only the sequential
-  // substrate gives it a defined meaning (and batch == classic trivially).
-  if (engine_mode == EngineMode::kBatch && breathe_fast_supported(params) &&
-      env.adversarial_budget == 0) {
-    BreatheRunOptions run_options;
-    run_options.engine = options;
-    run_options.shards = shards;
-    run_options.pool = shard_pool(shards);
-    BatchEngineLease engine;
-    BreatheFastResult fast;
-    if (env.schedule.enabled()) {
-      CorrelatedBurstChannel channel(schedule);
-      fast = engine->run_breathe(params, config, channel, key, stage1_only,
-                                 run_options);
-    } else if (env.heterogeneous) {
-      HeterogeneousChannel channel(eps);
-      fast = engine->run_breathe(params, config, channel, key, stage1_only,
-                                 run_options);
-    } else {
-      BinarySymmetricChannel channel(eps);
-      fast = engine->run_breathe(params, config, channel, key, stage1_only,
-                                 run_options);
-    }
-    detail = fast_to_detail(std::move(fast));
-    detail.convergence_round =
-        activation_convergence(detail.metrics, params.n());
-    return detail;
-  }
-
-  // Reference substrate: virtual Engine + BreatheProtocol, same keys.
-  std::unique_ptr<NoiseChannel> channel;
-  if (env.adversarial_budget != 0) {
-    channel = std::make_unique<AdversarialChannel>(env.adversarial_budget);
-  } else if (env.schedule.enabled()) {
-    channel = std::make_unique<CorrelatedBurstChannel>(schedule);
-  } else if (env.heterogeneous) {
-    channel = std::make_unique<HeterogeneousChannel>(eps);
-  } else {
-    channel = std::make_unique<BinarySymmetricChannel>(eps);
-  }
-  Engine engine(params.n(), *channel, key, options);
-  BreatheProtocol protocol(params, config, key);
-
-  detail.protocol_rounds = budget;
-  detail.metrics = engine.run(protocol, budget);
-  detail.success = protocol.succeeded();
-  detail.correct_fraction =
-      protocol.population().correct_fraction(config.correct);
-  detail.final_bias = protocol.population().bias(config.correct);
-  detail.stage1 = protocol.stage1_stats();
-  detail.stage2 = protocol.stage2_stats();
+  detail.metrics = result.metrics;
+  detail.success = result.success;
+  detail.correct_fraction = result.correct_fraction;
+  detail.final_bias = result.final_bias;
+  detail.protocol_rounds = result.protocol_rounds;
+  detail.stage1 = result.stage1;
+  detail.stage2 = result.stage2;
   detail.convergence_round =
-      activation_convergence(detail.metrics, params.n());
+      activation_convergence(result.metrics, cell.params.n());
   return detail;
 }
 
-/// The warm Monte-Carlo path: one batch fast-path execution through the
-/// calling thread's pooled TrialArena, reduced straight to the
-/// TrialOutcome scalars. No RunDetail is materialized and nothing escapes
-/// the arena, so after one warm-up trial per cell shape the per-trial
-/// heap allocation count is zero on static channels (the trial_arena
-/// tests hold this with a counting allocator; CorrelatedBurstChannel
-/// still materializes its resolved schedule per trial). Returns nullopt
-/// when the fast path does not apply — classic engine, adversarial
-/// channel, unpackable schedule — and the caller falls back to the
-/// RunDetail substrate dispatch above. Identical outcomes either way.
-std::optional<TrialOutcome> pooled_breathe_outcome(
-    const Params& params, const BreatheConfig& config, double eps,
-    const BreatheEnvironment& env, EngineMode engine_mode,
-    std::size_t shards, bool stage1_only, Round probe_every,
-    std::uint64_t seed, std::size_t trial) {
-  if (engine_mode != EngineMode::kBatch || !breathe_fast_supported(params) ||
-      env.adversarial_budget != 0) {
-    return std::nullopt;
-  }
-  const StreamKey key = trial_stream_key(seed, trial);
-  BreatheRunOptions run_options;
-  run_options.engine.probe_every = probe_every;
-  run_options.engine.churn = env.churn;
-  run_options.engine.topology = env.topology;
-  run_options.shards = shards;
-  run_options.pool = shard_pool(shards);
-
+/// The TrialOutcome of one breathe execution (the Monte-Carlo path). Only
+/// scalars leave the arena, so after one warm-up trial per cell shape a
+/// batch trial with a static channel and inline shard phases allocates
+/// nothing (tests/trial_arena_test.cpp); CorrelatedBurstChannel still
+/// materializes its resolved schedule per trial.
+TrialOutcome breathe_outcome(const BreatheCell& cell, std::uint64_t seed,
+                             std::size_t trial) {
   TrialArenaLease arena;
-  BreatheFastResult& fast = arena->result;
-  if (env.schedule.enabled()) {
-    const Round budget =
-        BatchEngine::breathe_schedule(params, config, stage1_only).budget;
-    CorrelatedBurstChannel channel(env.schedule.resolved(eps, budget));
-    arena->engine.run_breathe(params, config, channel, key, stage1_only,
-                              run_options, fast);
-  } else if (env.heterogeneous) {
-    HeterogeneousChannel channel(eps);
-    arena->engine.run_breathe(params, config, channel, key, stage1_only,
-                              run_options, fast);
-  } else {
-    BinarySymmetricChannel channel(eps);
-    arena->engine.run_breathe(params, config, channel, key, stage1_only,
-                              run_options, fast);
-  }
-
-  TrialOutcome outcome;
-  outcome.success = fast.success;
-  if (stage1_only) {
-    // Stage-I-only success = every agent activated: run_broadcast's
-    // post-processing, applied here so both paths report identically.
-    const std::uint64_t activated =
-        fast.stage1.empty() ? 0 : fast.stage1.back().total_activated;
-    outcome.success = activated == params.n();
-  }
-  outcome.rounds = static_cast<double>(fast.metrics.rounds);
-  outcome.messages = static_cast<double>(fast.metrics.messages_sent);
-  outcome.correct_fraction = fast.correct_fraction;
+  const BreatheFastResult& result =
+      run_breathe_trial(cell, seed, trial, *arena);
+  TrialOutcome outcome = metrics_outcome(result.metrics);
+  outcome.success = result.success;
+  outcome.correct_fraction = result.correct_fraction;
   outcome.convergence_round =
-      activation_convergence(fast.metrics, params.n());
-  outcome.delivered = fast.metrics.delivered;
-  outcome.dropped = fast.metrics.dropped;
-  outcome.erased = fast.metrics.erased;
-  outcome.flipped = fast.metrics.flipped;
+      activation_convergence(result.metrics, cell.params.n());
   return outcome;
+}
+
+/// The Monte-Carlo adapter over one prepared cell: everything that depends
+/// only on the scenario is hoisted out of the per-trial closure.
+TrialFn breathe_trial_fn(BreatheCell cell) {
+  return [cell = std::move(cell)](std::uint64_t seed, std::size_t trial) {
+    return breathe_outcome(cell, seed, trial);
+  };
 }
 
 }  // namespace
 
-TrialOutcome to_outcome(const RunDetail& detail) {
+TrialOutcome metrics_outcome(const Metrics& metrics) {
   TrialOutcome outcome;
+  outcome.rounds = static_cast<double>(metrics.rounds);
+  outcome.messages = static_cast<double>(metrics.messages_sent);
+  outcome.delivered = metrics.delivered;
+  outcome.dropped = metrics.dropped;
+  outcome.erased = metrics.erased;
+  outcome.flipped = metrics.flipped;
+  return outcome;
+}
+
+TrialOutcome to_outcome(const RunDetail& detail) {
+  TrialOutcome outcome = metrics_outcome(detail.metrics);
   outcome.success = detail.success;
-  outcome.rounds = static_cast<double>(detail.metrics.rounds);
-  outcome.messages = static_cast<double>(detail.metrics.messages_sent);
   outcome.correct_fraction = detail.correct_fraction;
   outcome.convergence_round = detail.convergence_round;
-  outcome.delivered = detail.metrics.delivered;
-  outcome.dropped = detail.metrics.dropped;
-  outcome.erased = detail.metrics.erased;
-  outcome.flipped = detail.metrics.flipped;
   return outcome;
 }
 
 RunDetail run_broadcast(const BroadcastScenario& scenario, std::uint64_t seed,
                         std::size_t trial) {
-  const Params params = Params::calibrated(scenario.n, scenario.eps,
-                                           scenario.tuning);
-  BreatheEnvironment env;
-  env.heterogeneous = scenario.heterogeneous_noise;
-  env.schedule = scenario.schedule;
-  env.churn = scenario.churn;
-  env.topology = scenario.topology;
-  env.adversarial_budget = scenario.adversarial_budget;
-  RunDetail detail = run_breathe_scenario(
-      params, broadcast_breathe_config(scenario), scenario.eps, env,
-      scenario.engine, scenario.shards,
-      scenario.stage1_only, scenario.probe_every, seed, trial);
-  if (scenario.stage1_only) {
-    // Stage-I-only success = every agent activated. The batch substrate
-    // reports opinionated agents through correct_fraction/bias over pop_;
-    // recompute from the stage1 stats' total (identical on both paths).
-    const std::uint64_t activated =
-        detail.stage1.empty() ? 0 : detail.stage1.back().total_activated;
-    detail.success = activated == scenario.n;
-  }
-  return detail;
+  return breathe_detail(broadcast_cell(scenario), seed, trial);
 }
 
 RunDetail run_majority(const MajorityScenario& scenario, std::uint64_t seed,
                        std::size_t trial) {
-  const Params params = majority_params(scenario);
-  BreatheEnvironment env;
-  env.schedule = scenario.schedule;
-  env.churn = scenario.churn;
-  env.topology = scenario.topology;
-  return run_breathe_scenario(
-      params, majority_breathe_config(params, scenario), scenario.eps, env,
-      scenario.engine, scenario.shards,
-      /*stage1_only=*/false, scenario.probe_every, seed, trial);
+  return breathe_detail(majority_cell(scenario), seed, trial);
 }
 
 RunDetail run_boost(const BoostScenario& scenario, std::uint64_t seed,
                     std::size_t trial) {
-  const Params params = boost_params(scenario);
-  BreatheEnvironment env;
-  env.topology = scenario.topology;
-  return run_breathe_scenario(
-      params, boost_breathe_config(params, scenario), scenario.eps, env,
-      scenario.engine, scenario.shards,
-      /*stage1_only=*/false, /*probe_every=*/0, seed, trial);
+  return breathe_detail(boost_cell(scenario), seed, trial);
 }
 
 RunDetail run_desync(const DesyncScenario& scenario, std::uint64_t seed,
                      std::size_t trial) {
-  if (scenario.engine == EngineMode::kSurrogate) {
-    throw std::invalid_argument(
-        "desync: per-agent clock offsets break the homogeneous-population "
-        "assumption of the surrogate engine; use --engine batch or "
-        "--engine classic");
-  }
   const Params params = Params::calibrated(scenario.n, scenario.eps,
                                            scenario.tuning);
   const StreamKey key = trial_stream_key(seed, trial);
@@ -493,22 +447,15 @@ RunDetail run_desync(const DesyncScenario& scenario, std::uint64_t seed,
 
   detail.protocol_rounds = protocol.total_rounds();
   detail.desync_overhead = protocol.desync_overhead();
-  const auto run_on_channel = [&](auto& channel) {
-    if (scenario.engine == EngineMode::kBatch) {
-      return BatchEngineLease()->run(scenario.n, protocol, channel, key,
-                                     protocol.total_rounds());
-    }
-    Engine engine(scenario.n, channel, key);
-    return engine.run(protocol, protocol.total_rounds());
-  };
+  std::unique_ptr<NoiseChannel> channel;
   if (scenario.schedule.enabled()) {
-    CorrelatedBurstChannel channel(
+    channel = std::make_unique<CorrelatedBurstChannel>(
         scenario.schedule.resolved(scenario.eps, protocol.total_rounds()));
-    detail.metrics = run_on_channel(channel);
   } else {
-    BinarySymmetricChannel channel(scenario.eps);
-    detail.metrics = run_on_channel(channel);
+    channel = std::make_unique<BinarySymmetricChannel>(scenario.eps);
   }
+  Engine engine(scenario.n, *channel, key);
+  detail.metrics = engine.run(protocol, protocol.total_rounds());
   detail.metrics.rounds += detail.clock_sync_rounds;
   detail.metrics.messages_sent += detail.clock_sync_messages;
   detail.success = protocol.succeeded();
@@ -518,89 +465,28 @@ RunDetail run_desync(const DesyncScenario& scenario, std::uint64_t seed,
   return detail;
 }
 
-// The exact-engine adapters below hoist everything that depends only on
-// the scenario — Params::calibrated, the BreatheConfig (whose initial
-// seed list is O(n) for boost), the environment — out of the per-trial
-// closure into per-cell state shared read-only across the harness's
-// worker threads. The warm per-trial path then runs through the pooled
-// TrialArena and allocates nothing; scenarios the fast path cannot take
-// fall back to the public RunDetail runners, same outcomes bit for bit.
-
 TrialFn broadcast_trial_fn(BroadcastScenario scenario) {
   if (scenario.engine == EngineMode::kSurrogate) {
     return surrogate_trial_fn(broadcast_surrogate_spec(scenario));
   }
-  const Params params =
-      Params::calibrated(scenario.n, scenario.eps, scenario.tuning);
-  BreatheEnvironment env;
-  env.heterogeneous = scenario.heterogeneous_noise;
-  env.schedule = scenario.schedule;
-  env.churn = scenario.churn;
-  env.topology = scenario.topology;
-  env.adversarial_budget = scenario.adversarial_budget;
-  validate_breathe_env(env);
-  return [scenario, params, env,
-          config = broadcast_breathe_config(scenario)](
-             std::uint64_t seed, std::size_t trial) {
-    if (const auto outcome = pooled_breathe_outcome(
-            params, config, scenario.eps, env, scenario.engine,
-            scenario.shards, scenario.stage1_only, scenario.probe_every,
-            seed, trial)) {
-      return *outcome;
-    }
-    return to_outcome(run_broadcast(scenario, seed, trial));
-  };
+  return breathe_trial_fn(broadcast_cell(scenario));
 }
 
 TrialFn majority_trial_fn(MajorityScenario scenario) {
   if (scenario.engine == EngineMode::kSurrogate) {
     return surrogate_trial_fn(majority_surrogate_spec(scenario));
   }
-  const Params params = majority_params(scenario);
-  BreatheEnvironment env;
-  env.schedule = scenario.schedule;
-  env.churn = scenario.churn;
-  env.topology = scenario.topology;
-  return [scenario, params, env,
-          config = majority_breathe_config(params, scenario)](
-             std::uint64_t seed, std::size_t trial) {
-    if (const auto outcome = pooled_breathe_outcome(
-            params, config, scenario.eps, env, scenario.engine,
-            scenario.shards, /*stage1_only=*/false, scenario.probe_every,
-            seed, trial)) {
-      return *outcome;
-    }
-    return to_outcome(run_majority(scenario, seed, trial));
-  };
+  return breathe_trial_fn(majority_cell(scenario));
 }
 
 TrialFn boost_trial_fn(BoostScenario scenario) {
   if (scenario.engine == EngineMode::kSurrogate) {
     return surrogate_trial_fn(boost_surrogate_spec(scenario));
   }
-  const Params params = boost_params(scenario);
-  BreatheEnvironment env;
-  env.topology = scenario.topology;
-  return [scenario, params, env,
-          config = boost_breathe_config(params, scenario)](
-             std::uint64_t seed, std::size_t trial) {
-    if (const auto outcome = pooled_breathe_outcome(
-            params, config, scenario.eps, env, scenario.engine,
-            scenario.shards, /*stage1_only=*/false, /*probe_every=*/0,
-            seed, trial)) {
-      return *outcome;
-    }
-    return to_outcome(run_boost(scenario, seed, trial));
-  };
+  return breathe_trial_fn(boost_cell(scenario));
 }
 
 TrialFn desync_trial_fn(DesyncScenario scenario) {
-  if (scenario.engine == EngineMode::kSurrogate) {
-    throw std::invalid_argument(
-        "desync: per-agent clock offsets break the homogeneous-population "
-        "assumption of the surrogate engine; use --engine batch or "
-        "--engine classic");
-  }
   return [scenario](std::uint64_t seed, std::size_t trial) {
     return to_outcome(run_desync(scenario, seed, trial));
   };

@@ -4,13 +4,13 @@
 // single call. Tests, benches and examples all run the paper's experiments
 // through these, so workloads are identical everywhere.
 //
-// Every run_* function dispatches on its scenario's `engine` field: kBatch
-// runs the statically-dispatched BatchEngine substrate (the breathe
-// scenarios additionally use its sharded SoA specialization), kClassic the
-// reference Engine + protocol objects. Both substrates draw from the same
+// The breathe scenarios (broadcast / majority / boost) dispatch on their
+// `engine` field: kBatch runs the sharded SoA BatchEngine, kClassic the
+// reference Engine + BreatheProtocol. Both substrates draw from the same
 // counter-keyed per-agent streams (util/rng.hpp), so for the same
 // (seed, trial) they return bit-identical RunDetails — for every `shards`
-// value. tests/batch_engine_test.cpp enforces this.
+// value. tests/batch_engine_test.cpp enforces this. Desync has no SoA
+// specialization and always runs on the reference Engine.
 
 #include <cstdint>
 #include <limits>
@@ -120,12 +120,6 @@ struct DesyncScenario {
   Attribution attribution = Attribution::kLocalWindow;
   Tuning tuning{};
   Opinion correct = Opinion::kOne;
-  /// kBatch routes the run through BatchEngine's statically-dispatched
-  /// generic loop (the desync protocol has no SoA specialization yet).
-  EngineMode engine = EngineMode::kBatch;
-  /// Accepted for interface uniformity; the generic loop is unsharded, so
-  /// every value runs identically (which is what the contract promises).
-  std::size_t shards = 1;
   /// Per-round eps schedule (desync_burst); static when disabled. Churn is
   /// deliberately NOT offered here — the desync protocol has its own wake
   /// semantics, and overlapping the two would conflate the measurements.
@@ -158,6 +152,13 @@ struct RunDetail {
   /// series). NaN when the run records no probes or never converges.
   double convergence_round = kNoConvergence;
 };
+
+/// The TrialOutcome fields an execution's Metrics determine — rounds,
+/// messages and the four engine counters — with success, correct_fraction
+/// and convergence_round left at their defaults for the caller to fill.
+/// Every Metrics-backed outcome (to_outcome, the breathe trial fns, the
+/// Engine-based baselines) starts from this one copy.
+[[nodiscard]] TrialOutcome metrics_outcome(const Metrics& metrics);
 
 [[nodiscard]] TrialOutcome to_outcome(const RunDetail& detail);
 

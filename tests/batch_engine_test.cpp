@@ -14,7 +14,6 @@
 
 #include "core/environment.hpp"
 #include "core/params.hpp"
-#include "sim/mailbox.hpp"
 #include "sim/population.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/registry.hpp"
@@ -153,15 +152,6 @@ TEST(BatchEngineTest, BoostIdenticalToClassic) {
                    run_boost(on(scenario, EngineMode::kBatch), 0x5eed, 0));
 }
 
-TEST(BatchEngineTest, DesyncIdenticalToClassic) {
-  DesyncScenario scenario;
-  scenario.n = 256;
-  scenario.eps = 0.3;
-  scenario.max_skew = 8;
-  expect_detail_eq(run_desync(on(scenario, EngineMode::kClassic), 0x5eed, 0),
-                   run_desync(on(scenario, EngineMode::kBatch), 0x5eed, 0));
-}
-
 // --- Dynamic environments: schedules and churn --------------------------
 // The new layer must obey the same contract as everything else: classic ==
 // batch == any shard count, bit for bit, for every Metrics counter and
@@ -250,16 +240,6 @@ TEST(BatchEngineTest, MajorityChurnIdenticalAcrossSubstrates) {
   expect_detail_eq(batch,
                    run_majority(on(scenario, EngineMode::kBatch, 8),
                                 0x5eed, 0));
-}
-
-TEST(BatchEngineTest, DesyncBurstIdenticalAcrossSubstrates) {
-  DesyncScenario scenario;
-  scenario.n = 256;
-  scenario.eps = 0.3;
-  scenario.max_skew = 8;
-  scenario.schedule = EnvironmentSchedule::parse("burst:0.1:8:0.02");
-  expect_detail_eq(run_desync(on(scenario, EngineMode::kClassic), 0x5eed, 0),
-                   run_desync(on(scenario, EngineMode::kBatch), 0x5eed, 0));
 }
 
 // Churn conservation: every sent message is accounted for exactly once —
@@ -446,35 +426,6 @@ TEST(BatchEngineTest, SupportPredicateRejectsOverlongPhases) {
 }
 
 // --- Reuse modes behave like fresh construction -------------------------
-
-TEST(BatchEngineTest, MailboxReuseMatchesFreshConstruction) {
-  Xoshiro256 rng_fresh(42);
-  Xoshiro256 rng_reused(42);
-  Mailbox fresh(64);
-  Mailbox reused(8);
-  reused.push(Message{1, Opinion::kOne}, rng_reused);  // dirty it
-  Xoshiro256 discard(7);
-  reused.reuse(64);
-  rng_reused = Xoshiro256(42);
-  for (AgentId a = 0; a < 64; ++a) {
-    fresh.push(Message{a, Opinion::kOne}, rng_fresh);
-    reused.push(Message{a, Opinion::kOne}, rng_reused);
-  }
-  ASSERT_EQ(fresh.recipients().size(), reused.recipients().size());
-  EXPECT_EQ(fresh.pushed_this_round(), reused.pushed_this_round());
-  EXPECT_EQ(fresh.dropped_this_round(), reused.dropped_this_round());
-  for (std::size_t i = 0; i < fresh.recipients().size(); ++i) {
-    const AgentId to = fresh.recipients()[i];
-    EXPECT_EQ(to, reused.recipients()[i]);
-    EXPECT_EQ(fresh.arrivals(to), reused.arrivals(to));
-    EXPECT_EQ(fresh.accepted(to).sender, reused.accepted(to).sender);
-  }
-}
-
-TEST(BatchEngineTest, MailboxReuseRejectsTinyPopulations) {
-  Mailbox mailbox(8);
-  EXPECT_THROW(mailbox.reuse(1), std::invalid_argument);
-}
 
 TEST(BatchEngineTest, PopulationReuseClearsEverything) {
   Population pop(8);

@@ -190,6 +190,39 @@ TEST(SweepTest, RunSweepValidatesBeforeRunning) {
   EXPECT_THROW(run_sweep(bad_channel), std::invalid_argument);
 }
 
+TEST(SweepTest, HeterogeneousUnderScheduleFailsBeforeTheFirstCell) {
+  // The bsc cell alone is valid; crossing it with the heterogeneous channel
+  // under an eps schedule must still fail at expand_grid, before any cell
+  // runs, with the same message on every engine.
+  for (const EngineMode engine :
+       {EngineMode::kBatch, EngineMode::kClassic, EngineMode::kSurrogate}) {
+    SweepSpec spec;
+    spec.scenario = "broadcast";
+    spec.ns = {256};
+    spec.channels = {std::string(kChannelBsc),
+                     std::string(kChannelHeterogeneous)};
+    spec.schedule = EnvironmentSchedule::parse("ramp:0.4:0.15");
+    spec.trials = 2;
+    spec.engine = engine;
+    const std::string what(engine_mode_name(engine));
+    try {
+      (void)expand_grid(spec);
+      ADD_FAILURE() << what << ": expand_grid accepted the grid";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(),
+                   "scenario 'broadcast': heterogeneous noise and an eps "
+                   "schedule are mutually exclusive")
+          << what;
+    }
+    std::size_t points = 0;
+    EXPECT_THROW(run_sweep(spec,
+                           [&](std::size_t, const SweepPoint&) { ++points; }),
+                 std::invalid_argument)
+        << what;
+    EXPECT_EQ(points, 0u) << what;
+  }
+}
+
 // --- Reporting ----------------------------------------------------------
 
 // A fixed SweepResult with exactly representable numbers, so the JSON and

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
+
+#include "core/environment.hpp"
+#include "core/topology.hpp"
 
 namespace flip {
 namespace {
@@ -103,15 +109,77 @@ TEST(ScenariosTest, DesyncClockSyncPipeline) {
   EXPECT_GT(detail.measured_skew, 0u);
 }
 
+/// Every TrialOutcome field, exactly; NaN == NaN for convergence_round.
+void expect_outcome_eq(const TrialOutcome& via_fn, const TrialOutcome& direct,
+                       const std::string& what) {
+  EXPECT_EQ(via_fn.success, direct.success) << what;
+  EXPECT_EQ(via_fn.rounds, direct.rounds) << what;
+  EXPECT_EQ(via_fn.messages, direct.messages) << what;
+  EXPECT_EQ(via_fn.correct_fraction, direct.correct_fraction) << what;
+  if (!(std::isnan(via_fn.convergence_round) &&
+        std::isnan(direct.convergence_round))) {
+    EXPECT_EQ(via_fn.convergence_round, direct.convergence_round) << what;
+  }
+  EXPECT_EQ(via_fn.delivered, direct.delivered) << what;
+  EXPECT_EQ(via_fn.dropped, direct.dropped) << what;
+  EXPECT_EQ(via_fn.erased, direct.erased) << what;
+  EXPECT_EQ(via_fn.flipped, direct.flipped) << what;
+}
+
+/// Runs `scenario` through its *_trial_fn and through to_outcome(run_*) on
+/// both exact substrates and expects the same outcome from each.
+template <typename Scenario, typename TrialFnOf, typename RunOf>
+void expect_adapter_matches(const std::string& name, Scenario scenario,
+                            TrialFnOf trial_fn_of, RunOf run_of) {
+  for (const EngineMode engine : {EngineMode::kBatch, EngineMode::kClassic}) {
+    scenario.engine = engine;
+    expect_outcome_eq(trial_fn_of(scenario)(99, 3),
+                      to_outcome(run_of(scenario, 99, 3)),
+                      name + " on " + std::string(engine_mode_name(engine)));
+  }
+}
+
 TEST(ScenariosTest, TrialFnAdapterMatchesDirectRun) {
-  BroadcastScenario scenario;
-  scenario.n = 256;
-  scenario.eps = 0.3;
-  const TrialFn fn = broadcast_trial_fn(scenario);
-  const TrialOutcome via_fn = fn(99, 3);
-  const TrialOutcome direct = to_outcome(run_broadcast(scenario, 99, 3));
-  EXPECT_EQ(via_fn.success, direct.success);
-  EXPECT_DOUBLE_EQ(via_fn.messages, direct.messages);
+  // The trial fns and the RunDetail runners share one result path: every
+  // breathe path must report the same outcome through either.
+  BroadcastScenario bsc;
+  bsc.n = 256;
+  bsc.eps = 0.3;
+  bsc.probe_every = 8;  // a finite convergence_round to compare
+  BroadcastScenario heterogeneous = bsc;
+  heterogeneous.heterogeneous_noise = true;
+  BroadcastScenario schedule = bsc;
+  schedule.schedule = EnvironmentSchedule::parse("ramp:0.4:0.15");
+  BroadcastScenario churn = bsc;
+  churn.churn = ChurnSpec::parse("0.01:0.1:0.25");
+  BroadcastScenario adversarial = bsc;
+  adversarial.adversarial_budget = 128;
+  BroadcastScenario stage1_only = bsc;
+  stage1_only.stage1_only = true;
+  BroadcastScenario smallworld = bsc;
+  smallworld.topology = TopologySpec::parse("smallworld:8:0.1");
+  for (const auto& [name, scenario] :
+       {std::pair{"bsc", bsc}, std::pair{"heterogeneous", heterogeneous},
+        std::pair{"eps schedule", schedule}, std::pair{"churn", churn},
+        std::pair{"adversarial", adversarial},
+        std::pair{"stage1_only", stage1_only},
+        std::pair{"smallworld topology", smallworld}}) {
+    expect_adapter_matches(name, scenario, broadcast_trial_fn, run_broadcast);
+  }
+
+  MajorityScenario majority;
+  majority.n = 256;
+  majority.eps = 0.3;
+  majority.initial_set = 32;
+  majority.probe_every = 8;
+  expect_adapter_matches("majority", majority, majority_trial_fn,
+                         run_majority);
+
+  BoostScenario boost;
+  boost.n = 256;
+  boost.eps = 0.3;
+  boost.initial_bias = 0.05;
+  expect_adapter_matches("boost", boost, boost_trial_fn, run_boost);
 }
 
 TEST(ScenariosTest, TrialHarnessIntegration) {

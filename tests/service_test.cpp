@@ -469,6 +469,38 @@ TEST_F(ServiceTest, RejectsInvalidRequestsWithTheCliMessage) {
   }
 }
 
+TEST_F(ServiceTest, RejectsHeterogeneousUnderScheduleAtIngest) {
+  // The grid's first (bsc) cell is valid; the request must still be
+  // rejected at ingest, before any cell streams, with the CLI's text.
+  SweepRequest request;
+  request.scenario = "broadcast";
+  request.ns = "256";
+  request.channels = "bsc,heterogeneous";
+  request.schedule = "ramp:0.4:0.15";
+  request.trials = 2;
+  SweepSpec spec;
+  ASSERT_FALSE(cli::resolve_sweep_request(request, spec).has_value());
+  std::string cli_message;
+  try {
+    (void)cli::expand_grid(spec);
+  } catch (const std::invalid_argument& e) {
+    cli_message = e.what();
+  }
+  ASSERT_FALSE(cli_message.empty()) << "expand_grid must reject the grid";
+
+  net::SweepClient client(server_.port());
+  std::size_t lines = 0;
+  try {
+    client.run_sweep(request,
+                     [&](std::size_t, const std::string&) { ++lines; });
+    FAIL() << "heterogeneous + schedule must be rejected at ingest";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(cli_message), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(lines, 0u);
+}
+
 TEST_F(ServiceTest, ResumeFromSkipsCompletedCells) {
   SweepRequest request;
   request.scenario = "broadcast_small";

@@ -2,9 +2,11 @@
 // thread's arena is warm, running another trial through the pooled
 // BatchEngine path performs ZERO heap allocations — proven here with a
 // counting global operator new, not argued from reading the code. The
-// lease-stack semantics (same arena back on re-acquire, distinct arenas
-// under nesting, BatchEngineLease sharing the same stack) are pinned too,
-// because the helping-wait reentrancy in the thread pool depends on them.
+// shard phases run inline here (pool == nullptr); a sharded trial on the
+// shared ThreadPool still allocates per parallel_for call. The lease-stack
+// semantics (same arena back on re-acquire, distinct arenas under nesting)
+// are pinned too, because the helping-wait reentrancy in the thread pool
+// depends on them.
 //
 // This TU replaces the global operator new/delete for the whole test
 // binary with a counting passthrough. That is safe binary-wide (every
@@ -77,9 +79,9 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace flip {
 namespace {
 
-/// One warm trial exactly as the pooled scenario path runs it
-/// (workload/scenarios.cpp pooled_breathe_outcome): lease the thread's
-/// arena, build the per-trial channel, fill the pooled result in place.
+/// One warm trial exactly as the scenario layer's batch path runs it
+/// (workload/scenarios.cpp run_breathe_trial): lease the thread's arena,
+/// build the per-trial channel, fill the pooled result in place.
 void run_pooled_trial(const Params& params, const BreatheConfig& config,
                       const BreatheRunOptions& options, std::uint64_t seed,
                       std::size_t trial) {
@@ -144,17 +146,6 @@ TEST(TrialArenaTest, NestedLeasesGetDistinctArenas) {
   EXPECT_NE(&*outer, &*inner)
       << "helping-wait reentrancy: a nested lease may not alias the arena "
          "of the trial it interrupted";
-}
-
-TEST(TrialArenaTest, BatchEngineLeaseSharesTheArenaStack) {
-  TrialArena* arena = nullptr;
-  {
-    TrialArenaLease lease;
-    arena = &*lease;
-  }
-  BatchEngineLease engine;
-  EXPECT_EQ(&*engine, &arena->engine)
-      << "the engine-only lease is a view of the same per-thread arena";
 }
 
 TEST(TrialArenaTest, PooledResultKeepsVectorStorageAcrossTrials) {
