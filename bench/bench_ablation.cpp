@@ -101,8 +101,7 @@ int main(int argc, char** argv) {
   // No breathing at all: the Section 1.6 forward-immediately strawman.
   {
     flip::BinarySymmetricChannel channel(eps);
-    flip::Xoshiro256 rng = flip::make_stream(seed, 99);
-    flip::Engine engine(n, channel, rng);
+    flip::Engine engine(n, channel, flip::trial_stream_key(seed, 99));
     flip::ForwardConfig config;
     config.initial = {flip::Seed{0, flip::Opinion::kOne}};
     config.stop_when_all_informed = true;

@@ -70,8 +70,7 @@ int main(int argc, char** argv) {
   // --- silent listening ------------------------------------------------
   {
     flip::BinarySymmetricChannel channel(eps);
-    flip::Xoshiro256 rng = flip::make_stream(seed, 10);
-    flip::Engine engine(n, channel, rng);
+    flip::Engine engine(n, channel, flip::trial_stream_key(seed, 10));
     flip::SilentConfig config;
     config.samples_needed =
         flip::next_odd(static_cast<std::uint64_t>(unit));
@@ -88,8 +87,7 @@ int main(int argc, char** argv) {
   // --- forward immediately --------------------------------------------
   {
     flip::BinarySymmetricChannel channel(eps);
-    flip::Xoshiro256 rng = flip::make_stream(seed, 11);
-    flip::Engine engine(n, channel, rng);
+    flip::Engine engine(n, channel, flip::trial_stream_key(seed, 11));
     flip::ForwardConfig config;
     config.initial = {flip::Seed{0, flip::Opinion::kOne}};
     config.stop_when_all_informed = true;
@@ -104,8 +102,7 @@ int main(int argc, char** argv) {
   // --- noisy voter with zealot ------------------------------------------
   {
     flip::BinarySymmetricChannel channel(eps);
-    flip::Xoshiro256 rng = flip::make_stream(seed, 12);
-    flip::Engine engine(n, channel, rng);
+    flip::Engine engine(n, channel, flip::trial_stream_key(seed, 12));
     flip::VoterConfig config;
     config.zealots = {flip::Seed{0, flip::Opinion::kOne}};
     config.duration = static_cast<flip::Round>(16.0 * unit);
@@ -121,13 +118,13 @@ int main(int argc, char** argv) {
   for (const auto rule :
        {flip::PullRule::kTwoPlusOwn, flip::PullRule::kThreeSamples}) {
     flip::BinarySymmetricChannel channel(eps);
-    flip::Xoshiro256 rng = flip::make_stream(
+    const flip::StreamKey key = flip::trial_stream_key(
         seed, rule == flip::PullRule::kTwoPlusOwn ? 13 : 14);
     flip::PullMajorityConfig config;
     config.rule = rule;
     config.initial_correct_fraction = 0.6;
     config.max_rounds = static_cast<flip::Round>(8.0 * unit);
-    flip::PullMajorityDynamics dynamics(n, config, channel, rng);
+    flip::PullMajorityDynamics dynamics(n, config, channel, key);
     const flip::PullMajorityResult r = dynamics.run();
     rows.push_back({rule == flip::PullRule::kTwoPlusOwn
                         ? "two-choices (ref 22)"
@@ -139,13 +136,12 @@ int main(int argc, char** argv) {
 
   // --- three-state AAE ---------------------------------------------------
   {
-    flip::Xoshiro256 rng = flip::make_stream(seed, 15);
     flip::AAEConfig config;
     config.initial_correct = n * 3 / 10;
     config.initial_wrong = n / 10;
     config.eps = eps;
     config.max_rounds = static_cast<flip::Round>(8.0 * unit);
-    flip::ThreeStateAAE aae(n, config, rng);
+    flip::ThreeStateAAE aae(n, config, flip::trial_stream_key(seed, 15));
     const flip::AAEResult r = aae.run();
     rows.push_back({"3-state AAE (ref 6)", "majority (3:1 seeds)",
                     static_cast<double>(r.rounds), r.final_correct_fraction,
@@ -155,8 +151,7 @@ int main(int argc, char** argv) {
   // --- noiseless push rumor (reference point) ---------------------------
   {
     flip::PerfectChannel channel;
-    flip::Xoshiro256 rng = flip::make_stream(seed, 16);
-    flip::Engine engine(n, channel, rng);
+    flip::Engine engine(n, channel, flip::trial_stream_key(seed, 16));
     flip::ForwardConfig config;
     config.initial = {flip::Seed{0, flip::Opinion::kOne}};
     config.stop_when_all_informed = true;

@@ -28,14 +28,12 @@ int main() {
 
   // --- Breathe-before-speaking recruitment --------------------------
   const flip::Params params = flip::Params::calibrated(colony, eps);
-  flip::Xoshiro256 engine_rng = flip::make_stream(seed, 0);
-  flip::Xoshiro256 protocol_rng = flip::make_stream(seed, 1);
+  const flip::StreamKey key = flip::trial_stream_key(seed, 0);
   flip::BinarySymmetricChannel channel(eps);
   flip::EngineOptions options;
   options.probe_every = params.total_rounds() / 16;
-  flip::Engine engine(colony, channel, engine_rng, options);
-  flip::BreatheProtocol protocol(params, flip::broadcast_config(),
-                                 protocol_rng);
+  flip::Engine engine(colony, channel, key, options);
+  flip::BreatheProtocol protocol(params, flip::broadcast_config(), key);
   const flip::Metrics metrics = engine.run(protocol, protocol.total_rounds());
 
   flip::TextTable trajectory({"round", "recruited", "bias to true site"});
@@ -55,8 +53,7 @@ int main() {
             << metrics.rounds << " contact rounds.\n\n";
 
   // --- Naive recruitment (forward immediately) ----------------------
-  flip::Xoshiro256 naive_rng = flip::make_stream(seed, 2);
-  flip::Engine naive_engine(colony, channel, naive_rng);
+  flip::Engine naive_engine(colony, channel, flip::trial_stream_key(seed, 2));
   flip::ForwardConfig naive_config;
   naive_config.initial = {flip::Seed{0, flip::Opinion::kOne}};
   naive_config.stop_when_all_informed = true;

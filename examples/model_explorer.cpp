@@ -81,8 +81,7 @@ int main(int argc, char** argv) {
               << ", schedule overhead " << d.desync_overhead << " rounds\n";
   } else if (protocol == "forward") {
     flip::BinarySymmetricChannel channel(eps);
-    flip::Xoshiro256 rng = flip::make_stream(seed, 0);
-    flip::Engine engine(n, channel, rng);
+    flip::Engine engine(n, channel, flip::trial_stream_key(seed, 0));
     flip::ForwardConfig config;
     config.initial = {flip::Seed{0, flip::Opinion::kOne}};
     config.stop_when_all_informed = true;
@@ -94,8 +93,7 @@ int main(int argc, char** argv) {
            static_cast<double>(m.messages_sent));
   } else if (protocol == "silent") {
     flip::BinarySymmetricChannel channel(eps);
-    flip::Xoshiro256 rng = flip::make_stream(seed, 0);
-    flip::Engine engine(n, channel, rng);
+    flip::Engine engine(n, channel, flip::trial_stream_key(seed, 0));
     flip::SilentConfig config;
     config.samples_needed =
         flip::next_odd(static_cast<std::uint64_t>(cap_unit));
@@ -109,8 +107,7 @@ int main(int argc, char** argv) {
            static_cast<double>(m.messages_sent));
   } else if (protocol == "voter") {
     flip::BinarySymmetricChannel channel(eps);
-    flip::Xoshiro256 rng = flip::make_stream(seed, 0);
-    flip::Engine engine(n, channel, rng);
+    flip::Engine engine(n, channel, flip::trial_stream_key(seed, 0));
     flip::VoterConfig config;
     config.zealots = {flip::Seed{0, flip::Opinion::kOne}};
     config.duration = static_cast<flip::Round>(16.0 * cap_unit);
@@ -122,26 +119,25 @@ int main(int argc, char** argv) {
            static_cast<double>(m.messages_sent));
   } else if (protocol == "two-choices" || protocol == "three-majority") {
     flip::BinarySymmetricChannel channel(eps);
-    flip::Xoshiro256 rng = flip::make_stream(seed, 0);
     flip::PullMajorityConfig config;
     config.rule = protocol == "two-choices" ? flip::PullRule::kTwoPlusOwn
                                             : flip::PullRule::kThreeSamples;
     config.initial_correct_fraction = 0.6;
     config.max_rounds = static_cast<flip::Round>(8.0 * cap_unit);
-    flip::PullMajorityDynamics dynamics(n, config, channel, rng);
+    flip::PullMajorityDynamics dynamics(n, config, channel,
+                                        flip::trial_stream_key(seed, 0));
     const flip::PullMajorityResult r = dynamics.run();
     report(protocol.c_str(), r.consensus && r.correct,
            r.final_correct_fraction, static_cast<double>(r.rounds),
            static_cast<double>(r.rounds) * static_cast<double>(n) *
                (config.rule == flip::PullRule::kTwoPlusOwn ? 2.0 : 3.0));
   } else if (protocol == "aae") {
-    flip::Xoshiro256 rng = flip::make_stream(seed, 0);
     flip::AAEConfig config;
     config.initial_correct = n / 8;
     config.initial_wrong = n / 16;
     config.eps = eps;
     config.max_rounds = static_cast<flip::Round>(8.0 * cap_unit);
-    flip::ThreeStateAAE aae(n, config, rng);
+    flip::ThreeStateAAE aae(n, config, flip::trial_stream_key(seed, 0));
     const flip::AAEResult r = aae.run();
     report("three-state AAE", r.consensus && r.correct,
            r.final_correct_fraction, static_cast<double>(r.rounds),

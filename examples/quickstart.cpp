@@ -25,15 +25,15 @@ int main(int argc, char** argv) {
   std::cout << params.describe() << "\n\n";
 
   // 2. Wire up the Flip model: a binary symmetric channel with crossover
-  //    probability 1/2 - eps and the synchronous push-gossip engine.
-  flip::Xoshiro256 engine_rng = flip::make_stream(seed, 0);
-  flip::Xoshiro256 protocol_rng = flip::make_stream(seed, 1);
+  //    probability 1/2 - eps and the synchronous push-gossip engine. All
+  //    randomness of the run derives from one trial key; with the same
+  //    (seed, trial 0) this is trial 0 of `flipsim --scenario broadcast`.
+  const flip::StreamKey key = flip::trial_stream_key(seed, 0);
   flip::BinarySymmetricChannel channel(eps);
-  flip::Engine engine(n, channel, engine_rng);
+  flip::Engine engine(n, channel, key);
 
   // 3. Run the protocol: agent 0 is the source holding B = 1.
-  flip::BreatheProtocol protocol(params, flip::broadcast_config(),
-                                 protocol_rng);
+  flip::BreatheProtocol protocol(params, flip::broadcast_config(), key);
   const flip::Metrics metrics = engine.run(protocol, protocol.total_rounds());
 
   // 4. Report.

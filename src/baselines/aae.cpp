@@ -11,8 +11,9 @@ AAEState opinion_state(Opinion o) {
 }
 }  // namespace
 
-ThreeStateAAE::ThreeStateAAE(std::size_t n, AAEConfig config, Xoshiro256& rng)
-    : config_(std::move(config)), rng_(rng) {
+ThreeStateAAE::ThreeStateAAE(std::size_t n, AAEConfig config,
+                             const StreamKey& key)
+    : config_(std::move(config)), key_(key) {
   if (n < 2) throw std::invalid_argument("ThreeStateAAE: n < 2");
   if (config_.initial_correct + config_.initial_wrong > n) {
     throw std::invalid_argument("ThreeStateAAE: initial set exceeds n");
@@ -30,20 +31,22 @@ ThreeStateAAE::ThreeStateAAE(std::size_t n, AAEConfig config, Xoshiro256& rng)
   next_ = state_;
 }
 
-AAEState ThreeStateAAE::noisy_read(AAEState actual) {
+AAEState ThreeStateAAE::noisy_read(AAEState actual, CounterRng& rng) const {
   if (config_.eps <= 0.0) return actual;
-  if (!bernoulli(rng_, 0.5 - config_.eps)) return actual;
+  if (!bernoulli(rng, 0.5 - config_.eps)) return actual;
   // Misread: uniformly one of the two other symbols.
-  const auto shift = 1 + uniform_index(rng_, 2);
+  const auto shift = 1 + uniform_index(rng, 2);
   return static_cast<AAEState>(
       (static_cast<std::uint64_t>(actual) + shift) % 3);
 }
 
-void ThreeStateAAE::step() {
+void ThreeStateAAE::step(Round r) {
   const std::size_t n = state_.size();
+  const StreamKey round_key = round_stream_key(key_, RngPurpose::kProtocol, r);
   for (std::size_t a = 0; a < n; ++a) {
-    const auto peer = uniform_index(rng_, n);
-    const AAEState seen = noisy_read(state_[peer]);
+    CounterRng rng(round_key, a);
+    const auto peer = uniform_index(rng, n);
+    const AAEState seen = noisy_read(state_[peer], rng);
     AAEState me = state_[a];
     if (me == AAEState::kBlank) {
       if (seen != AAEState::kBlank) me = seen;
@@ -59,7 +62,7 @@ AAEResult ThreeStateAAE::run() {
   AAEResult result;
   const AAEState good = opinion_state(config_.correct);
   for (Round r = 0; r < config_.max_rounds; ++r) {
-    step();
+    step(r);
     result.rounds = r + 1;
     const std::size_t good_count = count(good);
     const std::size_t blank = count(AAEState::kBlank);

@@ -46,18 +46,20 @@ struct AAEResult {
 
 class ThreeStateAAE {
  public:
-  ThreeStateAAE(std::size_t n, AAEConfig config, Xoshiro256& rng);
+  /// Agent a's draws in round r (peer pick, then misread coins) come from
+  /// its (r, a, kProtocol) stream of the trial key `key`.
+  ThreeStateAAE(std::size_t n, AAEConfig config, const StreamKey& key);
 
   AAEResult run();
 
   [[nodiscard]] std::size_t count(AAEState s) const noexcept;
 
  private:
-  [[nodiscard]] AAEState noisy_read(AAEState actual);
-  void step();
+  [[nodiscard]] AAEState noisy_read(AAEState actual, CounterRng& rng) const;
+  void step(Round r);
 
   AAEConfig config_;
-  Xoshiro256& rng_;
+  StreamKey key_;
   std::vector<AAEState> state_;
   std::vector<AAEState> next_;
 };

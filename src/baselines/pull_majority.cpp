@@ -8,10 +8,10 @@ namespace flip {
 PullMajorityDynamics::PullMajorityDynamics(std::size_t n,
                                            PullMajorityConfig config,
                                            NoiseChannel& channel,
-                                           Xoshiro256& rng)
+                                           const StreamKey& key)
     : config_(std::move(config)),
       channel_(channel),
-      rng_(rng),
+      key_(key),
       pop_(n),
       next_(n, 0) {
   if (config_.max_rounds == 0) {
@@ -30,28 +30,30 @@ PullMajorityDynamics::PullMajorityDynamics(std::size_t n,
   }
 }
 
-Opinion PullMajorityDynamics::sample_opinion() {
+Opinion PullMajorityDynamics::sample_opinion(CounterRng& rng) {
   const auto who =
-      static_cast<AgentId>(uniform_index(rng_, pop_.size()));
+      static_cast<AgentId>(uniform_index(rng, pop_.size()));
   // The pulled opinion crosses the same noisy channel as a pushed message;
   // erasures (possible only with an ErasureChannel) re-sample.
   for (;;) {
-    const auto seen = channel_.transmit(pop_.opinion(who), rng_);
+    const auto seen = channel_.transmit(pop_.opinion(who), rng);
     if (seen) return *seen;
   }
 }
 
-void PullMajorityDynamics::step() {
+void PullMajorityDynamics::step(Round r) {
   const std::size_t n = pop_.size();
+  const StreamKey round_key = round_stream_key(key_, RngPurpose::kProtocol, r);
   for (AgentId a = 0; a < n; ++a) {
+    CounterRng rng(round_key, a);
     int ones = 0;
     if (config_.rule == PullRule::kTwoPlusOwn) {
       if (pop_.opinion(a) == Opinion::kOne) ++ones;
-      if (sample_opinion() == Opinion::kOne) ++ones;
-      if (sample_opinion() == Opinion::kOne) ++ones;
+      if (sample_opinion(rng) == Opinion::kOne) ++ones;
+      if (sample_opinion(rng) == Opinion::kOne) ++ones;
     } else {
       for (int i = 0; i < 3; ++i) {
-        if (sample_opinion() == Opinion::kOne) ++ones;
+        if (sample_opinion(rng) == Opinion::kOne) ++ones;
       }
     }
     next_[a] = ones >= 2 ? 1 : 0;
@@ -68,7 +70,7 @@ PullMajorityResult PullMajorityDynamics::run() {
   const Round probe_every =
       std::max<Round>(1, config_.max_rounds / 64);
   for (Round r = 0; r < config_.max_rounds; ++r) {
-    step();
+    step(r);
     if (r % probe_every == 0) {
       result.trajectory.push_back(
           {r, pop_.correct_fraction(config_.correct)});

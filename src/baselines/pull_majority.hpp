@@ -49,21 +49,23 @@ class PullMajorityDynamics {
  public:
   /// Agents' opinions are dealt deterministically to match
   /// initial_correct_fraction, then positions are irrelevant (the dynamics
-  /// sample uniformly). channel and rng must outlive run().
+  /// sample uniformly). Agent a's draws in round r (peer picks and the
+  /// channel noise on each pulled opinion) come from its (r, a, kProtocol)
+  /// stream of the trial key `key`. channel must outlive run().
   PullMajorityDynamics(std::size_t n, PullMajorityConfig config,
-                       NoiseChannel& channel, Xoshiro256& rng);
+                       NoiseChannel& channel, const StreamKey& key);
 
   PullMajorityResult run();
 
   [[nodiscard]] const Population& population() const noexcept { return pop_; }
 
  private:
-  [[nodiscard]] Opinion sample_opinion();
-  void step();
+  [[nodiscard]] Opinion sample_opinion(CounterRng& rng);
+  void step(Round r);
 
   PullMajorityConfig config_;
   NoiseChannel& channel_;
-  Xoshiro256& rng_;
+  StreamKey key_;
   Population pop_;
   std::vector<std::uint8_t> next_;
 };

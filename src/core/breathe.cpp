@@ -12,10 +12,6 @@ double StageOnePhaseStats::layer_bias() const noexcept {
 }
 
 BreatheProtocol::BreatheProtocol(const Params& params, BreatheConfig config,
-                                 Xoshiro256& rng)
-    : BreatheProtocol(params, std::move(config), StreamKey{rng(), rng()}) {}
-
-BreatheProtocol::BreatheProtocol(const Params& params, BreatheConfig config,
                                  const StreamKey& key)
     : params_(params),
       config_(std::move(config)),

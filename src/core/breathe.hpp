@@ -101,9 +101,6 @@ class BreatheProtocol final : public Protocol {
   BreatheProtocol(const Params& params, BreatheConfig config,
                   const StreamKey& key);
 
-  /// Convenience: derives the protocol key from two draws of `rng`.
-  BreatheProtocol(const Params& params, BreatheConfig config, Xoshiro256& rng);
-
   // Protocol interface -------------------------------------------------
   void collect_sends(Round r, std::vector<Message>& out) override;
   void deliver(AgentId to, Opinion bit, Round r) override;

@@ -5,16 +5,14 @@
 #include <limits>
 #include <stdexcept>
 
-#include "sim/mailbox.hpp"
-
 namespace flip {
 
 DesyncBreatheProtocol::DesyncBreatheProtocol(const Params& params,
                                              DesyncConfig config,
-                                             Xoshiro256& rng)
+                                             const StreamKey& key)
     : params_(params),
       config_(std::move(config)),
-      rng_(rng),
+      key_(key),
       pop_(params.n()) {
   const std::size_t n = params_.n();
   if (config_.wake.size() != n) {
@@ -148,7 +146,14 @@ void DesyncBreatheProtocol::deliver(AgentId to, Opinion bit, Round g) {
     }
     if (level_[to] != static_cast<std::int64_t>(j)) return;  // spillover
     ++s1_count_[to];
-    if (s1_count_[to] == 1 || uniform_index(rng_, s1_count_[to]) == 0) {
+    // BreatheProtocol's reservoir rule: the replace/keep coin comes from
+    // the agent's own stream of this (global) round.
+    if (g != protocol_round_cached_) {
+      protocol_round_key_ = round_stream_key(key_, RngPurpose::kProtocol, g);
+      protocol_round_cached_ = g;
+    }
+    CounterRng rng(protocol_round_key_, to);
+    if (s1_count_[to] == 1 || uniform_index(rng, s1_count_[to]) == 0) {
       s1_kept_[to] = bit;
     }
   } else {
@@ -187,19 +192,14 @@ void DesyncBreatheProtocol::finalize_agent_phase(AgentId a, std::size_t j) {
     const std::uint64_t recv = s2_recv_[parity][a];
     const std::uint64_t take = phase.majority_take;
     if (recv >= take) {
+      CounterRng rng(round_stream_key(key_, RngPurpose::kSubset, j), a);
       const std::uint64_t ones =
-          sample_subset_ones(recv, s2_ones_[parity][a], take);
+          hypergeometric_ones(rng, recv, s2_ones_[parity][a], take);
       pop_.set_opinion(a, 2 * ones > take ? Opinion::kOne : Opinion::kZero);
     }
     s2_recv_[parity][a] = 0;
     s2_ones_[parity][a] = 0;
   }
-}
-
-std::uint64_t DesyncBreatheProtocol::sample_subset_ones(std::uint64_t total,
-                                                        std::uint64_t ones,
-                                                        std::uint64_t take) {
-  return hypergeometric_ones(rng_, total, ones, take);
 }
 
 bool DesyncBreatheProtocol::done(Round g) const {
@@ -228,8 +228,8 @@ Round DesyncBreatheProtocol::desync_overhead() const noexcept {
   return static_cast<Round>(phases_.size() + 1) * config_.max_skew;
 }
 
-ClockSyncResult run_clock_sync(std::size_t n, AgentId source, Xoshiro256& rng,
-                               Round broadcast_len) {
+ClockSyncResult run_clock_sync(std::size_t n, AgentId source,
+                               const StreamKey& key, Round broadcast_len) {
   if (n < 2) throw std::invalid_argument("run_clock_sync: n < 2");
   if (source >= n) throw std::invalid_argument("run_clock_sync: bad source");
   if (broadcast_len == 0) {
@@ -241,25 +241,27 @@ ClockSyncResult run_clock_sync(std::size_t n, AgentId source, Xoshiro256& rng,
   std::vector<Round> first_heard(n, kNever);
   first_heard[source] = 0;  // the source is informed from the start
 
-  Mailbox mailbox(n);
   ClockSyncResult result;
   std::size_t informed = 1;
   const Round cap = 20 * broadcast_len + 64;  // safety stop, never hit w.h.p.
 
   Round round = 0;
   for (; round < cap && informed < n; ++round) {
-    mailbox.reset();
+    const StreamKey route_key =
+        round_stream_key(key, RngPurpose::kSetup, round + 1);
     for (AgentId a = 0; a < n; ++a) {
-      // Informed agents broadcast for broadcast_len rounds after hearing.
-      if (first_heard[a] != kNever && round < first_heard[a] + broadcast_len) {
-        // The bit is arbitrary (only "a message arrived" matters).
-        mailbox.push(Message{a, Opinion::kZero}, rng);
-        ++result.messages;
+      // Informed agents broadcast for broadcast_len rounds after hearing;
+      // an agent informed this round (first_heard = round + 1) starts next
+      // round. The bit is arbitrary: only "a message arrived" matters.
+      if (first_heard[a] > round || round >= first_heard[a] + broadcast_len) {
+        continue;
       }
-    }
-    for (const AgentId to : mailbox.recipients()) {
+      CounterRng rng(route_key, a);
+      auto to = static_cast<AgentId>(uniform_index(rng, n - 1));
+      to += (to >= a);
+      ++result.messages;
       if (first_heard[to] == kNever) {
-        first_heard[to] = round + 1;  // usable from the next round
+        first_heard[to] = round + 1;
         ++informed;
       }
     }

@@ -67,8 +67,13 @@ struct UnifiedPhase {
 
 class DesyncBreatheProtocol final : public Protocol {
  public:
+  /// Draws follow BreatheProtocol's keying under the trial key `key`: the
+  /// Stage I reservoir coin from (global round, agent, kProtocol), the
+  /// Stage II majority subset from (unified phase, agent, kSubset). Every
+  /// draw is a pure function of its key, so the outcome does not depend on
+  /// the order the engine delivers a round's messages in.
   DesyncBreatheProtocol(const Params& params, DesyncConfig config,
-                        Xoshiro256& rng);
+                        const StreamKey& key);
 
   // Protocol interface -------------------------------------------------
   void collect_sends(Round g, std::vector<Message>& out) override;
@@ -108,12 +113,13 @@ class DesyncBreatheProtocol final : public Protocol {
 
   void finalize_agent_phase(AgentId a, std::size_t j);
 
-  std::uint64_t sample_subset_ones(std::uint64_t total, std::uint64_t ones,
-                                   std::uint64_t take);
-
   Params params_;
   DesyncConfig config_;
-  Xoshiro256& rng_;
+  StreamKey key_;
+  /// kProtocol round key cache: deliver() is called once per accepted
+  /// message, but the key only changes once per round.
+  StreamKey protocol_round_key_{};
+  Round protocol_round_cached_ = ~Round{0};
   Population pop_;
 
   std::vector<UnifiedPhase> phases_;
@@ -150,8 +156,12 @@ struct ClockSyncResult {
 };
 
 /// Runs the pre-phase with agent `source` initially informed.
-/// broadcast_len defaults to ceil(2 ln n) when 0 is passed.
+/// broadcast_len defaults to ceil(2 ln n) when 0 is passed. Only arrival
+/// matters, so there is no acceptance or noise step: informed agent a's
+/// recipient in round r is one uniform draw over the other agents from its
+/// (r + 1, a, kSetup) stream of the trial key `key` (round 0 of that lane
+/// is the static wake-offset draw of the skewed scenarios).
 ClockSyncResult run_clock_sync(std::size_t n, AgentId source,
-                               Xoshiro256& rng, Round broadcast_len = 0);
+                               const StreamKey& key, Round broadcast_len = 0);
 
 }  // namespace flip

@@ -35,7 +35,7 @@ double majority_correct_via_two_step(const SamplingConfig& cfg) {
 }
 
 double majority_correct_monte_carlo(const SamplingConfig& cfg,
-                                    std::uint64_t trials, Xoshiro256& rng) {
+                                    std::uint64_t trials, CounterRng& rng) {
   if (trials == 0) {
     throw std::invalid_argument("majority_correct_monte_carlo: trials == 0");
   }

@@ -38,7 +38,7 @@ double majority_correct_via_two_step(const SamplingConfig& cfg);
 /// Monte-Carlo estimate of P[majority correct] by simulating the literal
 /// two-step process `trials` times.
 double majority_correct_monte_carlo(const SamplingConfig& cfg,
-                                    std::uint64_t trials, Xoshiro256& rng);
+                                    std::uint64_t trials, CounterRng& rng);
 
 /// Claim 2.12: P(U_x) = P[first step leaves between r+1 and r+x wrong
 /// players] — exactly sum_{i=1..x} C(2r+1, r+i) 2^-(2r+1).

@@ -4,12 +4,10 @@
 // every received message. Alternative channels (perfect, erasure,
 // budget-bounded adversarial) exist for baselines, ablations and tests.
 //
-// Every channel exposes transmit() twice: once drawing from a sequential
-// Xoshiro256 stream (legacy callers, statistical tests) and once from a
-// counter-keyed CounterRng — the engines key that stream by
-// (trial, round, recipient, RngPurpose::kChannel), which is what makes the
-// noise independent of delivery order, thread count, and shard count. Both
-// overloads share one template body per channel, so they cannot drift.
+// transmit() draws from a counter-keyed CounterRng: the engines key that
+// stream by (trial, round, recipient, RngPurpose::kChannel), which is what
+// makes the noise independent of delivery order, thread count, and shard
+// count.
 
 #include <memory>
 #include <optional>
@@ -29,11 +27,8 @@ class NoiseChannel {
   virtual ~NoiseChannel() = default;
 
   /// The received bit, or nullopt if the message was destroyed in transit
-  /// (only ErasureChannel ever erases).
-  [[nodiscard]] virtual std::optional<Opinion> transmit(Opinion sent,
-                                                        Xoshiro256& rng) = 0;
-  /// Counter-keyed twin: same distribution, drawn from the recipient's
-  /// per-round stream. Engines call this one.
+  /// (only ErasureChannel ever erases). Engines pass the recipient's
+  /// per-round stream.
   [[nodiscard]] virtual std::optional<Opinion> transmit(Opinion sent,
                                                         CounterRng& rng) = 0;
 
@@ -61,20 +56,8 @@ class BinarySymmetricChannel final : public NoiseChannel {
  public:
   explicit BinarySymmetricChannel(double eps);
 
-  // transmit() is defined in-class (here and in the other concrete channels)
-  // so that statically typed callers can devirtualize AND inline the
-  // per-message draw. Virtual dispatch through NoiseChannel& behaves exactly
-  // as before.
-  [[nodiscard]] std::optional<Opinion> transmit(Opinion sent,
-                                                Xoshiro256& rng) override {
-    return transmit_with(sent, rng);
-  }
   [[nodiscard]] std::optional<Opinion> transmit(Opinion sent,
                                                 CounterRng& rng) override {
-    return transmit_with(sent, rng);
-  }
-  template <typename Rng>
-  [[nodiscard]] std::optional<Opinion> transmit_with(Opinion sent, Rng& rng) {
     return bernoulli(rng, 0.5 - eps_) ? flip_opinion(sent) : sent;
   }
   [[nodiscard]] double flip_probability() const noexcept override {
@@ -92,15 +75,7 @@ class BinarySymmetricChannel final : public NoiseChannel {
 class PerfectChannel final : public NoiseChannel {
  public:
   [[nodiscard]] std::optional<Opinion> transmit(Opinion sent,
-                                                Xoshiro256& rng) override {
-    return transmit_with(sent, rng);
-  }
-  [[nodiscard]] std::optional<Opinion> transmit(Opinion sent,
-                                                CounterRng& rng) override {
-    return transmit_with(sent, rng);
-  }
-  template <typename Rng>
-  [[nodiscard]] std::optional<Opinion> transmit_with(Opinion sent, Rng&) {
+                                                CounterRng&) override {
     return sent;
   }
   [[nodiscard]] double flip_probability() const noexcept override { return 0.0; }
@@ -115,15 +90,7 @@ class ErasureChannel final : public NoiseChannel {
   ErasureChannel(double eps, double erase_prob);
 
   [[nodiscard]] std::optional<Opinion> transmit(Opinion sent,
-                                                Xoshiro256& rng) override {
-    return transmit_with(sent, rng);
-  }
-  [[nodiscard]] std::optional<Opinion> transmit(Opinion sent,
                                                 CounterRng& rng) override {
-    return transmit_with(sent, rng);
-  }
-  template <typename Rng>
-  [[nodiscard]] std::optional<Opinion> transmit_with(Opinion sent, Rng& rng) {
     if (bernoulli(rng, erase_prob_)) return std::nullopt;
     return bernoulli(rng, 0.5 - eps_) ? flip_opinion(sent) : sent;
   }
@@ -150,15 +117,7 @@ class HeterogeneousChannel final : public NoiseChannel {
   explicit HeterogeneousChannel(double eps);
 
   [[nodiscard]] std::optional<Opinion> transmit(Opinion sent,
-                                                Xoshiro256& rng) override {
-    return transmit_with(sent, rng);
-  }
-  [[nodiscard]] std::optional<Opinion> transmit(Opinion sent,
                                                 CounterRng& rng) override {
-    return transmit_with(sent, rng);
-  }
-  template <typename Rng>
-  [[nodiscard]] std::optional<Opinion> transmit_with(Opinion sent, Rng& rng) {
     const double flip_prob = uniform_unit(rng) * (0.5 - eps_);
     return bernoulli(rng, flip_prob) ? flip_opinion(sent) : sent;
   }
@@ -199,15 +158,7 @@ class CorrelatedBurstChannel final : public NoiseChannel {
   }
 
   [[nodiscard]] std::optional<Opinion> transmit(Opinion sent,
-                                                Xoshiro256& rng) override {
-    return transmit_with(sent, rng);
-  }
-  [[nodiscard]] std::optional<Opinion> transmit(Opinion sent,
                                                 CounterRng& rng) override {
-    return transmit_with(sent, rng);
-  }
-  template <typename Rng>
-  [[nodiscard]] std::optional<Opinion> transmit_with(Opinion sent, Rng& rng) {
     return bernoulli(rng, 0.5 - round_eps_) ? flip_opinion(sent) : sent;
   }
   [[nodiscard]] double flip_probability() const noexcept override {
@@ -236,12 +187,12 @@ class AdversarialChannel final : public NoiseChannel {
   explicit AdversarialChannel(std::uint64_t flip_budget);
 
   [[nodiscard]] std::optional<Opinion> transmit(Opinion sent,
-                                                Xoshiro256&) override {
-    return transmit_spend(sent);
-  }
-  [[nodiscard]] std::optional<Opinion> transmit(Opinion sent,
                                                 CounterRng&) override {
-    return transmit_spend(sent);
+    if (budget_left_ > 0) {
+      --budget_left_;
+      return flip_opinion(sent);
+    }
+    return sent;
   }
   [[nodiscard]] double flip_probability() const noexcept override {
     return budget_left_ > 0 ? 1.0 : 0.0;
@@ -252,14 +203,6 @@ class AdversarialChannel final : public NoiseChannel {
   [[nodiscard]] std::string name() const override;
 
  private:
-  [[nodiscard]] std::optional<Opinion> transmit_spend(Opinion sent) {
-    if (budget_left_ > 0) {
-      --budget_left_;
-      return flip_opinion(sent);
-    }
-    return sent;
-  }
-
   std::uint64_t budget_left_;
 };
 

@@ -17,10 +17,6 @@ Engine::Engine(std::size_t n, NoiseChannel& channel, const StreamKey& key,
   send_buffer_.reserve(n);
 }
 
-Engine::Engine(std::size_t n, NoiseChannel& channel, Xoshiro256& rng,
-               EngineOptions options)
-    : Engine(n, channel, StreamKey{rng(), rng()}, options) {}
-
 Metrics Engine::run(Protocol& protocol, Round max_rounds) {
   Metrics metrics;
   const std::size_t n = mailbox_.population();

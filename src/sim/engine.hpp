@@ -128,12 +128,6 @@ class Engine {
   Engine(std::size_t n, NoiseChannel& channel, const StreamKey& key,
          EngineOptions options = {});
 
-  /// Convenience: derives the trial key from two draws of `rng`. Same rng
-  /// state, same key, same execution — callers that already manage a
-  /// sequential per-trial stream keep working unchanged.
-  Engine(std::size_t n, NoiseChannel& channel, Xoshiro256& rng,
-         EngineOptions options = {});
-
   /// Runs `protocol` until it reports done() or `max_rounds` elapses.
   /// Returns the metrics of this execution. A fresh Metrics is produced per
   /// call; the engine itself is reusable across runs.

@@ -4,19 +4,14 @@
 //  accept one of them (chosen uniformly at random), and all other messages
 //  are dropped." (Section 1.3.2)
 //
-// Two acceptance implementations coexist, both uniform among arrivals:
-//
-//  * offer(): priority-keyed acceptance — every message carries a 64-bit
-//    priority drawn from its SENDER's counter stream, and a recipient keeps
-//    the arrival with the smallest (priority, sender) pair. min() is
-//    commutative and associative, so the kept message is independent of
-//    arrival order — the property the repo's determinism contract (same
-//    per-agent stream => same results across engines, threads, and shards)
-//    rests on. Ties break on the sender id, so acceptance is exact even in
-//    the 2^-64 priority-collision case. This is the path the engines use.
-//  * push()/push_to(): classic reservoir sampling (the k-th arrival replaces
-//    the kept one w.p. 1/k, drawn from a sequential stream). Kept for tests
-//    and direct-delivery baselines; its result depends on arrival order.
+// Acceptance is priority-keyed: every message carries a 64-bit priority
+// drawn from its SENDER's counter stream, and a recipient keeps the arrival
+// with the smallest (priority, sender) pair. min() is commutative and
+// associative, so the kept message is uniform among arrivals AND independent
+// of arrival order — the property the repo's determinism contract (same
+// per-agent stream => same results across engines, threads, and shards)
+// rests on. Ties break on the sender id, so acceptance is exact even in the
+// 2^-64 priority-collision case.
 //
 // Reset between rounds is O(#touched recipients), not O(n).
 
@@ -24,7 +19,6 @@
 #include <vector>
 
 #include "net/message.hpp"
-#include "util/rng.hpp"
 
 namespace flip {
 
@@ -50,32 +44,6 @@ class Mailbox {
  public:
   /// Routing fabric for a population of n agents. Precondition: n >= 2.
   explicit Mailbox(std::size_t n);
-
-  /// Routes one message from `msg.sender` to a uniformly random other agent,
-  /// applying the reservoir acceptance rule at the destination. Defined
-  /// inline: this is the per-message hot path of every engine round.
-  void push(const Message& msg, Xoshiro256& rng) {
-    // Uniform over the n-1 agents other than the sender.
-    auto to = static_cast<AgentId>(
-        uniform_index(rng, arrival_count_.size() - 1));
-    if (to >= msg.sender) ++to;
-    push_to(to, msg, rng);
-  }
-
-  /// Delivers a message directly to `to` (used by tests and by baselines
-  /// that model non-anonymous delivery); same acceptance rule applies.
-  void push_to(AgentId to, const Message& msg, Xoshiro256& rng) {
-    ++pushed_;
-    const std::uint32_t k = ++arrival_count_[to];
-    if (k == 1) {
-      touched_.push_back(to);
-      kept_[to] = msg;
-    } else if (uniform_index(rng, k) == 0) {
-      // Reservoir step: the k-th arrival replaces the kept one w.p. 1/k,
-      // making the kept message uniform among all k arrivals.
-      kept_[to] = msg;
-    }
-  }
 
   /// Priority-keyed delivery to `to`: keeps the arrival with the smallest
   /// (priority, sender) pair. Priorities must be i.i.d. uniform 64-bit

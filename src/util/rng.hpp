@@ -1,114 +1,20 @@
 #pragma once
 // Deterministic random number generation for reproducible simulation trials.
 //
-// Two generator families live here, serving two different contracts:
-//
-//  * CounterRng — the repo-wide determinism contract. A stateless,
-//    counter-based stream (SplitMix64-style finalizer over a 128-bit derived
-//    key), keyed by (master_seed, trial, round, agent, purpose). Because a
-//    draw is a pure function of its key and word index — never of how many
-//    draws other agents made — results are bit-identical across engine
-//    substrates, thread counts, and shard counts. Every engine-level draw
-//    (recipient routing, acceptance priority, channel noise) and every
-//    BreatheProtocol draw is keyed this way.
-//  * Xoshiro256 — a conventional sequential engine (fast, 256-bit state,
-//    passes BigCrush), retained for protocol-internal streams that are
-//    consumed in a fixed sequential order (desync, the baseline dynamics)
-//    and for statistical tests. SplitMix64 expands seeds for it, as its
-//    authors recommend.
+// One generator family serves the whole repo: CounterRng, a stateless,
+// counter-based stream (Stafford's Mix13 finalizer over a 128-bit derived
+// key), keyed by (master_seed, trial, round, agent, purpose). Because a draw
+// is a pure function of its key and word index — never of how many draws
+// other agents made — results are bit-identical across engine substrates,
+// thread counts, shard counts and delivery orders. Every random event of
+// the model belongs to one agent in one round (a sender's recipient choice,
+// a recipient's noise, a protocol's per-agent coin), and each is drawn from
+// that agent's stream of that round under its RngPurpose lane.
 
-#include <array>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 
 namespace flip {
-
-/// Seed expander; also a valid (if small-state) generator in its own right.
-class SplitMix64 {
- public:
-  using result_type = std::uint64_t;
-
-  explicit constexpr SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
-
-  static constexpr result_type min() noexcept { return 0; }
-  static constexpr result_type max() noexcept {
-    return std::numeric_limits<result_type>::max();
-  }
-
-  constexpr result_type operator()() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
- private:
-  std::uint64_t state_;
-};
-
-/// xoshiro256** 1.0 by Blackman & Vigna (public domain reference code,
-/// re-expressed in C++). Satisfies std::uniform_random_bit_generator.
-class Xoshiro256 {
- public:
-  using result_type = std::uint64_t;
-
-  /// Seeds all 256 bits of state via SplitMix64, per the authors' guidance.
-  explicit constexpr Xoshiro256(std::uint64_t seed) noexcept : state_{} {
-    SplitMix64 sm(seed);
-    for (auto& word : state_) word = sm();
-  }
-
-  static constexpr result_type min() noexcept { return 0; }
-  static constexpr result_type max() noexcept {
-    return std::numeric_limits<result_type>::max();
-  }
-
-  constexpr result_type operator()() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-  }
-
-  /// The canonical 2^128-step jump: advances this engine as if operator()
-  /// had been called 2^128 times. Used to carve non-overlapping streams.
-  constexpr void jump() noexcept {
-    constexpr std::array<std::uint64_t, 4> kJump = {
-        0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-        0x39abdc4529b1661cULL};
-    std::array<std::uint64_t, 4> acc{};
-    for (std::uint64_t word : kJump) {
-      for (int bit = 0; bit < 64; ++bit) {
-        if (word & (std::uint64_t{1} << bit)) {
-          for (int i = 0; i < 4; ++i) acc[static_cast<std::size_t>(i)] ^= state_[static_cast<std::size_t>(i)];
-        }
-        (*this)();
-      }
-    }
-    state_ = acc;
-  }
-
- private:
-  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-  }
-  std::array<std::uint64_t, 4> state_;
-};
-
-/// Derives the engine for independent stream `stream` of master seed `seed`.
-/// Distinct (seed, stream) pairs give decorrelated engines; the same pair is
-/// always the same engine, which is what makes trials replayable.
-Xoshiro256 make_stream(std::uint64_t seed, std::uint64_t stream);
-
-// ---------------------------------------------------------------------------
-// Counter-based streams: the repo-wide determinism contract.
-// ---------------------------------------------------------------------------
 
 // Stafford's Mix13 multipliers. Named (rather than inlined literals) so the
 // SIMD kernels in src/simd/ broadcast the very same constants into their
@@ -117,8 +23,8 @@ Xoshiro256 make_stream(std::uint64_t seed, std::uint64_t stream);
 inline constexpr std::uint64_t kMix13MulA = 0xbf58476d1ce4e5b9ULL;
 inline constexpr std::uint64_t kMix13MulB = 0x94d049bb133111ebULL;
 
-/// The SplitMix64 finalizer (Stafford's Mix13 constants): a strong 64-bit
-/// bijection. All counter-based keys and words funnel through this.
+/// Stafford's Mix13 finalizer (the output function of splitmix): a strong
+/// 64-bit bijection. All counter-based keys and words funnel through this.
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
   z = (z ^ (z >> 30)) * kMix13MulA;
   z = (z ^ (z >> 27)) * kMix13MulB;
@@ -223,18 +129,14 @@ class CounterRng {
   std::uint64_t s1_;
 };
 
-// The draw primitives below are defined inline and templated over the
-// generator (Xoshiro256 for sequential streams, CounterRng for keyed ones):
-// they sit on the engine's per-message path (recipient choice, acceptance
-// priority, channel flip), and an out-of-line definition would put a call
-// boundary inside the hot loop of every simulation.
+// The draw primitives below are defined inline: they sit on the engine's
+// per-message path (recipient choice, acceptance priority, channel flip),
+// and an out-of-line definition would put a call boundary inside the hot
+// loop of every simulation.
 
 /// Uniform integer in [0, n). Unbiased (Lemire's rejection method).
 /// Precondition: n > 0.
-template <typename Rng>
-inline std::uint64_t uniform_index(Rng& rng, std::uint64_t n) {
-  static_assert(std::is_same_v<typename Rng::result_type, std::uint64_t>,
-                "uniform_index needs a full-range 64-bit generator");
+inline std::uint64_t uniform_index(CounterRng& rng, std::uint64_t n) {
   std::uint64_t x = rng();
   __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
   auto low = static_cast<std::uint64_t>(m);
@@ -250,14 +152,12 @@ inline std::uint64_t uniform_index(Rng& rng, std::uint64_t n) {
 }
 
 /// Uniform double in [0, 1) with 53 random bits.
-template <typename Rng>
-inline double uniform_unit(Rng& rng) {
+inline double uniform_unit(CounterRng& rng) {
   return static_cast<double>(rng() >> 11) * 0x1.0p-53;
 }
 
 /// True with probability p (clamped to [0,1]).
-template <typename Rng>
-inline bool bernoulli(Rng& rng, double p) {
+inline bool bernoulli(CounterRng& rng, double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform_unit(rng) < p;
@@ -274,8 +174,8 @@ inline bool bernoulli(Rng& rng, double p) {
 /// a ~fair coin, so a conditional branch would mispredict every other draw —
 /// and Stage II phase ends perform about one of these draws per two
 /// delivered messages.
-template <typename Rng>
-inline std::uint64_t hypergeometric_ones(Rng& rng, std::uint64_t total,
+inline std::uint64_t hypergeometric_ones(CounterRng& rng,
+                                         std::uint64_t total,
                                          std::uint64_t ones,
                                          std::uint64_t take) {
   std::uint64_t ones_left = ones;

@@ -18,18 +18,6 @@ namespace flip {
 
 namespace {
 
-// Baseline trial fns derive their rng the same way scenarios.cpp does:
-// engine-level draws from the trial's counter-stream root key, any
-// sequential protocol-internal stream from disjoint per-trial Xoshiro
-// lanes. Every trial of a sweep is independent and replayable from
-// (master seed, trial).
-constexpr std::uint64_t kStreamsPerTrial = 4;
-
-Xoshiro256 baseline_rng(std::uint64_t seed, std::size_t trial,
-                        std::uint64_t lane) {
-  return make_stream(seed, kStreamsPerTrial * trial + lane);
-}
-
 /// Probe period the dynamic-environment entries record their activation /
 /// bias series at: dense enough for a sharp convergence-round estimate,
 /// sparse enough to stay cheap. The classic entries keep probes off.
@@ -442,12 +430,12 @@ void register_builtin(ScenarioRegistry& registry) {
                                                        std::size_t trial) {
         const double unit = theory::round_unit(config.n, config.eps);
         BinarySymmetricChannel channel(config.eps);
-        auto rng = baseline_rng(seed, trial, 0);
         PullMajorityConfig pull;
         pull.rule = rule;
         pull.initial_correct_fraction = 0.6;
         pull.max_rounds = static_cast<Round>(8.0 * unit);
-        PullMajorityDynamics dynamics(config.n, pull, channel, rng);
+        PullMajorityDynamics dynamics(config.n, pull, channel,
+                                      trial_stream_key(seed, trial));
         const PullMajorityResult result = dynamics.run();
         TrialOutcome outcome;
         outcome.success = result.consensus && result.correct;
@@ -479,13 +467,12 @@ void register_builtin(ScenarioRegistry& registry) {
       [](const ScenarioConfig& config) {
         return TrialFn([config](std::uint64_t seed, std::size_t trial) {
           const double unit = theory::round_unit(config.n, config.eps);
-          auto rng = baseline_rng(seed, trial, 0);
           AAEConfig aae;
           aae.initial_correct = config.n * 3 / 10;
           aae.initial_wrong = config.n / 10;
           aae.eps = config.eps;
           aae.max_rounds = static_cast<Round>(8.0 * unit);
-          ThreeStateAAE dynamics(config.n, aae, rng);
+          ThreeStateAAE dynamics(config.n, aae, trial_stream_key(seed, trial));
           const AAEResult result = dynamics.run();
           TrialOutcome outcome;
           outcome.success = result.consensus && result.correct;

@@ -16,24 +16,10 @@ namespace flip {
 
 namespace {
 
-// Engine-level and BreatheProtocol randomness derives from the trial's
-// counter-stream root key (purposes keep the lanes apart; see
-// util/rng.hpp). The sequential Xoshiro streams below remain for the
-// desync protocol's internal draws and its clock-sync pre-phase: they are
-// consumed in a fixed order. Keyed by trial index so trials are
-// independent and replayable.
-constexpr std::uint64_t kStreamsPerTrial = 4;
-
-Xoshiro256 protocol_rng(std::uint64_t seed, std::size_t trial) {
-  return make_stream(seed, kStreamsPerTrial * trial + 1);
-}
-Xoshiro256 setup_rng(std::uint64_t seed, std::size_t trial) {
-  return make_stream(seed, kStreamsPerTrial * trial + 2);
-}
-
-/// Per-agent setup stream (RngPurpose::kSetup): scenario initialization
-/// draws that are logically per-agent — like desync wake offsets — come
-/// from here, so setup is order-independent like the engine draws.
+/// Per-agent setup stream (RngPurpose::kSetup, round 0): scenario
+/// initialization draws that are logically per-agent — like desync wake
+/// offsets — come from here, so setup is order-independent like the engine
+/// draws. Rounds 1.. of the lane route the clock-sync pre-phase.
 CounterRng agent_setup_rng(const StreamKey& key, AgentId agent) {
   return CounterRng(round_stream_key(key, RngPurpose::kSetup, 0), agent);
 }
@@ -409,7 +395,6 @@ RunDetail run_desync(const DesyncScenario& scenario, std::uint64_t seed,
   const Params params = Params::calibrated(scenario.n, scenario.eps,
                                            scenario.tuning);
   const StreamKey key = trial_stream_key(seed, trial);
-  auto pro_rng = protocol_rng(seed, trial);
 
   RunDetail detail;
   DesyncConfig config;
@@ -418,11 +403,8 @@ RunDetail run_desync(const DesyncScenario& scenario, std::uint64_t seed,
 
   if (scenario.use_clock_sync) {
     // Section 3.2: run the activation pre-phase; its clock resets bound the
-    // skew by ~2 log n w.h.p. The pre-phase is a sequential mini-simulation
-    // of its own, so it keeps a sequential setup stream.
-    auto set_rng = setup_rng(seed, trial);
-    const ClockSyncResult sync =
-        run_clock_sync(scenario.n, /*source=*/0, set_rng);
+    // skew by ~2 log n w.h.p.
+    const ClockSyncResult sync = run_clock_sync(scenario.n, /*source=*/0, key);
     detail.clock_sync_rounds = sync.duration;
     detail.clock_sync_messages = sync.messages;
     detail.measured_skew = sync.skew;
@@ -443,7 +425,7 @@ RunDetail run_desync(const DesyncScenario& scenario, std::uint64_t seed,
     }
   }
 
-  DesyncBreatheProtocol protocol(params, std::move(config), pro_rng);
+  DesyncBreatheProtocol protocol(params, std::move(config), key);
 
   detail.protocol_rounds = protocol.total_rounds();
   detail.desync_overhead = protocol.desync_overhead();

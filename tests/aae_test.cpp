@@ -18,19 +18,19 @@ AAEConfig make_config(std::size_t correct, std::size_t wrong,
 }
 
 TEST(AAETest, RejectsBadConfigs) {
-  Xoshiro256 rng(81);
-  EXPECT_THROW(ThreeStateAAE(1, make_config(1, 0), rng),
+  const StreamKey key = trial_stream_key(81, 0);
+  EXPECT_THROW(ThreeStateAAE(1, make_config(1, 0), key),
                std::invalid_argument);
-  EXPECT_THROW(ThreeStateAAE(10, make_config(8, 8), rng),
+  EXPECT_THROW(ThreeStateAAE(10, make_config(8, 8), key),
                std::invalid_argument);
   AAEConfig no_rounds = make_config(4, 2);
   no_rounds.max_rounds = 0;
-  EXPECT_THROW(ThreeStateAAE(10, no_rounds, rng), std::invalid_argument);
+  EXPECT_THROW(ThreeStateAAE(10, no_rounds, key), std::invalid_argument);
 }
 
 TEST(AAETest, InitialCountsAreDealt) {
-  Xoshiro256 rng(82);
-  ThreeStateAAE aae(100, make_config(30, 10), rng);
+  const StreamKey key = trial_stream_key(82, 0);
+  ThreeStateAAE aae(100, make_config(30, 10), key);
   EXPECT_EQ(aae.count(AAEState::kOne), 30u);
   EXPECT_EQ(aae.count(AAEState::kZero), 10u);
   EXPECT_EQ(aae.count(AAEState::kBlank), 60u);
@@ -38,8 +38,8 @@ TEST(AAETest, InitialCountsAreDealt) {
 
 TEST(AAETest, NoiselessConvergesToInitialMajority) {
   // The protocol's home turf: three symbols, no noise.
-  Xoshiro256 rng(83);
-  ThreeStateAAE aae(2048, make_config(300, 100), rng);
+  const StreamKey key = trial_stream_key(83, 0);
+  ThreeStateAAE aae(2048, make_config(300, 100), key);
   const AAEResult result = aae.run();
   EXPECT_TRUE(result.consensus);
   EXPECT_TRUE(result.correct);
@@ -47,8 +47,8 @@ TEST(AAETest, NoiselessConvergesToInitialMajority) {
 }
 
 TEST(AAETest, NoiselessIsFast) {
-  Xoshiro256 rng(84);
-  ThreeStateAAE aae(4096, make_config(400, 100), rng);
+  const StreamKey key = trial_stream_key(84, 0);
+  ThreeStateAAE aae(4096, make_config(400, 100), key);
   const AAEResult result = aae.run();
   EXPECT_TRUE(result.consensus);
   EXPECT_LT(result.rounds, 200u);  // O(log n) expected
@@ -57,17 +57,17 @@ TEST(AAETest, NoiselessIsFast) {
 TEST(AAETest, NoiseBreaksConvergence) {
   // The paper's reason for not using AAE in the Flip model: under heavy
   // symbol noise the three-state dynamics cannot stabilize.
-  Xoshiro256 rng(85);
+  const StreamKey key = trial_stream_key(85, 0);
   ThreeStateAAE aae(2048, make_config(300, 100, /*eps=*/0.1, /*rounds=*/500),
-                    rng);
+                    key);
   const AAEResult result = aae.run();
   EXPECT_FALSE(result.consensus);
 }
 
 TEST(AAETest, WrongMajorityWinsNoiselessly) {
-  Xoshiro256 rng(86);
+  const StreamKey key = trial_stream_key(86, 0);
   AAEConfig config = make_config(100, 300);
-  ThreeStateAAE aae(2048, config, rng);
+  ThreeStateAAE aae(2048, config, key);
   const AAEResult result = aae.run();
   EXPECT_TRUE(result.consensus);
   EXPECT_FALSE(result.correct);
@@ -75,8 +75,8 @@ TEST(AAETest, WrongMajorityWinsNoiselessly) {
 
 TEST(AAETest, DeterministicForSameSeed) {
   auto run_once = [](std::uint64_t seed) {
-    Xoshiro256 rng(seed);
-    ThreeStateAAE aae(512, make_config(80, 40), rng);
+    const StreamKey key = trial_stream_key(seed, 0);
+    ThreeStateAAE aae(512, make_config(80, 40), key);
     return aae.run().rounds;
   };
   EXPECT_EQ(run_once(87), run_once(87));

@@ -16,11 +16,9 @@ namespace {
 struct Probe {
   Probe(std::size_t n, double eps, BreatheConfig cfg, std::uint64_t seed = 1)
       : params(Params::calibrated(n, eps)),
-        rng(seed),
-        protocol(params, std::move(cfg), rng) {}
+        protocol(params, std::move(cfg), trial_stream_key(seed, 0)) {}
 
   Params params;
-  Xoshiro256 rng;
   BreatheProtocol protocol;
 };
 
@@ -174,8 +172,8 @@ TEST(BreatheInternalsTest, MajorityJoinPhaseSkipsEarlierRounds) {
   const Params params = Params::calibrated(1 << 16, 0.3);
   const std::uint64_t join = params.join_phase_for_initial_set(4096);
   ASSERT_GT(join, 0u);
-  Xoshiro256 rng(3);
-  BreatheProtocol protocol(params, majority_config(params, 4096, 3000), rng);
+  BreatheProtocol protocol(params, majority_config(params, 4096, 3000),
+                           trial_stream_key(3, 0));
   // Execution is shorter than a from-phase-0 run by the skipped prefix.
   EXPECT_EQ(protocol.stage1_rounds(),
             params.stage1().total_rounds() - params.stage1().phase_start(join));

@@ -15,17 +15,15 @@ struct Harness {
   explicit Harness(std::size_t n, double eps, std::uint64_t seed,
                    BreatheConfig config)
       : params(Params::calibrated(n, eps)),
-        engine_rng(make_stream(seed, 0)),
-        protocol_rng(make_stream(seed, 1)),
+        key(trial_stream_key(seed, 0)),
         channel(eps),
-        engine(n, channel, engine_rng),
-        protocol(params, std::move(config), protocol_rng) {}
+        engine(n, channel, key),
+        protocol(params, std::move(config), key) {}
 
   Metrics run() { return engine.run(protocol, protocol.total_rounds()); }
 
   Params params;
-  Xoshiro256 engine_rng;
-  Xoshiro256 protocol_rng;
+  StreamKey key;
   BinarySymmetricChannel channel;
   Engine engine;
   BreatheProtocol protocol;
@@ -33,21 +31,21 @@ struct Harness {
 
 TEST(BreatheProtocolTest, RejectsBadConfigs) {
   const Params p = Params::calibrated(64, 0.3);
-  Xoshiro256 rng(1);
+  const StreamKey key = trial_stream_key(1, 0);
   BreatheConfig empty;
-  EXPECT_THROW(BreatheProtocol(p, empty, rng), std::invalid_argument);
+  EXPECT_THROW(BreatheProtocol(p, empty, key), std::invalid_argument);
 
   BreatheConfig out_of_range = broadcast_config();
   out_of_range.initial[0].agent = 100;
-  EXPECT_THROW(BreatheProtocol(p, out_of_range, rng), std::invalid_argument);
+  EXPECT_THROW(BreatheProtocol(p, out_of_range, key), std::invalid_argument);
 
   BreatheConfig dup = broadcast_config();
   dup.initial.push_back(dup.initial[0]);
-  EXPECT_THROW(BreatheProtocol(p, dup, rng), std::invalid_argument);
+  EXPECT_THROW(BreatheProtocol(p, dup, key), std::invalid_argument);
 
   BreatheConfig late = broadcast_config();
   late.start_phase = p.stage1().T + 2;
-  EXPECT_THROW(BreatheProtocol(p, late, rng), std::invalid_argument);
+  EXPECT_THROW(BreatheProtocol(p, late, key), std::invalid_argument);
 }
 
 TEST(BreatheProtocolTest, TotalRoundsMatchesSchedule) {

@@ -25,7 +25,7 @@ TEST(BscTest, RejectsBadEps) {
 TEST(BscTest, FlipRateConcentratesAroundHalfMinusEps) {
   const double eps = 0.2;
   BinarySymmetricChannel channel(eps);
-  Xoshiro256 rng(11);
+  CounterRng rng(trial_stream_key(11, 0));
   constexpr int kTrials = 200000;
   int flips = 0;
   for (int i = 0; i < kTrials; ++i) {
@@ -38,7 +38,7 @@ TEST(BscTest, FlipRateConcentratesAroundHalfMinusEps) {
 
 TEST(BscTest, EpsHalfNeverFlips) {
   BinarySymmetricChannel channel(0.5);
-  Xoshiro256 rng(12);
+  CounterRng rng(trial_stream_key(12, 0));
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(channel.transmit(Opinion::kZero, rng), Opinion::kZero);
   }
@@ -47,7 +47,7 @@ TEST(BscTest, EpsHalfNeverFlips) {
 TEST(BscTest, SymmetricAcrossOpinions) {
   const double eps = 0.1;
   BinarySymmetricChannel channel(eps);
-  Xoshiro256 rng(13);
+  CounterRng rng(trial_stream_key(13, 0));
   constexpr int kTrials = 100000;
   int flips0 = 0;
   int flips1 = 0;
@@ -67,7 +67,7 @@ TEST(BscTest, ReportsNominalFlipProbabilityAndName) {
 
 TEST(PerfectChannelTest, NeverAltersBits) {
   PerfectChannel channel;
-  Xoshiro256 rng(14);
+  CounterRng rng(trial_stream_key(14, 0));
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(channel.transmit(Opinion::kOne, rng), Opinion::kOne);
     EXPECT_EQ(channel.transmit(Opinion::kZero, rng), Opinion::kZero);
@@ -83,7 +83,7 @@ TEST(ErasureChannelTest, RejectsBadParameters) {
 
 TEST(ErasureChannelTest, ErasesAtConfiguredRate) {
   ErasureChannel channel(0.5, 0.3);  // eps=0.5: no flips, only erasures
-  Xoshiro256 rng(15);
+  CounterRng rng(trial_stream_key(15, 0));
   constexpr int kTrials = 100000;
   int erased = 0;
   for (int i = 0; i < kTrials; ++i) {
@@ -94,7 +94,7 @@ TEST(ErasureChannelTest, ErasesAtConfiguredRate) {
 
 TEST(ErasureChannelTest, SurvivingBitsFlipAtBscRate) {
   ErasureChannel channel(0.2, 0.5);
-  Xoshiro256 rng(16);
+  CounterRng rng(trial_stream_key(16, 0));
   int survived = 0;
   int flipped = 0;
   for (int i = 0; i < 200000; ++i) {
@@ -109,7 +109,7 @@ TEST(ErasureChannelTest, SurvivingBitsFlipAtBscRate) {
 
 TEST(AdversarialChannelTest, FlipsExactlyBudgetThenHonest) {
   AdversarialChannel channel(3);
-  Xoshiro256 rng(17);
+  CounterRng rng(trial_stream_key(17, 0));
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(channel.transmit(Opinion::kOne, rng), Opinion::kZero);
   }
@@ -122,7 +122,7 @@ TEST(AdversarialChannelTest, FlipsExactlyBudgetThenHonest) {
 TEST(AdversarialChannelTest, ReportsWorstCaseRate) {
   AdversarialChannel fresh(1);
   EXPECT_EQ(fresh.flip_probability(), 1.0);
-  Xoshiro256 rng(18);
+  CounterRng rng(trial_stream_key(18, 0));
   (void)fresh.transmit(Opinion::kOne, rng);
   EXPECT_EQ(fresh.flip_probability(), 0.0);
 }
@@ -143,7 +143,7 @@ TEST(HeterogeneousChannelTest, MeanFlipRateIsHalfTheCeiling) {
   // Per-message flip probability ~ U[0, 1/2 - eps]: mean (1/2 - eps)/2.
   const double eps = 0.2;
   HeterogeneousChannel channel(eps);
-  Xoshiro256 rng(19);
+  CounterRng rng(trial_stream_key(19, 0));
   constexpr int kTrials = 200000;
   int flips = 0;
   for (int i = 0; i < kTrials; ++i) {
@@ -156,7 +156,7 @@ TEST(HeterogeneousChannelTest, MeanFlipRateIsHalfTheCeiling) {
 TEST(HeterogeneousChannelTest, NeverWorseThanTheModelBound) {
   // Empirical flip rate must stay below the model ceiling 1/2 - eps.
   HeterogeneousChannel channel(0.1);
-  Xoshiro256 rng(20);
+  CounterRng rng(trial_stream_key(20, 0));
   int flips = 0;
   constexpr int kTrials = 100000;
   for (int i = 0; i < kTrials; ++i) {
@@ -165,36 +165,11 @@ TEST(HeterogeneousChannelTest, NeverWorseThanTheModelBound) {
   EXPECT_LT(static_cast<double>(flips) / kTrials, 0.5 - 0.1);
 }
 
-// --- Counter-keyed transmit overloads -----------------------------------
-
-TEST(CounterTransmitTest, MatchesSequentialOverloadFromSameWords) {
-  // Both overloads share one template body; feeding them streams that
-  // yield the same words must yield the same decisions.
-  BinarySymmetricChannel bsc(0.2);
-  HeterogeneousChannel hetero(0.2);
-  ErasureChannel erasure(0.3, 0.25);
-  const StreamKey tk = trial_stream_key(0xc0de, 0);
-  for (std::uint64_t r = 0; r < 64; ++r) {
-    const StreamKey rk = round_stream_key(tk, RngPurpose::kChannel, r);
-    for (std::uint64_t agent = 0; agent < 8; ++agent) {
-      CounterRng a(rk, agent);
-      CounterRng b(rk, agent);
-      EXPECT_EQ(bsc.transmit(Opinion::kOne, a), bsc.transmit(Opinion::kOne, b));
-      CounterRng c(rk, agent);
-      CounterRng d(rk, agent);
-      EXPECT_EQ(hetero.transmit(Opinion::kZero, c),
-                hetero.transmit(Opinion::kZero, d));
-      CounterRng e(rk, agent);
-      CounterRng f(rk, agent);
-      EXPECT_EQ(erasure.transmit(Opinion::kOne, e),
-                erasure.transmit(Opinion::kOne, f));
-    }
-  }
-}
+// --- Counter-keyed streams across agents ---------------------------------
 
 TEST(CounterTransmitTest, BscFlipRateFromKeyedStreams) {
   // Flip decisions across agents (each from its own stream) must hit the
-  // 1/2 - eps crossover rate, like the sequential-stream test above.
+  // 1/2 - eps crossover rate, like the single-stream tests above.
   BinarySymmetricChannel channel(0.25);
   const StreamKey rk =
       round_stream_key(trial_stream_key(0xbeef, 1), RngPurpose::kChannel, 0);

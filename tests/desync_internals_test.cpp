@@ -19,7 +19,7 @@ namespace {
 struct Probe {
   Probe(std::size_t n, double eps, Round skew,
         Attribution attribution = Attribution::kLocalWindow)
-      : params(Params::calibrated(n, eps)), rng(1) {
+      : params(Params::calibrated(n, eps)), key(trial_stream_key(1, 0)) {
     config.base = broadcast_config();
     config.max_skew = skew;
     config.attribution = attribution;
@@ -27,11 +27,11 @@ struct Probe {
   }
 
   DesyncBreatheProtocol build() {
-    return DesyncBreatheProtocol(params, config, rng);
+    return DesyncBreatheProtocol(params, config, key);
   }
 
   Params params;
-  Xoshiro256 rng;
+  StreamKey key;
   DesyncConfig config;
 };
 
@@ -152,16 +152,15 @@ TEST(DesyncInternalsTest, OracleAndLocalAgreeWithZeroSkew) {
   auto run = [](Attribution attribution) {
     const std::size_t n = 128;
     const Params params = Params::calibrated(n, 0.3);
-    Xoshiro256 engine_rng = make_stream(99, 0);
-    Xoshiro256 protocol_rng = make_stream(99, 1);
+    const StreamKey key = trial_stream_key(99, 0);
     BinarySymmetricChannel channel(0.3);
-    Engine engine(n, channel, engine_rng);
+    Engine engine(n, channel, key);
     DesyncConfig config;
     config.base = broadcast_config();
     config.wake.assign(n, 0);
     config.max_skew = 0;
     config.attribution = attribution;
-    DesyncBreatheProtocol protocol(params, config, protocol_rng);
+    DesyncBreatheProtocol protocol(params, config, key);
     const Metrics m = engine.run(protocol, protocol.total_rounds());
     return std::make_tuple(m.messages_sent, m.flipped,
                            protocol.population().count(Opinion::kOne));
@@ -172,18 +171,17 @@ TEST(DesyncInternalsTest, OracleAndLocalAgreeWithZeroSkew) {
 TEST(DesyncInternalsTest, Stage1StatsAggregateAcrossWakeClasses) {
   const std::size_t n = 256;
   const Params params = Params::calibrated(n, 0.3);
-  Xoshiro256 engine_rng = make_stream(7, 0);
-  Xoshiro256 protocol_rng = make_stream(7, 1);
-  Xoshiro256 setup_rng = make_stream(7, 2);
+  const StreamKey key = trial_stream_key(7, 0);
+  CounterRng setup_rng(trial_stream_key(7, 2));
   BinarySymmetricChannel channel(0.3);
-  Engine engine(n, channel, engine_rng);
+  Engine engine(n, channel, key);
   DesyncConfig config;
   config.base = broadcast_config();
   config.max_skew = 8;
   config.wake.resize(n);
   for (Round& w : config.wake) w = uniform_index(setup_rng, 9);
   config.wake[0] = 0;
-  DesyncBreatheProtocol protocol(params, config, protocol_rng);
+  DesyncBreatheProtocol protocol(params, config, key);
   engine.run(protocol, protocol.total_rounds());
 
   std::uint64_t activated = 1;  // source

@@ -13,7 +13,7 @@ namespace flip {
 namespace {
 
 DesyncConfig make_config(std::size_t n, Round skew, Attribution attribution,
-                         Xoshiro256& rng) {
+                         CounterRng& rng) {
   DesyncConfig config;
   config.base = broadcast_config();
   config.max_skew = skew;
@@ -29,20 +29,17 @@ struct DesyncHarness {
   DesyncHarness(std::size_t n, double eps, std::uint64_t seed, Round skew,
                 Attribution attribution = Attribution::kLocalWindow)
       : params(Params::calibrated(n, eps)),
-        engine_rng(make_stream(seed, 0)),
-        protocol_rng(make_stream(seed, 1)),
-        setup_rng(make_stream(seed, 2)),
+        key(trial_stream_key(seed, 0)),
+        setup_rng(trial_stream_key(seed, 2)),
         channel(eps),
-        engine(n, channel, engine_rng),
-        protocol(params, make_config(n, skew, attribution, setup_rng),
-                 protocol_rng) {}
+        engine(n, channel, key),
+        protocol(params, make_config(n, skew, attribution, setup_rng), key) {}
 
   Metrics run() { return engine.run(protocol, protocol.total_rounds()); }
 
   Params params;
-  Xoshiro256 engine_rng;
-  Xoshiro256 protocol_rng;
-  Xoshiro256 setup_rng;
+  StreamKey key;
+  CounterRng setup_rng;
   BinarySymmetricChannel channel;
   Engine engine;
   DesyncBreatheProtocol protocol;
@@ -50,12 +47,12 @@ struct DesyncHarness {
 
 TEST(DesyncProtocolTest, RejectsBadConfigs) {
   const Params p = Params::calibrated(64, 0.3);
-  Xoshiro256 rng(1);
+  const StreamKey key = trial_stream_key(1, 0);
 
   DesyncConfig wrong_size;
   wrong_size.base = broadcast_config();
   wrong_size.wake.resize(10, 0);
-  EXPECT_THROW(DesyncBreatheProtocol(p, wrong_size, rng),
+  EXPECT_THROW(DesyncBreatheProtocol(p, wrong_size, key),
                std::invalid_argument);
 
   DesyncConfig offset_too_big;
@@ -63,12 +60,12 @@ TEST(DesyncProtocolTest, RejectsBadConfigs) {
   offset_too_big.wake.resize(64, 0);
   offset_too_big.wake[3] = 5;
   offset_too_big.max_skew = 4;
-  EXPECT_THROW(DesyncBreatheProtocol(p, offset_too_big, rng),
+  EXPECT_THROW(DesyncBreatheProtocol(p, offset_too_big, key),
                std::invalid_argument);
 
   DesyncConfig no_seeds;
   no_seeds.wake.resize(64, 0);
-  EXPECT_THROW(DesyncBreatheProtocol(p, no_seeds, rng),
+  EXPECT_THROW(DesyncBreatheProtocol(p, no_seeds, key),
                std::invalid_argument);
 }
 
@@ -120,13 +117,13 @@ TEST(DesyncProtocolTest, NoMessagesOutsideContainers) {
   // in particular nothing is sent before the source wakes.
   const std::size_t n = 64;
   const Params p = Params::calibrated(n, 0.3);
-  Xoshiro256 proto_rng(8);
+  const StreamKey key = trial_stream_key(8, 0);
   DesyncConfig config;
   config.base = broadcast_config();
   config.max_skew = 10;
   config.wake.assign(n, 0);
   config.wake[0] = 10;  // the source wakes last
-  DesyncBreatheProtocol protocol(p, config, proto_rng);
+  DesyncBreatheProtocol protocol(p, config, key);
   std::vector<Message> sends;
   for (Round g = 0; g < 10; ++g) {
     sends.clear();
@@ -142,13 +139,13 @@ TEST(DesyncProtocolTest, NoMessagesOutsideContainers) {
 TEST(DesyncProtocolTest, MessagesBeforeWakeAreLost) {
   const std::size_t n = 64;
   const Params p = Params::calibrated(n, 0.3);
-  Xoshiro256 proto_rng(9);
+  const StreamKey key = trial_stream_key(9, 0);
   DesyncConfig config;
   config.base = broadcast_config();
   config.max_skew = 20;
   config.wake.assign(n, 0);
   config.wake[5] = 20;
-  DesyncBreatheProtocol protocol(p, config, proto_rng);
+  DesyncBreatheProtocol protocol(p, config, key);
   protocol.deliver(5, Opinion::kOne, /*g=*/3);  // before agent 5 wakes
   // Walk past phase 0's container end for every wake class.
   const Round far = p.stage1().beta_s + 3 * 20 + 5;
@@ -181,16 +178,92 @@ TEST(DesyncProtocolTest, MessageCountsUnchangedByskew) {
   EXPECT_NEAR(oracle_ratio, 1.0, 0.05);
 }
 
+/// Forwards to `inner`, but emits each round's sends in reverse order. The
+/// engine touches recipients in send order, so this permutes the order of
+/// the round's deliver() calls while every keyed draw stays the same.
+class ReversedSends final : public Protocol {
+ public:
+  explicit ReversedSends(Protocol& inner) : inner_(inner) {}
+
+  void collect_sends(Round g, std::vector<Message>& out) override {
+    const auto first = static_cast<std::ptrdiff_t>(out.size());
+    inner_.collect_sends(g, out);
+    std::reverse(out.begin() + first, out.end());
+  }
+  void deliver(AgentId to, Opinion bit, Round g) override {
+    inner_.deliver(to, bit, g);
+  }
+  void end_round(Round g) override { inner_.end_round(g); }
+  [[nodiscard]] bool done(Round g) const override { return inner_.done(g); }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] double current_bias() const override {
+    return inner_.current_bias();
+  }
+  [[nodiscard]] std::size_t current_opinionated() const override {
+    return inner_.current_opinionated();
+  }
+
+ private:
+  Protocol& inner_;
+};
+
+TEST(DesyncProtocolTest, DeliveryOrderDoesNotChangeOutcome) {
+  // The Stage I reservoir coin is keyed by (global round, agent) and the
+  // Stage II subset by (phase, agent): no draw depends on which message a
+  // round delivers first, so the outcome cannot either.
+  const std::size_t n = 512;
+  const double eps = 0.2;
+  const Params p = Params::calibrated(n, eps);
+  DesyncConfig config;
+  config.base = broadcast_config();
+  config.max_skew = 4;
+  config.wake.resize(n);
+  for (AgentId a = 0; a < n; ++a) config.wake[a] = a % 5;
+  const StreamKey key = trial_stream_key(5, 0);
+
+  struct Outcome {
+    std::vector<StageOnePhaseStats> stage1;
+    std::vector<int> opinions;  ///< -1: no opinion
+  };
+  auto run_once = [&](bool reversed) {
+    BinarySymmetricChannel channel(eps);
+    Engine engine(n, channel, key);
+    DesyncBreatheProtocol protocol(p, config, key);
+    ReversedSends wrapped(protocol);
+    engine.run(reversed ? static_cast<Protocol&>(wrapped) : protocol,
+               protocol.total_rounds());
+    Outcome outcome{protocol.stage1_stats(), {}};
+    for (AgentId a = 0; a < n; ++a) {
+      const Population& pop = protocol.population();
+      outcome.opinions.push_back(
+          pop.has_opinion(a) ? static_cast<int>(pop.opinion(a)) : -1);
+    }
+    return outcome;
+  };
+  const Outcome forward = run_once(false);
+  const Outcome backward = run_once(true);
+  ASSERT_EQ(forward.stage1.size(), backward.stage1.size());
+  for (std::size_t j = 0; j < forward.stage1.size(); ++j) {
+    EXPECT_EQ(forward.stage1[j].newly_activated,
+              backward.stage1[j].newly_activated) << "phase " << j;
+    EXPECT_EQ(forward.stage1[j].newly_correct,
+              backward.stage1[j].newly_correct) << "phase " << j;
+    EXPECT_EQ(forward.stage1[j].total_activated,
+              backward.stage1[j].total_activated) << "phase " << j;
+  }
+  EXPECT_EQ(forward.opinions, backward.opinions);
+}
+
 TEST(ClockSyncTest, RejectsBadArguments) {
-  Xoshiro256 rng(11);
-  EXPECT_THROW(run_clock_sync(1, 0, rng), std::invalid_argument);
-  EXPECT_THROW(run_clock_sync(64, 64, rng), std::invalid_argument);
+  const StreamKey key = trial_stream_key(11, 0);
+  EXPECT_THROW(run_clock_sync(1, 0, key), std::invalid_argument);
+  EXPECT_THROW(run_clock_sync(64, 64, key), std::invalid_argument);
 }
 
 TEST(ClockSyncTest, ActivatesEveryoneAndBoundsSkew) {
-  Xoshiro256 rng(12);
+  const StreamKey key = trial_stream_key(12, 0);
   const std::size_t n = 1024;
-  const ClockSyncResult result = run_clock_sync(n, 0, rng);
+  const ClockSyncResult result = run_clock_sync(n, 0, key);
   EXPECT_TRUE(result.all_activated);
   EXPECT_EQ(result.wake.size(), n);
   EXPECT_EQ(*std::min_element(result.wake.begin(), result.wake.end()), 0u);
@@ -201,8 +274,8 @@ TEST(ClockSyncTest, ActivatesEveryoneAndBoundsSkew) {
 }
 
 TEST(ClockSyncTest, SkewMatchesWakeSpread) {
-  Xoshiro256 rng(13);
-  const ClockSyncResult result = run_clock_sync(256, 3, rng);
+  const StreamKey key = trial_stream_key(13, 0);
+  const ClockSyncResult result = run_clock_sync(256, 3, key);
   const Round max_wake =
       *std::max_element(result.wake.begin(), result.wake.end());
   EXPECT_EQ(result.skew, max_wake);
@@ -213,8 +286,7 @@ TEST(ClockSyncTest, EndToEndDesyncAfterClockSync) {
   // algorithm with D = measured skew.
   const std::size_t n = 512;
   const double eps = 0.3;
-  Xoshiro256 setup_rng(14);
-  const ClockSyncResult sync = run_clock_sync(n, 0, setup_rng);
+  const ClockSyncResult sync = run_clock_sync(n, 0, trial_stream_key(14, 0));
   ASSERT_TRUE(sync.all_activated);
 
   const Params p = Params::calibrated(n, eps);
@@ -223,11 +295,9 @@ TEST(ClockSyncTest, EndToEndDesyncAfterClockSync) {
   config.wake = sync.wake;
   config.max_skew = sync.skew;
 
-  Xoshiro256 engine_rng(15);
-  Xoshiro256 protocol_rng(16);
   BinarySymmetricChannel channel(eps);
-  Engine engine(n, channel, engine_rng);
-  DesyncBreatheProtocol protocol(p, config, protocol_rng);
+  Engine engine(n, channel, trial_stream_key(15, 0));
+  DesyncBreatheProtocol protocol(p, config, trial_stream_key(16, 0));
   engine.run(protocol, protocol.total_rounds());
   EXPECT_TRUE(protocol.succeeded());
 }

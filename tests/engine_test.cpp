@@ -52,8 +52,8 @@ class RogueProtocol : public PingProtocol {
 
 TEST(EngineTest, RunsExactlyUntilDone) {
   PerfectChannel channel;
-  Xoshiro256 rng(31);
-  Engine engine(8, channel, rng);
+  const StreamKey key = trial_stream_key(31, 0);
+  Engine engine(8, channel, key);
   PingProtocol protocol(8, 25);
   const Metrics metrics = engine.run(protocol, 1000);
   EXPECT_EQ(metrics.rounds, 25u);
@@ -65,8 +65,8 @@ TEST(EngineTest, RunsExactlyUntilDone) {
 
 TEST(EngineTest, MaxRoundsCapsExecution) {
   PerfectChannel channel;
-  Xoshiro256 rng(32);
-  Engine engine(8, channel, rng);
+  const StreamKey key = trial_stream_key(32, 0);
+  Engine engine(8, channel, key);
   PingProtocol protocol(8, 1000);
   const Metrics metrics = engine.run(protocol, 10);
   EXPECT_EQ(metrics.rounds, 10u);
@@ -74,8 +74,8 @@ TEST(EngineTest, MaxRoundsCapsExecution) {
 
 TEST(EngineTest, NoiseFlipsAreCounted) {
   BinarySymmetricChannel channel(0.25);  // flip prob 0.25
-  Xoshiro256 rng(33);
-  Engine engine(8, channel, rng);
+  const StreamKey key = trial_stream_key(33, 0);
+  Engine engine(8, channel, key);
   PingProtocol protocol(8, 40000);
   const Metrics metrics = engine.run(protocol, 40000);
   EXPECT_EQ(metrics.delivered, 40000u);
@@ -86,8 +86,8 @@ TEST(EngineTest, NoiseFlipsAreCounted) {
 
 TEST(EngineTest, ErasuresAreCountedAndNotDelivered) {
   ErasureChannel channel(0.5, 0.4);  // no flips, 40% erased
-  Xoshiro256 rng(34);
-  Engine engine(8, channel, rng);
+  const StreamKey key = trial_stream_key(34, 0);
+  Engine engine(8, channel, key);
   PingProtocol protocol(8, 20000);
   const Metrics metrics = engine.run(protocol, 20000);
   EXPECT_EQ(metrics.delivered + metrics.erased, 20000u);
@@ -96,8 +96,8 @@ TEST(EngineTest, ErasuresAreCountedAndNotDelivered) {
 
 TEST(EngineTest, OutOfRangeSenderThrows) {
   PerfectChannel channel;
-  Xoshiro256 rng(35);
-  Engine engine(8, channel, rng);
+  const StreamKey key = trial_stream_key(35, 0);
+  Engine engine(8, channel, key);
   RogueProtocol protocol(8, 5);
   EXPECT_THROW(engine.run(protocol, 5), std::out_of_range);
 }
@@ -105,8 +105,8 @@ TEST(EngineTest, OutOfRangeSenderThrows) {
 TEST(EngineTest, DeterministicForSameSeed) {
   BinarySymmetricChannel channel(0.2);
   auto run_once = [&](std::uint64_t seed) {
-    Xoshiro256 rng(seed);
-    Engine engine(16, channel, rng);
+    const StreamKey key = trial_stream_key(seed, 0);
+    Engine engine(16, channel, key);
     PingProtocol protocol(16, 500);
     const Metrics metrics = engine.run(protocol, 500);
     return std::make_pair(metrics.flipped, protocol.last_seen_);
@@ -117,10 +117,10 @@ TEST(EngineTest, DeterministicForSameSeed) {
 
 TEST(EngineTest, ProbeRecordsSeries) {
   PerfectChannel channel;
-  Xoshiro256 rng(36);
+  const StreamKey key = trial_stream_key(36, 0);
   EngineOptions options;
   options.probe_every = 10;
-  Engine engine(8, channel, rng, options);
+  Engine engine(8, channel, key, options);
   PingProtocol protocol(8, 100);
   const Metrics metrics = engine.run(protocol, 100);
   EXPECT_EQ(metrics.bias_series.size(), 10u);
@@ -183,8 +183,8 @@ TEST(EngineTest, StreamKeyedConstructionIsDeterministic) {
 
 TEST(EngineTest, ReusableAcrossRuns) {
   PerfectChannel channel;
-  Xoshiro256 rng(37);
-  Engine engine(8, channel, rng);
+  const StreamKey key = trial_stream_key(37, 0);
+  Engine engine(8, channel, key);
   PingProtocol first(8, 5);
   PingProtocol second(8, 7);
   EXPECT_EQ(engine.run(first, 100).rounds, 5u);

@@ -33,8 +33,8 @@ TEST(ForwardGossipTest, NoiselessSpreadIsLogarithmic) {
   // ~log2(n) + ln(n) rounds. Check the right ballpark.
   const std::size_t n = 4096;
   PerfectChannel channel;
-  Xoshiro256 rng(41);
-  Engine engine(n, channel, rng);
+  const StreamKey key = trial_stream_key(41, 0);
+  Engine engine(n, channel, key);
   ForwardGossipProtocol protocol(n, source_config(0, true));
   const Metrics metrics = engine.run(protocol, 10000);
   EXPECT_TRUE(protocol.all_informed());
@@ -45,8 +45,8 @@ TEST(ForwardGossipTest, NoiselessSpreadIsLogarithmic) {
 
 TEST(ForwardGossipTest, NoiselessSpreadIsAllCorrect) {
   PerfectChannel channel;
-  Xoshiro256 rng(42);
-  Engine engine(512, channel, rng);
+  const StreamKey key = trial_stream_key(42, 0);
+  Engine engine(512, channel, key);
   ForwardGossipProtocol protocol(512, source_config(0, true));
   engine.run(protocol, 10000);
   EXPECT_TRUE(protocol.population().unanimous(Opinion::kOne));
@@ -58,8 +58,8 @@ TEST(ForwardGossipTest, NoisySpreadHasNearZeroBias) {
   const std::size_t n = 8192;
   const double eps = 0.2;
   BinarySymmetricChannel channel(eps);
-  Xoshiro256 rng(43);
-  Engine engine(n, channel, rng);
+  const StreamKey key = trial_stream_key(43, 0);
+  Engine engine(n, channel, key);
   ForwardGossipProtocol protocol(n, source_config(0, true));
   engine.run(protocol, 20000);
   EXPECT_TRUE(protocol.all_informed());
@@ -73,7 +73,6 @@ TEST(ForwardGossipTest, NoisySpreadHasNearZeroBias) {
 
 TEST(ForwardGossipTest, OpinionsFreezeOnceAdopted) {
   PerfectChannel channel;
-  Xoshiro256 rng(44);
   ForwardGossipProtocol protocol(4, source_config(100));
   protocol.deliver(2, Opinion::kZero, 0);
   protocol.deliver(2, Opinion::kOne, 0);  // ignored: already informed
@@ -94,8 +93,8 @@ TEST(ForwardGossipTest, FreshAgentsSendOnlyNextRound) {
 
 TEST(ForwardGossipTest, DurationStopsExecution) {
   PerfectChannel channel;
-  Xoshiro256 rng(45);
-  Engine engine(64, channel, rng);
+  const StreamKey key = trial_stream_key(45, 0);
+  Engine engine(64, channel, key);
   ForwardGossipProtocol protocol(64, source_config(7));
   const Metrics metrics = engine.run(protocol, 1000);
   EXPECT_EQ(metrics.rounds, 7u);
@@ -103,8 +102,8 @@ TEST(ForwardGossipTest, DurationStopsExecution) {
 
 TEST(ForwardGossipTest, InformedRoundIsRecorded) {
   PerfectChannel channel;
-  Xoshiro256 rng(46);
-  Engine engine(128, channel, rng);
+  const StreamKey key = trial_stream_key(46, 0);
+  Engine engine(128, channel, key);
   ForwardGossipProtocol protocol(128, source_config(0, true));
   const Metrics metrics = engine.run(protocol, 10000);
   EXPECT_EQ(protocol.informed_round(), metrics.rounds);

@@ -123,11 +123,10 @@ TEST(IntegrationTest, FailureInjectionErasureChannel) {
   const std::size_t n = 512;
   const double eps = 0.3;
   const Params params = Params::calibrated(n, eps);
-  Xoshiro256 engine_rng(101);
-  Xoshiro256 protocol_rng(102);
   ErasureChannel channel(eps, 0.2);
-  Engine engine(n, channel, engine_rng);
-  BreatheProtocol protocol(params, broadcast_config(), protocol_rng);
+  Engine engine(n, channel, trial_stream_key(101, 0));
+  BreatheProtocol protocol(params, broadcast_config(),
+                           trial_stream_key(102, 0));
   const Metrics metrics = engine.run(protocol, protocol.total_rounds());
   EXPECT_GT(metrics.erased, 0u);
   EXPECT_GE(protocol.population().correct_fraction(Opinion::kOne), 0.99);
@@ -141,11 +140,10 @@ TEST(IntegrationTest, FailureInjectionAdversarialPrefixFlips) {
   const std::size_t n = 512;
   const double eps = 0.3;
   const Params params = Params::calibrated(n, eps);
-  Xoshiro256 engine_rng(103);
-  Xoshiro256 protocol_rng(104);
   AdversarialChannel channel(2 * params.stage1().beta_s);
-  Engine engine(n, channel, engine_rng);
-  BreatheProtocol protocol(params, broadcast_config(), protocol_rng);
+  Engine engine(n, channel, trial_stream_key(103, 0));
+  BreatheProtocol protocol(params, broadcast_config(),
+                           trial_stream_key(104, 0));
   engine.run(protocol, protocol.total_rounds());
   EXPECT_LT(protocol.population().correct_fraction(Opinion::kOne), 0.5);
 }

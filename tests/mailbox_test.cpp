@@ -7,8 +7,24 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/topology.hpp"
+#include "util/rng.hpp"
+
 namespace flip {
 namespace {
+
+/// One message through the route every engine uses (sim/engine.cpp): the
+/// sender's kRoute stream of round `r` draws the recipient over the
+/// complete graph, then the acceptance priority.
+void push(Mailbox& mailbox, const StreamKey& key, std::uint64_t r,
+          const Message& msg) {
+  const ResolvedTopology topo =
+      ResolvedTopology::resolve(TopologySpec{}, mailbox.population());
+  CounterRng rng(round_stream_key(key, RngPurpose::kRoute, r), msg.sender);
+  const AgentId to = topo.recipient(rng, StreamKey{}, msg.sender);
+  mailbox.offer(to, msg.sender, msg.bit,
+                acceptance_word(rng(), msg.bit, msg.sender));
+}
 
 TEST(MailboxTest, RejectsTinyPopulation) {
   EXPECT_THROW(Mailbox(1), std::invalid_argument);
@@ -16,10 +32,10 @@ TEST(MailboxTest, RejectsTinyPopulation) {
 
 TEST(MailboxTest, PushNeverDeliversToSelf) {
   Mailbox mailbox(5);
-  Xoshiro256 rng(21);
-  for (int i = 0; i < 5000; ++i) {
+  const StreamKey key = trial_stream_key(21, 0);
+  for (std::uint64_t i = 0; i < 5000; ++i) {
     mailbox.reset();
-    mailbox.push(Message{2, Opinion::kOne}, rng);
+    push(mailbox, key, i, Message{2, Opinion::kOne});
     ASSERT_EQ(mailbox.recipients().size(), 1u);
     EXPECT_NE(mailbox.recipients()[0], 2u);
   }
@@ -27,12 +43,12 @@ TEST(MailboxTest, PushNeverDeliversToSelf) {
 
 TEST(MailboxTest, RecipientsAreUniformOverOthers) {
   Mailbox mailbox(4);
-  Xoshiro256 rng(22);
+  const StreamKey key = trial_stream_key(22, 0);
   std::map<AgentId, int> counts;
   constexpr int kTrials = 90000;
-  for (int i = 0; i < kTrials; ++i) {
+  for (std::uint64_t i = 0; i < kTrials; ++i) {
     mailbox.reset();
-    mailbox.push(Message{0, Opinion::kOne}, rng);
+    push(mailbox, key, i, Message{0, Opinion::kOne});
     ++counts[mailbox.recipients()[0]];
   }
   EXPECT_EQ(counts.size(), 3u);
@@ -43,42 +59,22 @@ TEST(MailboxTest, RecipientsAreUniformOverOthers) {
 
 TEST(MailboxTest, KeepsExactlyOnePerRecipientPerRound) {
   Mailbox mailbox(3);
-  Xoshiro256 rng(23);
+  CounterRng rng(trial_stream_key(23, 0));
   mailbox.reset();
   // Agents 0 and 1 both target agent 2 directly.
-  mailbox.push_to(2, Message{0, Opinion::kZero}, rng);
-  mailbox.push_to(2, Message{1, Opinion::kOne}, rng);
-  mailbox.push_to(2, Message{0, Opinion::kZero}, rng);
+  mailbox.offer(2, 0, Opinion::kZero, rng());
+  mailbox.offer(2, 1, Opinion::kOne, rng());
+  mailbox.offer(2, 0, Opinion::kZero, rng());
   EXPECT_EQ(mailbox.recipients().size(), 1u);
   EXPECT_EQ(mailbox.arrivals(2), 3u);
   EXPECT_EQ(mailbox.pushed_this_round(), 3u);
   EXPECT_EQ(mailbox.dropped_this_round(), 2u);
 }
 
-TEST(MailboxTest, AcceptedIsUniformAmongArrivals) {
-  // Three distinguishable senders all target agent 3; over many rounds the
-  // kept message should come from each sender about a third of the time
-  // (the Flip model's "accept one uniformly at random" rule).
-  Mailbox mailbox(4);
-  Xoshiro256 rng(24);
-  std::map<AgentId, int> kept_from;
-  constexpr int kRounds = 60000;
-  for (int i = 0; i < kRounds; ++i) {
-    mailbox.reset();
-    for (AgentId s = 0; s < 3; ++s) {
-      mailbox.push_to(3, Message{s, Opinion::kOne}, rng);
-    }
-    ++kept_from[mailbox.accepted(3).sender];
-  }
-  for (AgentId s = 0; s < 3; ++s) {
-    EXPECT_NEAR(kept_from[s], kRounds / 3, kRounds / 30) << "sender " << s;
-  }
-}
-
 TEST(MailboxTest, ResetClearsRoundState) {
   Mailbox mailbox(3);
-  Xoshiro256 rng(25);
-  mailbox.push_to(1, Message{0, Opinion::kOne}, rng);
+  CounterRng rng(trial_stream_key(25, 0));
+  mailbox.offer(1, 0, Opinion::kOne, rng());
   mailbox.reset();
   EXPECT_TRUE(mailbox.recipients().empty());
   EXPECT_EQ(mailbox.arrivals(1), 0u);
@@ -88,10 +84,10 @@ TEST(MailboxTest, ResetClearsRoundState) {
 
 TEST(MailboxTest, ManySendersAllDeliveredSomewhere) {
   Mailbox mailbox(100);
-  Xoshiro256 rng(26);
+  const StreamKey key = trial_stream_key(26, 0);
   mailbox.reset();
   for (AgentId s = 0; s < 100; ++s) {
-    mailbox.push(Message{s, Opinion::kZero}, rng);
+    push(mailbox, key, 0, Message{s, Opinion::kZero});
   }
   EXPECT_EQ(mailbox.pushed_this_round(), 100u);
   EXPECT_EQ(mailbox.recipients().size() + mailbox.dropped_this_round(), 100u);
@@ -101,9 +97,12 @@ TEST(MailboxTest, ManySendersAllDeliveredSomewhere) {
 
 TEST(MailboxTest, TouchOrderHasNoDuplicates) {
   Mailbox mailbox(10);
-  Xoshiro256 rng(27);
+  CounterRng rng(trial_stream_key(27, 0));
   mailbox.reset();
-  for (int i = 0; i < 200; ++i) mailbox.push(Message{0, Opinion::kOne}, rng);
+  for (int i = 0; i < 200; ++i) {
+    const auto to = static_cast<AgentId>(1 + uniform_index(rng, 9));
+    mailbox.offer(to, 0, Opinion::kOne, rng());
+  }
   std::vector<bool> seen(10, false);
   for (AgentId a : mailbox.recipients()) {
     EXPECT_FALSE(seen[a]) << "duplicate recipient " << a;
@@ -138,7 +137,7 @@ TEST(MailboxTest, OfferAcceptanceIsArrivalOrderIndependent) {
   // The determinism contract rests on this: min((priority, sender)) is a
   // commutative reduction, so any interleaving of a round's offers — the
   // sharded engine produces many — keeps the identical winner per
-  // recipient. Reservoir push_to, by design, does not have this property.
+  // recipient.
   struct Offer {
     AgentId to;
     AgentId sender;
@@ -146,7 +145,7 @@ TEST(MailboxTest, OfferAcceptanceIsArrivalOrderIndependent) {
     std::uint64_t priority;
   };
   std::vector<Offer> offers;
-  Xoshiro256 rng(99);
+  CounterRng rng(trial_stream_key(99, 0));
   for (AgentId sender = 0; sender < 64; ++sender) {
     offers.push_back(Offer{static_cast<AgentId>(uniform_index(rng, 16)),
                            sender, static_cast<Opinion>(sender & 1), rng()});
@@ -171,7 +170,7 @@ TEST(MailboxTest, OfferAcceptanceIsArrivalOrderIndependent) {
 TEST(MailboxTest, OfferAcceptanceIsUniformAmongArrivals) {
   // With i.i.d. uniform priorities each of k arrivals wins w.p. 1/k.
   constexpr int kRounds = 30000;
-  Xoshiro256 rng(7);
+  CounterRng rng(trial_stream_key(7, 0));
   std::array<int, 3> wins{};
   for (int i = 0; i < kRounds; ++i) {
     Mailbox mailbox(4);

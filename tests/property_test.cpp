@@ -113,14 +113,13 @@ class MailboxFairnessTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(MailboxFairnessTest, AcceptanceUniformAmongKArrivals) {
   const std::size_t k = GetParam();
   Mailbox mailbox(k + 1);
-  Xoshiro256 rng(4242 + k);
+  CounterRng rng(trial_stream_key(4242 + k, 0));
   std::vector<int> kept(k, 0);
   constexpr int kRounds = 30000;
   for (int round = 0; round < kRounds; ++round) {
     mailbox.reset();
     for (AgentId s = 0; s < k; ++s) {
-      mailbox.push_to(static_cast<AgentId>(k), Message{s, Opinion::kOne},
-                      rng);
+      mailbox.offer(static_cast<AgentId>(k), s, Opinion::kOne, rng());
     }
     ++kept[mailbox.accepted(static_cast<AgentId>(k)).sender];
   }

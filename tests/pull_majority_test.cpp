@@ -18,21 +18,21 @@ PullMajorityConfig make_config(PullRule rule, double initial,
 
 TEST(PullMajorityTest, RejectsBadConfigs) {
   PerfectChannel channel;
-  Xoshiro256 rng(71);
+  const StreamKey key = trial_stream_key(71, 0);
   PullMajorityConfig no_rounds = make_config(PullRule::kTwoPlusOwn, 0.6, 0);
   no_rounds.max_rounds = 0;
-  EXPECT_THROW(PullMajorityDynamics(64, no_rounds, channel, rng),
+  EXPECT_THROW(PullMajorityDynamics(64, no_rounds, channel, key),
                std::invalid_argument);
   EXPECT_THROW(PullMajorityDynamics(
-                   64, make_config(PullRule::kTwoPlusOwn, 1.5), channel, rng),
+                   64, make_config(PullRule::kTwoPlusOwn, 1.5), channel, key),
                std::invalid_argument);
 }
 
 TEST(PullMajorityTest, InitialFractionIsDealtExactly) {
   PerfectChannel channel;
-  Xoshiro256 rng(72);
+  const StreamKey key = trial_stream_key(72, 0);
   PullMajorityDynamics dynamics(100, make_config(PullRule::kTwoPlusOwn, 0.63),
-                                channel, rng);
+                                channel, key);
   EXPECT_DOUBLE_EQ(
       dynamics.population().correct_fraction(Opinion::kOne), 0.63);
 }
@@ -41,10 +41,10 @@ TEST(PullMajorityTest, NoiselessTwoChoicesConvergesToMajority) {
   // Doerr et al.: with initial bias >> sqrt(log n / n) and no noise,
   // consensus on the majority in O(log n) rounds.
   PerfectChannel channel;
-  Xoshiro256 rng(73);
+  const StreamKey key = trial_stream_key(73, 0);
   const std::size_t n = 4096;
   PullMajorityDynamics dynamics(
-      n, make_config(PullRule::kTwoPlusOwn, 0.6, 500), channel, rng);
+      n, make_config(PullRule::kTwoPlusOwn, 0.6, 500), channel, key);
   const PullMajorityResult result = dynamics.run();
   EXPECT_TRUE(result.consensus);
   EXPECT_TRUE(result.correct);
@@ -53,9 +53,9 @@ TEST(PullMajorityTest, NoiselessTwoChoicesConvergesToMajority) {
 
 TEST(PullMajorityTest, NoiselessThreeMajorityConverges) {
   PerfectChannel channel;
-  Xoshiro256 rng(74);
+  const StreamKey key = trial_stream_key(74, 0);
   PullMajorityDynamics dynamics(
-      4096, make_config(PullRule::kThreeSamples, 0.6, 500), channel, rng);
+      4096, make_config(PullRule::kThreeSamples, 0.6, 500), channel, key);
   const PullMajorityResult result = dynamics.run();
   EXPECT_TRUE(result.consensus);
   EXPECT_TRUE(result.correct);
@@ -67,10 +67,10 @@ TEST(PullMajorityTest, NoiseStallsTwoChoices) {
   // almost a coin flip; from a modest initial bias the dynamics hover far
   // from consensus for a long time.
   BinarySymmetricChannel channel(0.1);
-  Xoshiro256 rng(75);
+  const StreamKey key = trial_stream_key(75, 0);
   const std::size_t n = 4096;
   PullMajorityDynamics dynamics(
-      n, make_config(PullRule::kTwoPlusOwn, 0.55, 300), channel, rng);
+      n, make_config(PullRule::kTwoPlusOwn, 0.55, 300), channel, key);
   const PullMajorityResult result = dynamics.run();
   EXPECT_FALSE(result.consensus);
   EXPECT_LT(result.final_correct_fraction, 0.95);
@@ -78,9 +78,9 @@ TEST(PullMajorityTest, NoiseStallsTwoChoices) {
 
 TEST(PullMajorityTest, TrajectoryIsRecorded) {
   PerfectChannel channel;
-  Xoshiro256 rng(76);
+  const StreamKey key = trial_stream_key(76, 0);
   PullMajorityDynamics dynamics(
-      256, make_config(PullRule::kTwoPlusOwn, 0.7, 200), channel, rng);
+      256, make_config(PullRule::kTwoPlusOwn, 0.7, 200), channel, key);
   const PullMajorityResult result = dynamics.run();
   EXPECT_FALSE(result.trajectory.empty());
   EXPECT_EQ(result.trajectory.front().round, 0u);
@@ -90,9 +90,9 @@ TEST(PullMajorityTest, AllWrongStaysWrong) {
   // Consensus on the minority start: if everyone starts wrong, the
   // dynamics agree on the wrong value — consensus != correctness.
   PerfectChannel channel;
-  Xoshiro256 rng(77);
+  const StreamKey key = trial_stream_key(77, 0);
   PullMajorityDynamics dynamics(
-      256, make_config(PullRule::kTwoPlusOwn, 0.0, 200), channel, rng);
+      256, make_config(PullRule::kTwoPlusOwn, 0.0, 200), channel, key);
   const PullMajorityResult result = dynamics.run();
   EXPECT_TRUE(result.consensus);
   EXPECT_FALSE(result.correct);

@@ -12,52 +12,8 @@
 namespace flip {
 namespace {
 
-TEST(SplitMix64Test, DeterministicForSameSeed) {
-  SplitMix64 a(42);
-  SplitMix64 b(42);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
-}
-
-TEST(SplitMix64Test, DifferentSeedsDiverge) {
-  SplitMix64 a(1);
-  SplitMix64 b(2);
-  EXPECT_NE(a(), b());
-}
-
-TEST(SplitMix64Test, KnownReferenceValues) {
-  // Reference outputs of splitmix64 with seed 0 (from the published
-  // reference implementation).
-  SplitMix64 rng(0);
-  EXPECT_EQ(rng(), 0xe220a8397b1dcdafULL);
-  EXPECT_EQ(rng(), 0x6e789e6aa1b965f4ULL);
-  EXPECT_EQ(rng(), 0x06c45d188009454fULL);
-}
-
-TEST(Xoshiro256Test, DeterministicForSameSeed) {
-  Xoshiro256 a(7);
-  Xoshiro256 b(7);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(a(), b());
-}
-
-TEST(Xoshiro256Test, JumpChangesState) {
-  Xoshiro256 a(7);
-  Xoshiro256 b(7);
-  b.jump();
-  EXPECT_NE(a(), b());
-}
-
-TEST(MakeStreamTest, StreamsAreDecorrelatedAndStable) {
-  Xoshiro256 s0 = make_stream(123, 0);
-  Xoshiro256 s1 = make_stream(123, 1);
-  EXPECT_NE(s0(), s1());
-
-  Xoshiro256 a = make_stream(123, 0);
-  Xoshiro256 b = make_stream(123, 0);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(a(), b());
-}
-
 TEST(UniformIndexTest, StaysInRange) {
-  Xoshiro256 rng(1);
+  CounterRng rng(trial_stream_key(1, 0));
   for (std::uint64_t n : {1ULL, 2ULL, 3ULL, 10ULL, 1000ULL}) {
     for (int i = 0; i < 1000; ++i) {
       EXPECT_LT(uniform_index(rng, n), n);
@@ -66,14 +22,14 @@ TEST(UniformIndexTest, StaysInRange) {
 }
 
 TEST(UniformIndexTest, CoversAllValues) {
-  Xoshiro256 rng(2);
+  CounterRng rng(trial_stream_key(2, 0));
   std::set<std::uint64_t> seen;
   for (int i = 0; i < 2000; ++i) seen.insert(uniform_index(rng, 7));
   EXPECT_EQ(seen.size(), 7u);
 }
 
 TEST(UniformIndexTest, ApproximatelyUniform) {
-  Xoshiro256 rng(3);
+  CounterRng rng(trial_stream_key(3, 0));
   constexpr std::uint64_t kBuckets = 10;
   constexpr int kDraws = 100000;
   std::vector<int> counts(kBuckets, 0);
@@ -85,7 +41,7 @@ TEST(UniformIndexTest, ApproximatelyUniform) {
 }
 
 TEST(BernoulliTest, EdgeProbabilities) {
-  Xoshiro256 rng(4);
+  CounterRng rng(trial_stream_key(4, 0));
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(bernoulli(rng, 0.0));
     EXPECT_TRUE(bernoulli(rng, 1.0));
@@ -95,7 +51,7 @@ TEST(BernoulliTest, EdgeProbabilities) {
 }
 
 TEST(BernoulliTest, MatchesProbability) {
-  Xoshiro256 rng(5);
+  CounterRng rng(trial_stream_key(5, 0));
   constexpr int kDraws = 200000;
   int hits = 0;
   for (int i = 0; i < kDraws; ++i) {
@@ -105,7 +61,7 @@ TEST(BernoulliTest, MatchesProbability) {
 }
 
 TEST(UniformUnitTest, InHalfOpenUnitInterval) {
-  Xoshiro256 rng(6);
+  CounterRng rng(trial_stream_key(6, 0));
   double sum = 0.0;
   constexpr int kDraws = 100000;
   for (int i = 0; i < kDraws; ++i) {
@@ -119,7 +75,7 @@ TEST(UniformUnitTest, InHalfOpenUnitInterval) {
 
 
 TEST(HypergeometricTest, DegenerateCases) {
-  Xoshiro256 rng(7);
+  CounterRng rng(trial_stream_key(7, 0));
   EXPECT_EQ(hypergeometric_ones(rng, 10, 0, 5), 0u);
   EXPECT_EQ(hypergeometric_ones(rng, 10, 10, 5), 5u);
   EXPECT_EQ(hypergeometric_ones(rng, 10, 4, 0), 0u);
@@ -127,7 +83,7 @@ TEST(HypergeometricTest, DegenerateCases) {
 }
 
 TEST(HypergeometricTest, StaysInSupport) {
-  Xoshiro256 rng(8);
+  CounterRng rng(trial_stream_key(8, 0));
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t picked = hypergeometric_ones(rng, 20, 7, 9);
     EXPECT_LE(picked, 7u);
@@ -139,7 +95,7 @@ TEST(HypergeometricTest, MatchesExactDistribution) {
   // total=10, ones=4, take=5: P[X=k] = C(4,k) C(6,5-k) / C(10,5).
   constexpr std::uint64_t kTotal = 10, kOnes = 4, kTake = 5;
   constexpr int kDraws = 200000;
-  Xoshiro256 rng(9);
+  CounterRng rng(trial_stream_key(9, 0));
   std::vector<int> counts(kOnes + 1, 0);
   for (int i = 0; i < kDraws; ++i) {
     ++counts[hypergeometric_ones(rng, kTotal, kOnes, kTake)];
@@ -154,7 +110,7 @@ TEST(HypergeometricTest, MatchesExactDistribution) {
 }
 
 TEST(HypergeometricTest, MeanMatchesTakeTimesFraction) {
-  Xoshiro256 rng(10);
+  CounterRng rng(trial_stream_key(10, 0));
   double sum = 0.0;
   constexpr int kDraws = 50000;
   for (int i = 0; i < kDraws; ++i) {
@@ -412,8 +368,8 @@ TEST(CounterRngTest, SimdFlipBlockGoldenVectors) {
 }
 
 TEST(CounterRngTest, DrawPrimitivesAcceptCounterStreams) {
-  // uniform_index / bernoulli / hypergeometric_ones are generator-generic;
-  // spot-check distributional sanity through a CounterRng.
+  // Spot-check distributional sanity of uniform_index / bernoulli across
+  // agents' streams (each agent's first words), not within one stream.
   const StreamKey rk =
       round_stream_key(trial_stream_key(1, 2), RngPurpose::kSubset, 3);
   constexpr int kAgents = 100000;

@@ -62,8 +62,8 @@ TEST(SilentListeningTest, CompletesOnSmallPopulation) {
   const std::size_t n = 32;
   const double eps = 0.25;
   BinarySymmetricChannel channel(eps);
-  Xoshiro256 rng(51);
-  Engine engine(n, channel, rng);
+  const StreamKey key = trial_stream_key(51, 0);
+  Engine engine(n, channel, key);
   SilentConfig config = config_for(101);
   SilentListeningProtocol protocol(n, config);
   const Metrics metrics = engine.run(protocol, 2000000);
@@ -77,8 +77,8 @@ TEST(SilentListeningTest, CompletesOnSmallPopulation) {
 
 TEST(SilentListeningTest, MaxRoundsCaps) {
   BinarySymmetricChannel channel(0.25);
-  Xoshiro256 rng(52);
-  Engine engine(64, channel, rng);
+  const StreamKey key = trial_stream_key(52, 0);
+  Engine engine(64, channel, key);
   SilentListeningProtocol protocol(64, config_for(1001, 50));
   const Metrics metrics = engine.run(protocol, 1000000);
   EXPECT_EQ(metrics.rounds, 50u);

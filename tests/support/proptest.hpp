@@ -28,13 +28,14 @@
 
 namespace flip::proptest {
 
-/// Per-iteration random value source. A thin convenience layer over
-/// Xoshiro256; every draw helper is exact over its range (uniform_index is
-/// Lemire's unbiased method).
+/// Per-iteration random value source: a thin convenience layer over the
+/// counter stream of trial `iteration` under master seed `suite_seed`;
+/// every draw helper is exact over its range (uniform_index is Lemire's
+/// unbiased method).
 class Gen {
  public:
   Gen(std::uint64_t suite_seed, std::uint64_t iteration) noexcept
-      : rng_(mix64(suite_seed + iteration * kGoldenGamma)) {}
+      : rng_(trial_stream_key(suite_seed, iteration)) {}
 
   std::uint64_t u64() { return rng_(); }
 
@@ -68,7 +69,7 @@ class Gen {
   }
 
  private:
-  Xoshiro256 rng_;
+  CounterRng rng_;
 };
 
 /// Runs `property(gen, iteration)` for `iterations` deterministic cases.

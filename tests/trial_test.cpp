@@ -70,7 +70,7 @@ TEST(TrialTest, DeterministicAggregation) {
   // A trial function that derives its outcome from (seed, index) must give
   // identical summaries across invocations, regardless of thread timing.
   auto fn = [](std::uint64_t seed, std::size_t i) {
-    Xoshiro256 rng = make_stream(seed, i);
+    CounterRng rng(trial_stream_key(seed, i));
     TrialOutcome o;
     o.rounds = static_cast<double>(uniform_index(rng, 1000));
     o.success = uniform_index(rng, 2) == 0;

@@ -35,7 +35,7 @@ TEST(TwoStepTest, ExactMatchesDirectBinomial) {
 
 TEST(TwoStepTest, MonteCarloAgreesWithExact) {
   SamplingConfig cfg{/*r=*/25, /*eps=*/0.2, /*delta=*/0.1};
-  Xoshiro256 rng(99);
+  CounterRng rng(trial_stream_key(99, 0));
   const double mc = majority_correct_monte_carlo(cfg, 200000, rng);
   EXPECT_NEAR(mc, majority_correct_exact(cfg), 0.005);
 }

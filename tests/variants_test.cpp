@@ -145,15 +145,15 @@ TEST(ExcessSkewTest, ModestExcessDegradesGracefully) {
 
 TEST(ExcessSkewTest, RejectedWithoutOptIn) {
   const Params p = Params::calibrated(64, 0.3);
-  Xoshiro256 rng(28);
+  const StreamKey key = trial_stream_key(28, 0);
   DesyncConfig config;
   config.base = broadcast_config();
   config.max_skew = 4;
   config.wake.assign(64, 0);
   config.wake[1] = 9;
-  EXPECT_THROW(DesyncBreatheProtocol(p, config, rng), std::invalid_argument);
+  EXPECT_THROW(DesyncBreatheProtocol(p, config, key), std::invalid_argument);
   config.allow_excess_skew = true;
-  EXPECT_NO_THROW(DesyncBreatheProtocol(p, config, rng));
+  EXPECT_NO_THROW(DesyncBreatheProtocol(p, config, key));
 }
 
 }  // namespace

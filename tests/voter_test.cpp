@@ -40,8 +40,8 @@ TEST(NoisyVoterTest, NonZealotAdoptsWhatItHears) {
 
 TEST(NoisyVoterTest, RunsForExactDuration) {
   BinarySymmetricChannel channel(0.2);
-  Xoshiro256 rng(61);
-  Engine engine(64, channel, rng);
+  const StreamKey key = trial_stream_key(61, 0);
+  Engine engine(64, channel, key);
   NoisyVoterProtocol protocol(64, zealot_config(500));
   const Metrics metrics = engine.run(protocol, 100000);
   EXPECT_EQ(metrics.rounds, 500u);
@@ -54,8 +54,8 @@ TEST(NoisyVoterTest, NoisePreventsConsensusInReasonableTime) {
   const std::size_t n = 2048;
   const double eps = 0.2;
   BinarySymmetricChannel channel(eps);
-  Xoshiro256 rng(62);
-  Engine engine(n, channel, rng);
+  const StreamKey key = trial_stream_key(62, 0);
+  Engine engine(n, channel, key);
   // ~8x the breathe protocol's budget at this n/eps.
   NoisyVoterProtocol protocol(n, zealot_config(8 * 2000));
   engine.run(protocol, 100000);
@@ -70,8 +70,8 @@ TEST(NoisyVoterTest, NoiselessZealotEventuallyDominatesSmallN) {
   // happens quickly.
   const std::size_t n = 16;
   PerfectChannel channel;
-  Xoshiro256 rng(63);
-  Engine engine(n, channel, rng);
+  const StreamKey key = trial_stream_key(63, 0);
+  Engine engine(n, channel, key);
   NoisyVoterProtocol protocol(n, zealot_config(20000));
   engine.run(protocol, 20000);
   EXPECT_GE(protocol.population().correct_fraction(Opinion::kOne), 0.9);

@@ -12,12 +12,11 @@ level, before a test ever runs:
                      src/workload): rand()/srand(), <random> engines and
                      distributions (std::mt19937, std::random_device, ...),
                      system_clock / steady_clock / time() / gettimeofday.
-                     Allowlisted files: util/rng.* (the one RNG
-                     implementation), sim/clock.hpp (the *model's* logical
-                     clock — no OS time in it, listed so renames get
-                     reviewed), and sim/trial.* (wall-clock timing FIELDS
-                     of trial results, explicitly outside the determinism
-                     contract).
+                     Allowlisted files: sim/clock.hpp (the *model's*
+                     logical clock — no OS time in it, listed so renames
+                     get reviewed) and sim/trial.* (wall-clock timing
+                     FIELDS of trial results, explicitly outside the
+                     determinism contract).
 
   unordered-iteration
                      No std::unordered_{map,set,multimap,multiset} in the
@@ -74,8 +73,6 @@ NONDETERMINISM_ALLOWLIST = {
     "src/sim/clock.hpp",   # the model's logical per-agent clock (no OS time)
     "src/sim/trial.hpp",   # wall-clock timing *fields* of trial results
     "src/sim/trial.cpp",   # ... and the steady_clock reads that fill them
-    "src/util/rng.hpp",    # the counter-keyed RNG implementation
-    "src/util/rng.cpp",
 }
 
 CXX_EXTENSIONS = (".hpp", ".cpp", ".h", ".cc", ".cxx", ".hxx", ".inl")

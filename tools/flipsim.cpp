@@ -19,9 +19,6 @@
 //   flipsim --serve 7447 &              # resident daemon
 //   flipsim --connect 7447 --scenario broadcast_small --trials 8 --jsonl
 //   flipsim --connect 7447 --shutdown
-//   flipsim --scenario broadcast --trials 16
-//       --bench-json bench/results/BENCH_baseline.json
-//       --bench-id baseline --git-rev $(git rev-parse --short HEAD)
 
 #include <algorithm>
 #include <cstdio>
