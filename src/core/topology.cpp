@@ -192,6 +192,7 @@ ResolvedTopology ResolvedTopology::resolve(const TopologySpec& spec,
         throw std::invalid_argument(os.str());
       }
       topo.degree_ = spec.k;
+      topo.rewire_threshold_ = bernoulli_threshold(spec.rewire_prob);
       break;
     case TopologyKind::kGrid: {
       const std::size_t side = 2 * spec.radius + 1;

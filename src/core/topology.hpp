@@ -187,12 +187,15 @@ class ResolvedTopology {
         return grid_neighbor(a, j);
       case TopologyKind::kSmallWorld:
       case TopologyKind::kDynamic: {
-        // Edge j's own stream: one bernoulli (rewire?) then, on rewire,
-        // one uniform draw over the n-1 non-self targets.
+        // Edge j's own stream: one bernoulli(rewire_prob) coin as an
+        // integer compare, then, on rewire, one uniform draw over the n-1
+        // non-self targets. bernoulli draws no coin at p >= 1, so neither
+        // does this: at p = 1 the target is word 1 of the stream.
         CounterRng erng(topo_key,
                         static_cast<std::uint64_t>(a) * kTopologyEdgeStride +
                             j);
-        if (bernoulli(erng, spec_.rewire_prob)) {
+        if (rewire_threshold_ == kBernoulliAlways ||
+            (erng() >> 11) < rewire_threshold_) {
           auto t = static_cast<AgentId>(uniform_index(erng, n_ - 1));
           t += (t >= a);
           return t;
@@ -227,10 +230,13 @@ class ResolvedTopology {
  private:
   [[nodiscard]] AgentId ring_neighbor(AgentId a, std::uint64_t j) const {
     // Offsets +1..+k/2 then -1..-k/2; k <= n-2 keeps all k distinct and
-    // non-self (resolve() enforces it).
+    // non-self (resolve() enforces it). Both candidates are computed and
+    // one selected: j is a uniform draw, so a branch on j < half would
+    // mispredict half the time. Both lie in [0, 2n).
     const std::uint64_t half = static_cast<std::uint64_t>(spec_.k) / 2;
-    const std::uint64_t off = j < half ? j + 1 : j - half + 1;
-    const std::uint64_t base = j < half ? a + off : a + n_ - off;
+    const std::uint64_t forward = a + j + 1;
+    const std::uint64_t backward = a + n_ + half - j - 1;  // off j - half + 1
+    const std::uint64_t base = j < half ? forward : backward;
     return static_cast<AgentId>(base >= n_ ? base - n_ : base);
   }
 
@@ -258,6 +264,8 @@ class ResolvedTopology {
   std::uint64_t degree_ = 1;  // complete over n = 2
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
+  /// bernoulli_threshold(rewire_prob) of the rewired kinds (resolve()).
+  std::uint64_t rewire_threshold_ = 0;
 };
 
 }  // namespace flip

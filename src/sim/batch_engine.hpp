@@ -43,7 +43,6 @@
 // phases run inline.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <type_traits>
@@ -113,11 +112,12 @@ struct BreatheRunOptions {
 
 namespace detail {
 
-/// The integer flip threshold of a BSC with advantage eps: with
-/// k = rng() >> 11, u = k * 2^-53 < p iff k < ceil(p * 2^53) (p * 2^53 is
-/// an exact power-of-two scaling, so no rounding is involved anywhere).
+/// The integer flip threshold of a BSC with advantage eps: the
+/// bernoulli_threshold (util/rng.hpp) of the flip probability 1/2 - eps,
+/// so `(rng() >> 11) < threshold` is exactly the channel's
+/// bernoulli(rng, 0.5 - eps).
 [[nodiscard]] inline std::uint64_t bsc_flip_threshold(double eps) noexcept {
-  return static_cast<std::uint64_t>(std::ceil((0.5 - eps) * 0x1.0p53));
+  return bernoulli_threshold(0.5 - eps);
 }
 
 /// Per-message flip draw for the packed fast path, producing exactly the
@@ -221,16 +221,19 @@ struct RoutedMsg {
 
 /// The min-combine acceptance step: keeps the smallest acceptance_word.
 /// Commutative + associative, hence identical for any arrival order and
-/// any shard partition. Returns the new touched count (branchless append:
-/// store always, bump on first arrival — the sentinel is the max word, so
-/// the min-compare alone also decides first-touch wins).
+/// any shard partition. Returns the new touched count. Branch-free: the
+/// slot store is unconditional (a select of the min — which arrival wins
+/// is a random-priority coin, so a branch on the compare would mispredict
+/// about half the time), and the touched append stores always and bumps on
+/// first arrival (the sentinel is the max word, so the min alone also
+/// decides first-touch wins).
 inline std::size_t combine(std::uint32_t to, std::uint64_t word,
                            std::uint64_t* __restrict__ slot,
                            AgentId* __restrict__ tdata, std::size_t tsize) {
   const std::uint64_t cur = slot[to];
   tdata[tsize] = to;
   tsize += cur == kEmptySlot;
-  if (word < cur) slot[to] = word;
+  slot[to] = word < cur ? word : cur;
   return tsize;
 }
 
@@ -350,7 +353,8 @@ template <bool kChurn, typename RecipientFn>
 /// each meta slot, applies the recipient-keyed channel flip, and bumps the
 /// packed recv/ones/prefix counters. Under kChurn an asleep recipient's
 /// accepted message is discarded (no draw, no counter bump) and counted as
-/// an asleep drop.
+/// an asleep drop. The counter bump is arithmetic on the 0/1 received bit:
+/// the channel coin decides it, so a branch on it would mispredict.
 template <bool kChurn, typename FlipFn>
 [[gnu::noinline]] inline DeliverPartial deliver_stage2(
     const AgentId* __restrict__ tdata, std::size_t tsize,
@@ -378,11 +382,10 @@ template <bool kChurn, typename FlipFn>
     const bool flip = flips(rng);
     partial.flipped += flip;
     std::uint64_t w = acc[to] + 1;  // ++recv
-    if (sent_one != flip) {
-      w += (std::uint64_t{1} << kOnesShift) +
-           ((w & kFieldMask) <= threshold ? (std::uint64_t{1} << kPrefixShift)
-                                          : 0);
-    }
+    const auto one = static_cast<std::uint64_t>(sent_one ^ flip);
+    const auto in_prefix =
+        static_cast<std::uint64_t>((w & kFieldMask) <= threshold);
+    w += (one << kOnesShift) + ((one & in_prefix) << kPrefixShift);
     acc[to] = w;
   }
   return partial;
@@ -580,12 +583,10 @@ template <bool kChurn>
       const bool flip = flip_buf[j] != 0;
       partial.flipped += flip;
       std::uint64_t w = acc[to] + 1;  // ++recv
-      if (sent_one != flip) {
-        w += (std::uint64_t{1} << kOnesShift) +
-             ((w & kFieldMask) <= threshold
-                  ? (std::uint64_t{1} << kPrefixShift)
-                  : 0);
-      }
+      const auto one = static_cast<std::uint64_t>(sent_one ^ flip);
+      const auto in_prefix =
+          static_cast<std::uint64_t>((w & kFieldMask) <= threshold);
+      w += (one << kOnesShift) + ((one & in_prefix) << kPrefixShift);
       acc[to] = w;
     }
   }
@@ -719,6 +720,10 @@ class BatchEngine {
     const std::size_t shards = shards_;
     const ChurnSpec& churn = options.engine.churn;
     const bool churn_on = churn.enabled();
+    // churn_step's two bernoulli coins as integer thresholds: the per-agent
+    // transition below is one compare against the one its state selects.
+    const std::uint64_t sleep_threshold = bernoulli_threshold(churn.sleep_prob);
+    const std::uint64_t wake_threshold = bernoulli_threshold(churn.wake_prob);
     const std::uint8_t* const awake = pop_.awake_data();
 
     std::uint64_t* const __restrict__ acc = acc_.data();
@@ -727,10 +732,12 @@ class BatchEngine {
     // flip-lint: noalloc — the warm-trial round loop. Everything here must
     // run out of the scratch prepare_breathe() sized: tests/
     // trial_arena_test.cpp proves warm trials allocation-free at shards
-    // 1/8, churn on/off with a counting global allocator, and the lint
-    // region keeps explicit allocations from creeping in on the paths that
-    // test doesn't execute. push_back into capacity-kept vectors is the
-    // sanctioned idiom (capacity survives across trials via reset()).
+    // 1/8, churn on/off with a counting global allocator — with the shard
+    // phases inline (pool == nullptr); a real pool's parallel_for still
+    // allocates per call. The lint region keeps explicit allocations from
+    // creeping in on the paths that test doesn't execute. push_back into
+    // capacity-kept vectors is the sanctioned idiom (capacity survives
+    // across trials via reset()).
     for (Round r = 0; r < budget; ++r) {
       const bool in_s1 = r < stage1_rounds;
       const StreamKey route_key =
@@ -749,7 +756,9 @@ class BatchEngine {
       // the churn phase advances every agent's liveness from its own
       // (round, agent, kChurn) stream, shard-parallel over the agent
       // blocks, and merges the per-shard liveness deltas exactly — the
-      // same merge discipline as the Stage II opinion deltas.
+      // same merge discipline as the Stage II opinion deltas. Each
+      // transition is churn_step (core/environment.hpp, the form the
+      // classic engine runs) with its coin as an integer compare.
       flips.begin_round(trial_key_, r);
       if (churn_on) {
         const StreamKey churn_key =
@@ -761,9 +770,11 @@ class BatchEngine {
           const auto hi = static_cast<AgentId>(
               std::min(n, (d + 1) * shard_block_));
           for (AgentId a = lo; a < hi; ++a) {
-            const bool was = pop_.awake(a);
-            const bool now = churn_step(churn, churn_key, a, was);
-            if (now != was) pop_.set_awake_counted(a, now, sh.delta);
+            const bool was = awake[a] != 0;
+            CounterRng rng(churn_key, a);
+            if ((rng() >> 11) < (was ? sleep_threshold : wake_threshold)) {
+              pop_.set_awake_counted(a, !was, sh.delta);
+            }
           }
         });
         for (const ShardScratch& sh : shard_) pop_.apply(sh.delta);

@@ -73,7 +73,7 @@ using RouteBlockFn = void (*)(std::uint64_t rkey_hi, std::uint64_t rkey_lo,
 
 /// Deliver-phase block kernel: for each recipient, replays the first word
 /// of the agent's channel stream and compares against the integer flip
-/// threshold (sim/batch_engine.hpp bsc_flip_threshold):
+/// threshold (util/rng.hpp bernoulli_threshold of the flip probability):
 ///   CounterRng rng(ckey, to); flip = (rng() >> 11) < threshold;
 /// flip_out bytes are 0/1.
 using FlipBlockFn = void (*)(std::uint64_t ckey_hi, std::uint64_t ckey_lo,

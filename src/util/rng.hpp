@@ -163,6 +163,24 @@ inline bool bernoulli(CounterRng& rng, double p) {
   return uniform_unit(rng) < p;
 }
 
+/// The bernoulli_threshold of every p >= 1: each 53-bit draw is below it.
+inline constexpr std::uint64_t kBernoulliAlways = std::uint64_t{1} << 53;
+
+/// The exact integer form of bernoulli: for k = rng() >> 11,
+/// uniform_unit(rng) < p iff k * 2^-53 < p iff k < ceil(p * 2^53), and
+/// scaling p by 2^53 is exact. p <= 0 and NaN give 0 (never fires), p >= 1
+/// gives kBernoulliAlways. Hoist it out of a loop whose p is fixed and the
+/// per-draw coin is one compare, with no branch on its outcome. Unlike
+/// bernoulli, a caller comparing against it consumes the word even when
+/// p <= 0 or p >= 1; that matters only when the stream is read again.
+[[nodiscard]] inline std::uint64_t bernoulli_threshold(double p) noexcept {
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return kBernoulliAlways;
+  const double scaled = p * 0x1.0p53;
+  const auto whole = static_cast<std::uint64_t>(scaled);  // truncates
+  return whole + (static_cast<double>(whole) != scaled);
+}
+
 /// Hypergeometric draw: picks `take` items uniformly without replacement
 /// from `total` items of which `ones` are marked, and returns how many
 /// marked items were picked. Used by the Stage II rule ("a uniformly random

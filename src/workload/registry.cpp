@@ -72,13 +72,14 @@ void register_builtin(ScenarioRegistry& registry) {
     return info;
   };
 
-  // Marks a scenario whose factory plumbs a non-complete interaction graph
-  // through to the engines (the breathe families — broadcast / majority /
-  // boost; the desync protocols and baseline dynamics stay complete-only).
-  // `spec`, when given, becomes the entry's default topology
-  // (TopologySpec::parse grammar).
+  // Marks a breathe-family scenario (broadcast / majority / boost): its
+  // factory plumbs a non-complete interaction graph and a shard count
+  // through to the engines. The desync protocols and baseline dynamics
+  // stay complete-only and unsharded. `spec`, when given, becomes the
+  // entry's default topology (TopologySpec::parse grammar).
   const auto topo = [](ScenarioInfo info, const char* spec = nullptr) {
     info.supports_topology = true;
+    info.supports_shards = true;
     if (spec != nullptr) info.default_topology = TopologySpec::parse(spec);
     return info;
   };
@@ -622,6 +623,12 @@ ScenarioConfig ScenarioRegistry::resolve(std::string_view name,
     throw std::invalid_argument("scenario '" + entry.info.name +
                                 "': shards must be in 1.." +
                                 std::to_string(kMaxShards));
+  }
+  if (config.shards > 1 && !entry.info.supports_shards) {
+    throw std::invalid_argument(
+        "scenario '" + entry.info.name +
+        "' runs on one substrate and does not support shards > 1 (the "
+        "breathe families — broadcast/majority/boost entries — do)");
   }
   if (config.n < 2) {
     throw std::invalid_argument("scenario '" + entry.info.name +

@@ -60,6 +60,11 @@ struct ScenarioInfo {
   /// and the baseline dynamics have no per-round rate model). resolve()
   /// rejects `--engine surrogate` on unsupported entries.
   bool supports_surrogate = false;
+  /// Whether the factory honors ScenarioConfig::shards > 1 (the batch
+  /// breathe families). desync, the adversarial ablation and the baseline
+  /// dynamics run one substrate, so resolve() rejects shards > 1 on them
+  /// rather than running unsharded under a sharded label.
+  bool supports_shards = false;
 };
 
 /// One resolved grid point the factory builds a TrialFn for.
@@ -72,8 +77,9 @@ struct ScenarioConfig {
   /// exists for A/B timing and the equivalence tests.
   EngineMode engine = EngineMode::kBatch;
   /// Intra-trial shard count (batch breathe scenarios parallelize each
-  /// round over this many partitions; everything else ignores it). Results
-  /// are bit-identical for every value. resolve() validates 1..kMaxShards.
+  /// round over this many partitions). Results are bit-identical for every
+  /// value. resolve() validates 1..kMaxShards and rejects shards > 1 on
+  /// entries without supports_shards.
   std::size_t shards = 1;
   /// Resolved dynamic environment: the override when one was given, the
   /// scenario's registered default otherwise. Validated by resolve().

@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <iterator>
+#include <stdexcept>
 
 #include "core/environment.hpp"
 #include "core/params.hpp"
@@ -194,20 +197,27 @@ TEST(BatchEngineTest, NoiseBurstsIdenticalToClassicAndShardInvariant) {
   }
 }
 
+// The degenerate specs pin the batch churn loop's integer thresholds at
+// their ends: sleep 1 / wake 1 toggles every agent every round (2^53,
+// always fires), sleep 0 / wake 1 never puts anyone to sleep (0, never
+// fires). The classic engine runs churn_step's bernoulli form.
 TEST(BatchEngineTest, ChurnIdenticalToClassicAndShardInvariant) {
-  BroadcastScenario scenario = dynamic_broadcast();
-  scenario.churn = ChurnSpec::parse("0.01:0.1:0.25");
-  for (std::size_t trial = 0; trial < 2; ++trial) {
-    const RunDetail classic =
-        run_broadcast(on(scenario, EngineMode::kClassic), 0x5eed, trial);
-    const RunDetail batch =
-        run_broadcast(on(scenario, EngineMode::kBatch), 0x5eed, trial);
-    expect_detail_eq(classic, batch);
-    for (const std::size_t shards : {3, 8}) {
-      expect_detail_eq(batch,
-                       run_broadcast(on(scenario, EngineMode::kBatch,
-                                        shards),
-                                     0x5eed, trial));
+  for (const char* spec : {"0.01:0.1:0.25", "1:1", "0:1"}) {
+    SCOPED_TRACE(spec);
+    BroadcastScenario scenario = dynamic_broadcast();
+    scenario.churn = ChurnSpec::parse(spec);
+    for (std::size_t trial = 0; trial < 2; ++trial) {
+      const RunDetail classic =
+          run_broadcast(on(scenario, EngineMode::kClassic), 0x5eed, trial);
+      const RunDetail batch =
+          run_broadcast(on(scenario, EngineMode::kBatch), 0x5eed, trial);
+      expect_detail_eq(classic, batch);
+      for (const std::size_t shards : {3, 8}) {
+        expect_detail_eq(batch,
+                         run_broadcast(on(scenario, EngineMode::kBatch,
+                                          shards),
+                                       0x5eed, trial));
+      }
     }
   }
 }
@@ -344,9 +354,153 @@ void expect_outcome_eq(const TrialOutcome& a, const TrialOutcome& b,
   EXPECT_EQ(a.flipped, b.flipped) << what;
 }
 
+/// The batch outcome of every registry entry, trials 0 and 1 of seed 0x5eed
+/// at n = min(default_n, 256): the absolute anchor the agreement checks
+/// below lack. A change to code every substrate shares (the topology's
+/// neighbor map, a draw primitive, a stream key) shifts all engines alike
+/// and passes every differential suite; it cannot pass this table.
+/// Rows follow ScenarioRegistry::list() order (sorted by name), trial 0
+/// then trial 1.
+struct PinnedOutcome {
+  const char* name;
+  bool success;
+  std::uint64_t rounds;
+  std::uint64_t messages;
+  std::uint64_t delivered;
+  std::uint64_t dropped;
+  std::uint64_t erased;
+  std::uint64_t flipped;
+  std::uint64_t correct_fraction_bits;  ///< std::bit_cast of the double
+};
+
+constexpr PinnedOutcome kPinnedOutcomes[] = {
+    {"baseline_aae", false, 1109, 283904,
+     0, 0, 0, 0, 0x3fe4800000000000},
+    {"baseline_aae", false, 1109, 283904,
+     0, 0, 0, 0, 0x3fe3a00000000000},
+    {"baseline_forward", false, 14, 1485,
+     1029, 456, 0, 336, 0x3fe1400000000000},
+    {"baseline_forward", false, 14, 1505,
+     1038, 467, 0, 307, 0x3fe2600000000000},
+    {"baseline_silent", true, 20375, 20375,
+     20375, 0, 0, 4034, 0x3ff0000000000000},
+    {"baseline_silent", true, 20561, 20561,
+     20561, 0, 0, 4081, 0x3ff0000000000000},
+    {"baseline_three_majority", false, 1109, 851712,
+     0, 0, 0, 0, 0x3fe1200000000000},
+    {"baseline_three_majority", false, 1109, 851712,
+     0, 0, 0, 0, 0x3fdd000000000000},
+    {"baseline_two_choices", false, 1109, 567808,
+     0, 0, 0, 0, 0x3fe1000000000000},
+    {"baseline_two_choices", false, 1109, 567808,
+     0, 0, 0, 0, 0x3fe3000000000000},
+    {"baseline_voter", false, 2218, 565709,
+     358445, 207264, 0, 107551, 0x3fdf000000000000},
+    {"baseline_voter", false, 2218, 565729,
+     358475, 207254, 0, 107414, 0x3fe0e00000000000},
+    {"boost", true, 1166, 298496,
+     189049, 109447, 0, 47105, 0x3ff0000000000000},
+    {"boost", true, 1166, 298496,
+     189273, 109223, 0, 47250, 0x3ff0000000000000},
+    {"broadcast", true, 2642, 549212,
+     359551, 189661, 0, 107993, 0x3ff0000000000000},
+    {"broadcast", true, 2642, 551612,
+     360787, 190825, 0, 108274, 0x3ff0000000000000},
+    {"broadcast_adversarial", false, 2642, 549212,
+     359551, 189661, 0, 128, 0x0000000000000000},
+    {"broadcast_adversarial", false, 2642, 551612,
+     360787, 190825, 0, 128, 0x0000000000000000},
+    {"broadcast_burst", true, 2642, 549212,
+     359551, 189661, 0, 114519, 0x3ff0000000000000},
+    {"broadcast_burst", true, 2642, 551612,
+     360787, 190825, 0, 113430, 0x3ff0000000000000},
+    {"broadcast_churn", true, 2642, 522764,
+     332438, 190326, 0, 99919, 0x3ff0000000000000},
+    {"broadcast_churn", true, 2642, 524553,
+     333121, 191432, 0, 99966, 0x3ff0000000000000},
+    {"broadcast_dynamic_rewire", false, 2642, 485612,
+     322000, 163612, 0, 96554, 0x3feae00000000000},
+    {"broadcast_dynamic_rewire", false, 2642, 479612,
+     316954, 162658, 0, 95210, 0x3fed600000000000},
+    {"broadcast_eps_ramp", true, 2642, 549212,
+     359551, 189661, 0, 105894, 0x3ff0000000000000},
+    {"broadcast_eps_ramp", true, 2642, 551612,
+     360787, 190825, 0, 105699, 0x3ff0000000000000},
+    {"broadcast_grid_r2", false, 2642, 162162,
+     122632, 39530, 0, 36678, 0x3fd0800000000000},
+    {"broadcast_grid_r2", false, 2642, 162162,
+     122691, 39471, 0, 37107, 0x3fcd800000000000},
+    {"broadcast_large", true, 2642, 549212,
+     359551, 189661, 0, 107993, 0x3ff0000000000000},
+    {"broadcast_large", true, 2642, 551612,
+     360787, 190825, 0, 108274, 0x3ff0000000000000},
+    {"broadcast_ring_k8", false, 2642, 36466,
+     26644, 9822, 0, 7966, 0x3fb1000000000000},
+    {"broadcast_ring_k8", false, 2642, 36466,
+     26644, 9822, 0, 7904, 0x3fac000000000000},
+    {"broadcast_small", true, 1206, 235206,
+     153797, 81409, 0, 30649, 0x3ff0000000000000},
+    {"broadcast_small", true, 1206, 236826,
+     155142, 81684, 0, 30821, 0x3ff0000000000000},
+    {"broadcast_smallworld", false, 2642, 43722,
+     35515, 8207, 0, 10502, 0x3fb1000000000000},
+    {"broadcast_smallworld", false, 2642, 74560,
+     60590, 13970, 0, 18110, 0x3fa6000000000000},
+    {"broadcast_stage1", true, 828, 84828,
+     65513, 19315, 0, 19734, 0x3fe3a00000000000},
+    {"broadcast_stage1", true, 828, 87228,
+     66831, 20397, 0, 19978, 0x3fe6800000000000},
+    {"broadcast_variant_rules", true, 2642, 549212,
+     359551, 189661, 0, 107993, 0x3ff0000000000000},
+    {"broadcast_variant_rules", true, 2642, 551612,
+     360787, 190825, 0, 108274, 0x3ff0000000000000},
+    {"desync", true, 2722, 583412,
+     379105, 204307, 0, 113826, 0x3ff0000000000000},
+    {"desync", true, 2722, 578612,
+     376785, 201827, 0, 113124, 0x3ff0000000000000},
+    {"desync_burst", true, 2722, 583412,
+     379105, 204307, 0, 120886, 0x3ff0000000000000},
+    {"desync_burst", true, 2722, 578612,
+     376785, 201827, 0, 118756, 0x3ff0000000000000},
+    {"desync_clock_sync", true, 2785, 573316,
+     373420, 198592, 0, 112173, 0x3ff0000000000000},
+    {"desync_clock_sync", true, 2818, 582425,
+     377085, 203327, 0, 113335, 0x3ff0000000000000},
+    {"majority", true, 2642, 632576,
+     404388, 228188, 0, 121373, 0x3ff0000000000000},
+    {"majority", true, 2642, 632576,
+     404279, 228297, 0, 121526, 0x3ff0000000000000},
+    {"majority_churn", true, 2642, 603170,
+     374626, 228544, 0, 112472, 0x3ff0000000000000},
+    {"majority_churn", true, 2642, 603083,
+     374385, 228698, 0, 112551, 0x3ff0000000000000},
+    {"majority_smallworld", false, 2642, 497022,
+     337664, 159358, 0, 101033, 0x3fe4800000000000},
+    {"majority_smallworld", false, 2642, 504088,
+     341833, 162255, 0, 102522, 0x3fe5c00000000000},
+};
+
+void expect_outcome_pinned(const TrialOutcome& got, const PinnedOutcome& pin,
+                           const std::string& what) {
+  EXPECT_EQ(got.success, pin.success) << what;
+  EXPECT_EQ(got.rounds, static_cast<double>(pin.rounds)) << what;
+  EXPECT_EQ(got.messages, static_cast<double>(pin.messages)) << what;
+  EXPECT_EQ(got.delivered, pin.delivered) << what;
+  EXPECT_EQ(got.dropped, pin.dropped) << what;
+  EXPECT_EQ(got.erased, pin.erased) << what;
+  EXPECT_EQ(got.flipped, pin.flipped) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.correct_fraction),
+            pin.correct_fraction_bits)
+      << what << " correct_fraction " << got.correct_fraction;
+}
+
 TEST(BatchEngineTest, EveryRegistryEntryIdenticalOutcomes) {
   const ScenarioRegistry& registry = ScenarioRegistry::instance();
-  for (const ScenarioInfo* info : registry.list()) {
+  const std::vector<const ScenarioInfo*> entries = registry.list();
+  ASSERT_EQ(std::size(kPinnedOutcomes), 2 * entries.size())
+      << "every registry entry needs two kPinnedOutcomes rows";
+  const PinnedOutcome* pin = kPinnedOutcomes;
+  for (const ScenarioInfo* info : entries) {
     ScenarioOverrides batch_overrides;
     batch_overrides.n = std::min<std::size_t>(info->default_n, 256);
     batch_overrides.engine = EngineMode::kBatch;
@@ -357,15 +511,27 @@ TEST(BatchEngineTest, EveryRegistryEntryIdenticalOutcomes) {
 
     const TrialFn batch_fn = registry.make(info->name, batch_overrides);
     const TrialFn classic_fn = registry.make(info->name, classic_overrides);
-    const TrialFn sharded_fn = registry.make(info->name, sharded_overrides);
-    for (std::size_t trial = 0; trial < 2; ++trial) {
+    // Single-substrate entries reject a shard count rather than ignore it.
+    TrialFn sharded_fn;
+    if (info->supports_shards) {
+      sharded_fn = registry.make(info->name, sharded_overrides);
+    } else {
+      EXPECT_THROW((void)registry.make(info->name, sharded_overrides),
+                   std::invalid_argument)
+          << info->name;
+    }
+    for (std::size_t trial = 0; trial < 2; ++trial, ++pin) {
       const TrialOutcome batch = batch_fn(0x5eed, trial);
       const TrialOutcome classic = classic_fn(0x5eed, trial);
-      const TrialOutcome sharded = sharded_fn(0x5eed, trial);
       const std::string what =
           info->name + " trial " + std::to_string(trial);
+      ASSERT_EQ(info->name, pin->name) << "kPinnedOutcomes row order";
+      expect_outcome_pinned(batch, *pin, what + " (pinned)");
       expect_outcome_eq(classic, batch, what + " (classic vs batch)");
-      expect_outcome_eq(batch, sharded, what + " (batch vs 8 shards)");
+      if (sharded_fn) {
+        expect_outcome_eq(batch, sharded_fn(0x5eed, trial),
+                          what + " (batch vs 8 shards)");
+      }
     }
   }
 }

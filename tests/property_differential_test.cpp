@@ -29,6 +29,7 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -194,9 +195,6 @@ TEST(PropertyDifferentialTest, RandomConfigSubstrateAndShardEquality) {
             registry.make(info.name, batch_overrides)(seed, trial);
         const TrialOutcome classic =
             registry.make(info.name, classic_overrides)(seed, trial);
-        const TrialOutcome sharded =
-            registry.make(info.name, sharded_overrides)(seed, trial);
-
         const std::string what =
             info.name + " n=" + std::to_string(*batch_overrides.n) +
             " shards=" + std::to_string(*sharded_overrides.shards) +
@@ -206,6 +204,16 @@ TEST(PropertyDifferentialTest, RandomConfigSubstrateAndShardEquality) {
                  ? " topo=" + batch_overrides.topology->describe()
                  : "");
         expect_outcome_eq(classic, batch, what + " (classic vs batch)");
+        // Single-substrate entries reject a shard count rather than ignore
+        // it.
+        if (!info.supports_shards) {
+          EXPECT_THROW((void)registry.make(info.name, sharded_overrides),
+                       std::invalid_argument)
+              << what;
+          return;
+        }
+        const TrialOutcome sharded =
+            registry.make(info.name, sharded_overrides)(seed, trial);
         expect_outcome_eq(batch, sharded, what + " (batch vs sharded)");
       });
 }

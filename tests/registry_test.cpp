@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
+#include <string>
 
 namespace flip {
 namespace {
@@ -217,6 +219,42 @@ TEST(RegistryTest, TopologyEntriesRunBitEqualAcrossSubstratesAndShards) {
       EXPECT_EQ(batch.flipped, other->flipped) << name;
     }
     EXPECT_GT(batch.messages, 0.0) << name;
+  }
+}
+
+// The single-substrate entries (desync, the baselines, the adversarial
+// ablation) run unsharded whatever the shard count says, so resolve()
+// rejects shards > 1 on them with a message naming the entry, instead of
+// labelling an unsharded run as sharded. shards = 1 passes everywhere.
+TEST(RegistryTest, ShardsRejectedOnSingleSubstrateEntries) {
+  const ScenarioRegistry& registry = ScenarioRegistry::instance();
+  const std::set<std::string> single_substrate = {
+      "baseline_aae",          "baseline_forward",
+      "baseline_silent",       "baseline_three_majority",
+      "baseline_two_choices",  "baseline_voter",
+      "broadcast_adversarial", "desync",
+      "desync_burst",          "desync_clock_sync"};
+  ScenarioOverrides one;
+  one.shards = 1;
+  ScenarioOverrides sharded;
+  sharded.shards = 8;
+  for (const ScenarioInfo* info : registry.list()) {
+    const bool single = single_substrate.count(info->name) != 0;
+    EXPECT_EQ(info->supports_shards, !single) << info->name;
+    EXPECT_NO_THROW((void)registry.resolve(info->name, one)) << info->name;
+    if (!single) {
+      EXPECT_NO_THROW((void)registry.resolve(info->name, sharded))
+          << info->name;
+      continue;
+    }
+    try {
+      (void)registry.resolve(info->name, sharded);
+      ADD_FAILURE() << info->name << " accepted shards = 8";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + info->name + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("shards"), std::string::npos) << what;
+    }
   }
 }
 

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
 #include "core/environment.hpp"  // kChurnInitRound
 #include "core/topology.hpp"     // kTopologyStaticRound, kTopologyEdgeStride
+#include "sim/batch_engine.hpp"  // detail::bsc_flip_threshold
 #include "simd/simd.hpp"
 
 namespace flip {
@@ -47,6 +50,60 @@ TEST(BernoulliTest, EdgeProbabilities) {
     EXPECT_TRUE(bernoulli(rng, 1.0));
     EXPECT_FALSE(bernoulli(rng, -0.5));
     EXPECT_TRUE(bernoulli(rng, 1.5));
+  }
+}
+
+// bernoulli_threshold is bernoulli's integer form, decision for decision:
+// on identical copies of each agent's stream, `bernoulli(a, p)` and
+// `(b() >> 11) < bernoulli_threshold(p)` agree for every p, including the
+// clamped ends, the smallest subnormal, the largest double below 1 and NaN.
+TEST(BernoulliTest, IntegerThresholdAgreesWordForWord) {
+  const StreamKey rk =
+      round_stream_key(trial_stream_key(0xb17, 3), RngPurpose::kChurn, 9);
+  for (const double p :
+       {-0.5, 0.0, std::numeric_limits<double>::denorm_min(), 1e-300, 0.005,
+        0.1, 0.3, 0.5, std::nextafter(1.0, 0.0), 1.0, 1.5,
+        std::numeric_limits<double>::quiet_NaN()}) {
+    const std::uint64_t threshold = bernoulli_threshold(p);
+    int fired = 0;
+    for (std::uint64_t agent = 0; agent < 100000; ++agent) {
+      CounterRng a(rk, agent);
+      CounterRng b = a;
+      const bool coin = bernoulli(a, p);
+      ASSERT_EQ(coin, (b() >> 11) < threshold) << "p=" << p << " agent "
+                                               << agent;
+      fired += coin;
+    }
+    if (p >= 1.0) {
+      EXPECT_EQ(fired, 100000) << p;
+    }
+    if (!(p >= 1e-300)) {
+      EXPECT_EQ(fired, 0) << p;
+    }
+  }
+  EXPECT_EQ(bernoulli_threshold(0.0), 0u);
+  EXPECT_EQ(bernoulli_threshold(std::numeric_limits<double>::quiet_NaN()),
+            0u);
+  EXPECT_EQ(bernoulli_threshold(1.0), std::uint64_t{1} << 53);
+  EXPECT_EQ(bernoulli_threshold(0.25), std::uint64_t{1} << 51);
+  EXPECT_EQ(bernoulli_threshold(std::nextafter(1.0, 0.0)),
+            (std::uint64_t{1} << 53) - 1);
+  EXPECT_EQ(bernoulli_threshold(std::numeric_limits<double>::denorm_min()),
+            1u);
+}
+
+// The BSC flip threshold is the bernoulli threshold of the flip
+// probability, and both equal ceil((0.5 - eps) * 2^53), the threshold the
+// committed BSC outcomes were produced with.
+TEST(BernoulliTest, BscFlipThresholdIsTheBernoulliThreshold) {
+  std::vector<double> epss = {0.001, 0.01, 0.1, 0.2, 0.25, 0.3, 0.4, 0.499};
+  for (int i = 1; i <= 500; ++i) epss.push_back(0.5 * i / 501.0);
+  for (const double eps : epss) {
+    EXPECT_EQ(detail::bsc_flip_threshold(eps), bernoulli_threshold(0.5 - eps))
+        << eps;
+    EXPECT_EQ(bernoulli_threshold(0.5 - eps),
+              static_cast<std::uint64_t>(std::ceil((0.5 - eps) * 0x1.0p53)))
+        << eps;
   }
 }
 

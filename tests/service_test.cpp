@@ -501,6 +501,37 @@ TEST_F(ServiceTest, RejectsHeterogeneousUnderScheduleAtIngest) {
   EXPECT_EQ(lines, 0u);
 }
 
+TEST_F(ServiceTest, RejectsShardsOnSingleSubstrateEntriesAtIngest) {
+  // desync runs one substrate: a shard count passes the argument layer
+  // but the registry rejects it, at ingest, with the CLI's text.
+  SweepRequest request;
+  request.scenario = "desync";
+  request.ns = "256";
+  request.shards = 8;
+  request.trials = 2;
+  SweepSpec spec;
+  ASSERT_FALSE(cli::resolve_sweep_request(request, spec).has_value());
+  std::string cli_message;
+  try {
+    (void)cli::expand_grid(spec);
+  } catch (const std::invalid_argument& e) {
+    cli_message = e.what();
+  }
+  ASSERT_NE(cli_message.find("'desync'"), std::string::npos) << cli_message;
+
+  net::SweepClient client(server_.port());
+  std::size_t lines = 0;
+  try {
+    client.run_sweep(request,
+                     [&](std::size_t, const std::string&) { ++lines; });
+    FAIL() << "shards on a single-substrate entry must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(cli_message), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(lines, 0u);
+}
+
 TEST_F(ServiceTest, ResumeFromSkipsCompletedCells) {
   SweepRequest request;
   request.scenario = "broadcast_small";

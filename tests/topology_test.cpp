@@ -341,6 +341,60 @@ TEST(ResolvedTopologyTest, SmallworldAtProbabilityZeroIsTheRing) {
   }
 }
 
+/// The rewired kinds' edge rule, replayed from the draw primitives: one
+/// bernoulli coin on edge j's own stream, then on rewire a uniform non-self
+/// target, else the ring offset (+1..+k/2, then -1..-k/2).
+AgentId replay_rewired_neighbor(const StreamKey& key, std::uint64_t n,
+                                std::uint64_t k, double p, AgentId a,
+                                std::uint64_t j) {
+  CounterRng erng(key, static_cast<std::uint64_t>(a) * kTopologyEdgeStride +
+                           j);
+  if (bernoulli(erng, p)) {
+    auto t = static_cast<AgentId>(uniform_index(erng, n - 1));
+    t += (t >= a);
+    return t;
+  }
+  const std::uint64_t half = k / 2;
+  const std::uint64_t off = j < half ? j + 1 : j - half + 1;
+  const std::uint64_t base = j < half ? a + off : a + n - off;
+  return static_cast<AgentId>(base >= n ? base - n : base);
+}
+
+// Every edge of the rewired kinds is the replay above, at the rewire
+// probabilities where the coin never fires, sometimes fires, almost always
+// fires and is skipped. bernoulli draws no word at p >= 1, so at p = 1 the
+// target is word 1 of the edge stream, not word 2.
+TEST(ResolvedTopologyTest, RewiredNeighborReplaysTheEdgeStream) {
+  constexpr std::uint64_t kN = 64;
+  constexpr std::uint64_t kK = 8;
+  const StreamKey tk = trial_stream_key(0x5eed, 2);
+  for (const char* kind : {"smallworld", "dynamic"}) {
+    for (const double p : {0.0, 0.1, 0.999, 1.0}) {
+      TopologySpec spec = TopologySpec::parse(kind);
+      spec.k = kK;
+      spec.rewire_prob = p;
+      const ResolvedTopology topo = ResolvedTopology::resolve(spec, kN);
+      for (const std::uint64_t r : {0, 1}) {
+        const StreamKey key = topo.round_key(tk, r);
+        for (AgentId a = 0; a < kN; ++a) {
+          for (std::uint64_t j = 0; j < kK; ++j) {
+            const AgentId got = topo.neighbor(key, a, j);
+            ASSERT_EQ(got, replay_rewired_neighbor(key, kN, kK, p, a, j))
+                << kind << " p=" << p << " round " << r << " agent " << a
+                << " edge " << j;
+            if (p == 1.0) {
+              CounterRng fresh(key, a * kTopologyEdgeStride + j);
+              auto t = static_cast<AgentId>(uniform_index(fresh, kN - 1));
+              t += (t >= a);
+              ASSERT_EQ(got, t) << kind << " agent " << a << " edge " << j;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // Dynamic rewiring actually changes the graph between rounds (at p = 0.5
 // over 64 agents x 8 edges, an unchanged graph would be a probability
 // ~2^-256 event), while the static kinds see one fixed graph per trial.
