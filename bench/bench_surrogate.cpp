@@ -3,9 +3,11 @@
 // milliseconds per evaluation.
 //
 // Not a paper claim: times the substrate. The surrogate integrates the
-// expected opinion/activation state round by round (O(total rounds)
-// arithmetic, no per-agent state), so its cost is set by the ROUND BUDGET
-// — which grows like log n through the Params phase arithmetic — not by n.
+// expected opinion/activation state round by round (a few additions per
+// round, no per-agent state; the rate terms are evaluated once per
+// distinct input, so a static phase pays for them once), so its cost is
+// set by the ROUND BUDGET — which grows like log n through the Params
+// phase arithmetic — not by n.
 // The table makes that visible: a thousandfold increase in population
 // moves the wall-clock by the extra phases only. Accuracy is a separate
 // contract: flipsim --validate-surrogate holds the surrogate inside error

@@ -97,9 +97,10 @@ else
 fi
 
 # Service-mode smoke: start the resident daemon on an ephemeral port, run
-# one client sweep against it, check the streamed lines are valid JSON and
-# identical (timing fields stripped) to the one-shot CLI's --jsonl output,
-# then shut the daemon down cleanly over the wire (docs/SERVICE.md).
+# an exact and a surrogate client sweep against it, check the streamed
+# lines are valid JSON and identical (timing fields stripped) to the
+# one-shot CLI's --jsonl output, then shut the daemon down cleanly over
+# the wire (docs/SERVICE.md).
 "$BUILD_DIR/tools/flipsim" --serve 0 > "$BUILD_DIR/flipsim_serve.log" &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
@@ -115,21 +116,30 @@ done
   --trials 8 --jsonl "$BUILD_DIR/flipsim_served.jsonl" --quiet
 "$BUILD_DIR/tools/flipsim" --scenario broadcast_small --trials 8 \
   --jsonl "$BUILD_DIR/flipsim_oneshot.jsonl" --quiet
+SURROGATE_SWEEP=(--scenario broadcast --engine surrogate
+  --n 1000000,1000000000 --eps 0.1,0.4 --trials 16)
+"$BUILD_DIR/tools/flipsim" --connect "$PORT" "${SURROGATE_SWEEP[@]}" \
+  --jsonl "$BUILD_DIR/flipsim_served_surrogate.jsonl" --quiet
+"$BUILD_DIR/tools/flipsim" "${SURROGATE_SWEEP[@]}" \
+  --jsonl "$BUILD_DIR/flipsim_oneshot_surrogate.jsonl" --quiet
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$BUILD_DIR/flipsim_served.jsonl" \
-    "$BUILD_DIR/flipsim_oneshot.jsonl" <<'EOF'
+    "$BUILD_DIR/flipsim_oneshot.jsonl" \
+    "$BUILD_DIR/flipsim_served_surrogate.jsonl" \
+    "$BUILD_DIR/flipsim_oneshot_surrogate.jsonl" <<'EOF'
 import json, sys
-served = open(sys.argv[1]).read().splitlines()
-oneshot = open(sys.argv[2]).read().splitlines()
-assert served, "served sweep streamed no lines"
-for line in served:
-    point = json.loads(line)
-    assert {"params", "success_rate", "rounds", "messages"} <= point.keys(), \
-        sorted(point.keys())
 strip = lambda lines: [l.split('"trial_seconds"')[0] for l in lines]
-assert strip(served) == strip(oneshot), \
-    "served sweep diverged from the one-shot CLI"
-print("flipsim service smoke ok:", len(served), "line(s)")
+for served_path, oneshot_path in zip(sys.argv[1::2], sys.argv[2::2]):
+    served = open(served_path).read().splitlines()
+    oneshot = open(oneshot_path).read().splitlines()
+    assert served, served_path + ": served sweep streamed no lines"
+    for line in served:
+        point = json.loads(line)
+        assert {"params", "success_rate", "rounds",
+                "messages"} <= point.keys(), sorted(point.keys())
+    assert strip(served) == strip(oneshot), \
+        served_path + ": served sweep diverged from the one-shot CLI"
+    print("flipsim service smoke ok:", served_path, len(served), "line(s)")
 EOF
 else
   echo "python3 not found; skipping served-JSONL validation" >&2

@@ -231,13 +231,16 @@ class ResolvedTopology {
   [[nodiscard]] AgentId ring_neighbor(AgentId a, std::uint64_t j) const {
     // Offsets +1..+k/2 then -1..-k/2; k <= n-2 keeps all k distinct and
     // non-self (resolve() enforces it). Both candidates are computed and
-    // one selected: j is a uniform draw, so a branch on j < half would
-    // mispredict half the time. Both lie in [0, 2n).
+    // one selected by mask arithmetic: j is a uniform draw, so a branch on
+    // j < half would mispredict half the time, and GCC compiles a ternary
+    // here to exactly that branch. Both candidates lie in [0, 2n).
     const std::uint64_t half = static_cast<std::uint64_t>(spec_.k) / 2;
     const std::uint64_t forward = a + j + 1;
     const std::uint64_t backward = a + n_ + half - j - 1;  // off j - half + 1
-    const std::uint64_t base = j < half ? forward : backward;
-    return static_cast<AgentId>(base >= n_ ? base - n_ : base);
+    const std::uint64_t back = std::uint64_t{0} - (j >= half);
+    const std::uint64_t base = (forward & ~back) | (backward & back);
+    const std::uint64_t wrap = std::uint64_t{0} - (base >= n_);
+    return static_cast<AgentId>(base - (n_ & wrap));
   }
 
   [[nodiscard]] AgentId grid_neighbor(AgentId a, std::uint64_t j) const {

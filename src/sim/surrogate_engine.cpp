@@ -201,11 +201,21 @@ SurrogateResult run_surrogate(const SurrogateSpec& spec) {
   // One round's expected traffic, shared by both stages. `senders` is the
   // opinionated count (fixed within a phase); acceptance uses the awake
   // probability twice: asleep senders never route, asleep recipients drop
-  // their accepted message.
+  // their accepted message. The two rate terms depend on the round only
+  // through `awake_senders`, so they are evaluated once per distinct
+  // value: a static phase repeats one value every round, a churn phase
+  // once the awake chain reaches its floating-point fixed point. The key
+  // starts at -1, which no input takes (awake_senders >= 0).
+  double cached_senders = -1.0;
+  double p_hit = 0.0;
+  double accepted = 0.0;
   const auto round_traffic = [&](double senders, Round r, double awake_prob) {
     const double awake_senders = awake_prob * senders;
-    const double p_hit = hit_probability(awake_senders, spec.n);
-    const double accepted = expected_hit_recipients(awake_senders, spec.n);
+    if (awake_senders != cached_senders) {
+      cached_senders = awake_senders;
+      p_hit = hit_probability(awake_senders, spec.n);
+      accepted = expected_hit_recipients(awake_senders, spec.n);
+    }
     const double eps_r = eps_at(r);
     result.expected_messages += awake_senders;
     result.expected_delivered += accepted * awake_prob;
@@ -229,11 +239,19 @@ SurrogateResult run_surrogate(const SurrogateSpec& spec) {
       double log_survival = 0.0;
       double sum_acc = 0.0;
       double sum_acc_q = 0.0;
+      // log1p(-p_acc) is evaluated once per distinct p_acc, like the rate
+      // terms it derives from (-1: no p_acc yet).
+      double cached_p_acc = -1.0;
+      double log_miss = 0.0;
       const Round begin = s1.phase_start(phase) - stage1_offset;
       const Round end = s1.phase_end(phase) - stage1_offset;
       for (Round r = begin; r < end; ++r) {
         const auto [p_acc, eps_r] = round_traffic(senders, r, awake.step());
-        log_survival += std::log1p(-p_acc);
+        if (p_acc != cached_p_acc) {
+          cached_p_acc = p_acc;
+          log_miss = std::log1p(-p_acc);
+        }
+        log_survival += log_miss;
         sum_acc += p_acc;
         sum_acc_q += p_acc * (0.5 + 2.0 * eps_r * delta);
       }

@@ -3,8 +3,13 @@
 // n agents, it integrates the EXPECTED opinion/activation state of the
 // breathe protocol round by round — O(total rounds) arithmetic, so an
 // n = 10^9 cell answers in milliseconds where the exact engines would need
-// hours. BatchEngine stays the ground truth: the surrogate is held within
-// stated error bands of it by the validation harness
+// hours. A round costs a few additions: its rate terms (the acceptance
+// probability, the expected recipient count and Stage I's log-survival
+// term) depend on the round only through the awake sender count, and the
+// breathe rule freezes the sender pool for a phase, so they are evaluated
+// once per distinct input (once per phase without churn), not per round.
+// BatchEngine stays the ground truth: the surrogate is held within stated
+// error bands of it by the validation harness
 // (flipsim --validate-surrogate, tools/check_surrogate_accuracy.py) and by
 // tests/surrogate_engine_test.cpp, never trusted bit for bit.
 //

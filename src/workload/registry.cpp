@@ -630,6 +630,13 @@ ScenarioConfig ScenarioRegistry::resolve(std::string_view name,
         "' runs on one substrate and does not support shards > 1 (the "
         "breathe families — broadcast/majority/boost entries — do)");
   }
+  if (config.shards > 1 && config.engine != EngineMode::kBatch) {
+    throw std::invalid_argument(
+        "scenario '" + entry.info.name + "': --engine " +
+        std::string(engine_mode_name(config.engine)) +
+        " runs unsharded and does not support shards > 1 (only --engine "
+        "batch shards a trial)");
+  }
   if (config.n < 2) {
     throw std::invalid_argument("scenario '" + entry.info.name +
                                 "': n must be >= 2");

@@ -79,7 +79,8 @@ struct ScenarioConfig {
   /// Intra-trial shard count (batch breathe scenarios parallelize each
   /// round over this many partitions). Results are bit-identical for every
   /// value. resolve() validates 1..kMaxShards and rejects shards > 1 on
-  /// entries without supports_shards.
+  /// entries without supports_shards and on the classic and surrogate
+  /// engines, which run unsharded.
   std::size_t shards = 1;
   /// Resolved dynamic environment: the override when one was given, the
   /// scenario's registered default otherwise. Validated by resolve().

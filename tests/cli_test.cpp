@@ -190,6 +190,38 @@ TEST(SweepTest, RunSweepValidatesBeforeRunning) {
   EXPECT_THROW(run_sweep(bad_channel), std::invalid_argument);
 }
 
+TEST(SweepTest, ShardsOnAnUnshardedEngineFailBeforeTheFirstCell) {
+  // Classic and surrogate run each trial unsharded: a sharded grid on
+  // either fails at expand_grid, before any cell runs, naming the entry
+  // and the engine. The same grid on batch expands.
+  SweepSpec spec;
+  spec.scenario = "broadcast";
+  spec.ns = {256, 1'000'000};
+  spec.shards = 8;
+  spec.trials = 2;
+  EXPECT_EQ(expand_grid(spec).size(), 2u);
+  for (const EngineMode engine :
+       {EngineMode::kClassic, EngineMode::kSurrogate}) {
+    spec.engine = engine;
+    const std::string mode(engine_mode_name(engine));
+    try {
+      (void)expand_grid(spec);
+      ADD_FAILURE() << mode << ": expand_grid accepted the grid";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "scenario 'broadcast': --engine " + mode +
+                    " runs unsharded and does not support shards > 1 "
+                    "(only --engine batch shards a trial)");
+    }
+    std::size_t points = 0;
+    EXPECT_THROW(run_sweep(spec,
+                           [&](std::size_t, const SweepPoint&) { ++points; }),
+                 std::invalid_argument)
+        << mode;
+    EXPECT_EQ(points, 0u) << mode;
+  }
+}
+
 TEST(SweepTest, HeterogeneousUnderScheduleFailsBeforeTheFirstCell) {
   // The bsc cell alone is valid; crossing it with the heterogeneous channel
   // under an eps schedule must still fail at expand_grid, before any cell

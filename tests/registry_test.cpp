@@ -258,6 +258,43 @@ TEST(RegistryTest, ShardsRejectedOnSingleSubstrateEntries) {
   }
 }
 
+// Only the batch engine shards a trial: classic and surrogate run
+// unsharded, so resolve() rejects shards > 1 on them with a message naming
+// the entry and the engine, instead of running an unsharded cell under a
+// sharded label. Batch accepts the same overrides.
+TEST(RegistryTest, ShardsRejectedOnClassicAndSurrogateEngines) {
+  const ScenarioRegistry& registry = ScenarioRegistry::instance();
+  for (const ScenarioInfo* info : registry.list()) {
+    if (!info->supports_shards) continue;
+    ScenarioOverrides overrides;
+    overrides.shards = 8;
+    overrides.engine = EngineMode::kBatch;
+    EXPECT_NO_THROW((void)registry.resolve(info->name, overrides))
+        << info->name;
+    for (const EngineMode engine :
+         {EngineMode::kClassic, EngineMode::kSurrogate}) {
+      if (engine == EngineMode::kSurrogate && !info->supports_surrogate) {
+        continue;
+      }
+      const std::string mode(engine_mode_name(engine));
+      overrides.engine = engine;
+      overrides.shards = 1;
+      EXPECT_NO_THROW((void)registry.resolve(info->name, overrides))
+          << info->name << " " << mode;
+      overrides.shards = 8;
+      try {
+        (void)registry.resolve(info->name, overrides);
+        ADD_FAILURE() << info->name << " " << mode << " accepted shards = 8";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'" + info->name + "'"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("--engine " + mode), std::string::npos) << what;
+      }
+    }
+  }
+}
+
 TEST(RegistryTest, ResolveAppliesDefaultsAndOverrides) {
   const ScenarioRegistry& registry = ScenarioRegistry::instance();
   const ScenarioConfig defaults =

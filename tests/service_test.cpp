@@ -532,6 +532,42 @@ TEST_F(ServiceTest, RejectsShardsOnSingleSubstrateEntriesAtIngest) {
   EXPECT_EQ(lines, 0u);
 }
 
+TEST_F(ServiceTest, RejectsShardsOnUnshardedEnginesAtIngest) {
+  // Classic and surrogate run unsharded: a shard count passes the argument
+  // layer, but the registry rejects it at ingest, with the CLI's text.
+  for (const char* engine : {"classic", "surrogate"}) {
+    SweepRequest request;
+    request.scenario = "broadcast";
+    request.ns = "256";
+    request.engine = engine;
+    request.shards = 8;
+    request.trials = 2;
+    SweepSpec spec;
+    ASSERT_FALSE(cli::resolve_sweep_request(request, spec).has_value());
+    std::string cli_message;
+    try {
+      (void)cli::expand_grid(spec);
+    } catch (const std::invalid_argument& e) {
+      cli_message = e.what();
+    }
+    ASSERT_NE(cli_message.find(std::string("--engine ") + engine),
+              std::string::npos)
+        << cli_message;
+
+    net::SweepClient client(server_.port());
+    std::size_t lines = 0;
+    try {
+      client.run_sweep(request,
+                       [&](std::size_t, const std::string&) { ++lines; });
+      FAIL() << engine << ": shards on an unsharded engine must be rejected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(cli_message), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(lines, 0u) << engine;
+  }
+}
+
 TEST_F(ServiceTest, ResumeFromSkipsCompletedCells) {
   SweepRequest request;
   request.scenario = "broadcast_small";

@@ -18,11 +18,19 @@
 //    never hurts. (The paper frames the first as "more noise never helps";
 //    eps is the channel ADVANTAGE here, so the direction reads inverted
 //    but is the same claim.)
+//  * absolute pins — every output bit of a fixed grid of integrations and
+//    of the registry's surrogate TrialFns, so a change that keeps every
+//    band and property above but moves a low bit cannot pass unnoticed.
 
 #include <algorithm>
+#include <bit>
+#include <cinttypes>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,8 +38,10 @@
 #include "core/environment.hpp"
 #include "core/params.hpp"
 #include "core/theory.hpp"
+#include "sim/engine.hpp"
 #include "sim/surrogate_engine.hpp"
 #include "support/proptest.hpp"
+#include "workload/registry.hpp"
 
 namespace flip {
 namespace {
@@ -385,6 +395,463 @@ TEST(SurrogateStage1Test, Stage1OnlyTracksActivationNotOpinion) {
   EXPECT_EQ(result.convergence_round,
             static_cast<double>(result.rounds - 1));
   EXPECT_TRUE(result.stage2_bias_trace.empty());
+}
+
+// --- Absolute pins -------------------------------------------------------
+//
+// Every test above checks a band, a theory trajectory or a monotone
+// direction; none of them notices a rewrite that moves a low bit. These
+// tables pin every output bit of a fixed grid, and must pass unedited
+// under any change that claims to keep the arithmetic.
+
+/// FNV-1a (64-bit) over the bit patterns of a trace, low byte first.
+std::uint64_t fnv1a_bits(const std::vector<double>& values) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const double value : values) {
+    std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte, bits >>= 8) {
+      hash = (hash ^ (bits & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+std::uint64_t bits_of(double value) {
+  return std::bit_cast<std::uint64_t>(value);
+}
+
+/// One run_surrogate result: the bit pattern of every scalar field (the
+/// doubles through std::bit_cast) and an FNV-1a digest of each trace.
+struct PinnedSurrogate {
+  const char* label;
+  std::uint64_t success_probability;
+  std::uint64_t rounds;
+  std::uint64_t expected_messages;
+  std::uint64_t expected_delivered;
+  std::uint64_t expected_dropped;
+  std::uint64_t expected_flipped;
+  std::uint64_t correct_fraction;
+  std::uint64_t final_bias;
+  std::uint64_t activation_fraction;
+  std::uint64_t convergence_round;
+  std::uint64_t activation_trace;
+  std::uint64_t stage2_bias_trace;
+};
+
+/// A row as its table literal, so a mismatch prints both rows whole.
+std::string row_literal(const PinnedSurrogate& row) {
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "{\"%s\", 0x%016" PRIx64 ", %" PRIu64 ", 0x%016" PRIx64
+                ", 0x%016" PRIx64 ", 0x%016" PRIx64 ", 0x%016" PRIx64
+                ", 0x%016" PRIx64 ", 0x%016" PRIx64 ", 0x%016" PRIx64
+                ", 0x%016" PRIx64 ", 0x%016" PRIx64 ", 0x%016" PRIx64 "},",
+                row.label, row.success_probability, row.rounds,
+                row.expected_messages, row.expected_delivered,
+                row.expected_dropped, row.expected_flipped,
+                row.correct_fraction, row.final_bias,
+                row.activation_fraction, row.convergence_round,
+                row.activation_trace, row.stage2_bias_trace);
+  return buf;
+}
+
+struct LabeledSpec {
+  std::string label;
+  SurrogateSpec spec;
+};
+
+/// The pinned grid, in table order: static and rate-modified direct specs
+/// at three sizes and two advantages; churn with a late-waking population
+/// joining a 10% initial set, where the awake probability moves every
+/// round; and the two single-stage variants.
+std::vector<LabeledSpec> pinned_specs() {
+  std::vector<LabeledSpec> specs;
+  const auto add = [&specs](std::size_t n, double eps, const char* env,
+                            SurrogateSpec spec) {
+    char label[96];
+    std::snprintf(label, sizeof label, "n=%zu eps=%g %s", n, eps, env);
+    spec.n = n;
+    spec.eps = eps;
+    spec.probe_every = 8;
+    specs.push_back({label, spec});
+  };
+  for (const std::size_t n : {1024UL, 1'000'000UL, 1'000'000'000UL}) {
+    for (const double eps : {0.1, 0.3}) {
+      add(n, eps, "static", SurrogateSpec{});
+      for (const char* schedule : {"burst:0.05:8:0.02", "ramp:0.05:0.3"}) {
+        SurrogateSpec spec;
+        spec.schedule = EnvironmentSchedule::parse(schedule);
+        add(n, eps, schedule, spec);
+      }
+      SurrogateSpec heterogeneous;
+      heterogeneous.heterogeneous = true;
+      add(n, eps, "heterogeneous", heterogeneous);
+    }
+  }
+  const struct {
+    std::size_t n;
+    double eps;
+  } churn_cells[] = {{1024, 0.1},      {1024, 0.2},
+                     {1024, 0.3},      {1'000'000, 0.2},
+                     {1'000'000, 0.3}, {1'000'000'000, 0.2},
+                     {1'000'000'000, 0.3}};
+  for (const auto& cell : churn_cells) {
+    SurrogateSpec spec;
+    spec.churn = ChurnSpec::parse("0.005:0.1:0.25");
+    spec.initial_set = cell.n / 10;
+    spec.initial_correct = static_cast<std::size_t>(
+        std::llround(0.6 * static_cast<double>(spec.initial_set)));
+    spec.auto_join_phase = true;
+    add(cell.n, cell.eps, "churn:0.005:0.1:0.25 set=n/10", spec);
+  }
+  SurrogateSpec stage1_only;
+  stage1_only.stage1_only = true;
+  add(1'000'000, 0.2, "stage1_only", stage1_only);
+  SurrogateSpec skip_stage1;
+  skip_stage1.skip_stage1 = true;
+  skip_stage1.initial_set = 1'000'000;
+  skip_stage1.initial_correct = 550'000;
+  add(1'000'000, 0.2, "skip_stage1", skip_stage1);
+  return specs;
+}
+
+constexpr PinnedSurrogate kPinnedSurrogate[] = {
+    {"n=1024 eps=0.1 static", 0x3feffffffffd3c00, 12266, 0x4163f3a3622693fe,
+     0x4159f9ccdc16fca0, 0x414bdaf3d06c5536, 0x4144c7d71678c87d,
+     0x3fefffffffffff4f, 0x3fdffffffffffe9e, 0x3ff0000000000000,
+     0x40ae200000000000, 0xc0541f06d97d7eb9, 0x8bb30ac2967da92c},
+    {"n=1024 eps=0.1 burst:0.05:8:0.02", 0x3fefffffffe3ac00, 12266,
+     0x4163f3a3622693fe, 0x4159f9ccdc16fca0, 0x414bdaf3d06c5536,
+     0x4144fd09e0efc669, 0x3feffffffffff8eb, 0x3fdffffffffff1d6,
+     0x3ff0000000000000, 0x40ae200000000000, 0xc0541f06d97d7eb9,
+     0xac076925d3b759bf},
+    {"n=1024 eps=0.1 ramp:0.05:0.3", 0x3ff0000000000000, 12266,
+     0x4163f3a3622693fe, 0x4159f9ccdc16fca0, 0x414bdaf3d06c5536,
+     0x4140087228eb1aa0, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x40ae200000000000, 0xc0541f06d97d7eb9,
+     0x8b93197813f89596},
+    {"n=1024 eps=0.1 heterogeneous", 0x3ff0000000000000, 12266,
+     0x4163f3a3622693fe, 0x4159f9ccdc16fca0, 0x414bdaf3d06c5536,
+     0x4134c7d71678c87d, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x40ae200000000000, 0xc0541f06d97d7eb9,
+     0xe430af0bf79fdd2c},
+    {"n=1024 eps=0.3 static", 0x3fefffffff4b4fff, 1406, 0x412f77fa7bd1b1a2,
+     0x41243df8dcd47c2c, 0x411674033dfa6b72, 0x41003193e3dd3006,
+     0x3fefffffffffd2d4, 0x3fdfffffffffa5a8, 0x3ff0000000000000,
+     0x407b800000000000, 0x1cd42f72444e701f, 0xb8af618934fed789},
+    {"n=1024 eps=0.3 burst:0.05:8:0.02", 0x3feffffffd8d4800, 1406,
+     0x412f77fa7bd1b1a2, 0x41243df8dcd47c2c, 0x411674033dfa6b72,
+     0x410153c4a4745945, 0x3fefffffffff6352, 0x3fdffffffffec6a4,
+     0x3ff0000000000000, 0x407b800000000000, 0x1cd42f72444e701f,
+     0x19b9671bb7534814},
+    {"n=1024 eps=0.3 ramp:0.05:0.3", 0x3fefffff3297d693, 1406,
+     0x412f77fa7bd1b1a2, 0x41243df8dcd47c2c, 0x411674033dfa6b72,
+     0x4107ac26c96faf2a, 0x3fefffffffcca5f5, 0x3fdfffffff994bea,
+     0x3ff0000000000000, 0x407b800000000000, 0x1cd42f72444e701f,
+     0xdca1ccabee49f14e},
+    {"n=1024 eps=0.3 heterogeneous", 0x3ff0000000000000, 1406,
+     0x412f77fa7bd1b1a2, 0x41243df8dcd47c2c, 0x411674033dfa6b72,
+     0x40f03193e3dd3006, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x407b800000000000, 0x1cd42f72444e701f,
+     0xcd5e0bdb0c47e1af},
+    {"n=1000000 eps=0.1 static", 0x3ff0000000000000, 23076, 0x420f31c162813124,
+     0x420468adf672dcbe, 0x41f59226d81cb571, 0x41f053be5ec244b3,
+     0x3ff0000000000000, 0x3fe0000000000000, 0x3ff0000000000000,
+     0x40beb00000000000, 0xcb0c5b2d08ed1000, 0xd4f63fe3faf4c549},
+    {"n=1000000 eps=0.1 burst:0.05:8:0.02", 0x3ff0000000000000, 23076,
+     0x420f31c162813124, 0x420468adf672dcbe, 0x41f59226d81cb571,
+     0x41f07d8a838be6a6, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x40beb00000000000, 0xcb0c5b2d08ed1000,
+     0x9fa16d9174f1ca07},
+    {"n=1000000 eps=0.1 ramp:0.05:0.3", 0x3ff0000000000000, 23076,
+     0x420f31c162813124, 0x420468adf672dcbe, 0x41f59226d81cb571,
+     0x41e82e37aa124d3a, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x40beb00000000000, 0xcb0c5b2d08ed1000,
+     0x70a71ecc4a680bb4},
+    {"n=1000000 eps=0.1 heterogeneous", 0x3ff0000000000000, 23076,
+     0x420f31c162813124, 0x420468adf672dcbe, 0x41f59226d81cb571,
+     0x41e053be5ec244b3, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x40beb00000000000, 0xcb0c5b2d08ed1000,
+     0x46e7cef1f75abd5b},
+    {"n=1000000 eps=0.3 static", 0x3ff0000000000000, 2656, 0x41dad5fb48fbc4ce,
+     0x41d13206a47e21c0, 0x41c347e948fb46dd, 0x41ab833dd3fd019f,
+     0x3ff0000000000000, 0x3fe0000000000000, 0x3ff0000000000000,
+     0x408c400000000000, 0x0ec43e4202932ec0, 0xce9692ec0a634459},
+    {"n=1000000 eps=0.3 burst:0.05:8:0.02", 0x3ff0000000000000, 2656,
+     0x41dad5fb48fbc4ce, 0x41d13206a47e21c0, 0x41c347e948fb46dd,
+     0x41ad7044b74eb6f1, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x408c400000000000, 0x0ec43e4202932ec0,
+     0xd914bbb299670b35},
+    {"n=1000000 eps=0.3 ramp:0.05:0.3", 0x3feffffffede1540, 2656,
+     0x41dad5fb48fbc4ce, 0x41d13206a47e21c0, 0x41c347e948fb46dd,
+     0x41b3bd7111dbfa73, 0x3fefffffffffffed, 0x3fdfffffffffffda,
+     0x3ff0000000000000, 0x408c400000000000, 0x0ec43e4202932ec0,
+     0x2ac8244023bc9fc6},
+    {"n=1000000 eps=0.3 heterogeneous", 0x3ff0000000000000, 2656,
+     0x41dad5fb48fbc4ce, 0x41d13206a47e21c0, 0x41c347e948fb46dd,
+     0x419b833dd3fd019f, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x408c400000000000, 0x0ec43e4202932ec0,
+     0x43d193f3aaa85736},
+    {"n=1000000000 eps=0.1 static", 0x3ff0000000000000, 33084,
+     0x42b3d77f4abe7d54, 0x42a9704670debe99, 0x429c7d70493c5b94,
+     0x429459d1f3e573f3, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x40c7280000000000, 0x59f3ea8bfb8f5491,
+     0x13ac7ae32f8e0e70},
+    {"n=1000000000 eps=0.1 burst:0.05:8:0.02", 0x3ff0000000000000, 33084,
+     0x42b3d77f4abe7d54, 0x42a9704670debe99, 0x429c7d70493c5b94,
+     0x42948deb179d6e1f, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x40c7280000000000, 0x59f3ea8bfb8f5491,
+     0x063da0b47e82c999},
+    {"n=1000000000 eps=0.1 ramp:0.05:0.3", 0x3ff0000000000000, 33084,
+     0x42b3d77f4abe7d54, 0x42a9704670debe99, 0x429c7d70493c5b94,
+     0x428cf919fc7a80dc, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x40c7280000000000, 0x59f3ea8bfb8f5491,
+     0x7a14f4ef5e49604c},
+    {"n=1000000000 eps=0.1 heterogeneous", 0x3ff0000000000000, 33084,
+     0x42b3d77f4abe7d54, 0x42a9704670debe99, 0x429c7d70493c5b94,
+     0x428459d1f3e573f3, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x40c7280000000000, 0x59f3ea8bfb8f5491,
+     0xcdeb7c944333236a},
+    {"n=1000000000 eps=0.3 static", 0x3ff0000000000000, 3808,
+     0x4281fe0e374ca9c9, 0x4276ec930a69d4f6, 0x426a1f12c85efbf9,
+     0x425256dc0854aa8f, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x4095800000000000, 0xa1b5e422c8617b6d,
+     0x7993a4748a4335c0},
+    {"n=1000000000 eps=0.3 burst:0.05:8:0.02", 0x3ff0000000000000, 3808,
+     0x4281fe0e374ca9c9, 0x4276ec930a69d4f6, 0x426a1f12c85efbf9,
+     0x42539f7fea31a1ae, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x4095800000000000, 0xa1b5e422c8617b6d,
+     0x6950757faa2bc5df},
+    {"n=1000000000 eps=0.3 ramp:0.05:0.3", 0x3ff0000000000000, 3808,
+     0x4281fe0e374ca9c9, 0x4276ec930a69d4f6, 0x426a1f12c85efbf9,
+     0x4259e6e6bfebf929, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x4095800000000000, 0xa1b5e422c8617b6d,
+     0x66fda559fc3763b5},
+    {"n=1000000000 eps=0.3 heterogeneous", 0x3ff0000000000000, 3808,
+     0x4281fe0e374ca9c9, 0x4276ec930a69d4f6, 0x426a1f12c85efbf9,
+     0x424256dc0854aa8f, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x4095800000000000, 0xa1b5e422c8617b6d,
+     0x16b4ce14c7a94ed6},
+    {"n=1024 eps=0.1 churn:0.005:0.1:0.25 set=n/10", 0x3feffffffffd22e4, 12266,
+     0x41650eabd0a7301c, 0x4159fcc5b484b528, 0x41502091ecc9a224,
+     0x4144ca37c39d6070, 0x3fefffffffffff48, 0x3fdffffffffffe90,
+     0x3ff0000000000000, 0x4090800000000000, 0xcbe3f49146372de5,
+     0x59adff5bb1af9285},
+    {"n=1024 eps=0.2 churn:0.005:0.1:0.25 set=n/10", 0x3feffffff10545c4, 3082,
+     0x414525ef429bb320, 0x413a1931342b9461, 0x413032ad510bd623,
+     0x411f516e3e9aaf0a, 0x3feffffffffc4151, 0x3fdffffffff882a2,
+     0x3ff0000000000000, 0x4071000000000000, 0x4f782efc7b523ac2,
+     0x4500d22e1e3bf781},
+    {"n=1024 eps=0.3 churn:0.005:0.1:0.25 set=n/10", 0x3feffffbd89b0ec4, 1287,
+     0x412ddb66f21168c2, 0x41229cbfb19efb1b, 0x41167d4e80e4da84,
+     0x40fdc7991c319266, 0x3feffffffef626b3, 0x3fdffffffdec4d66,
+     0x3ff0000000000000, 0x4074000000000000, 0xb1bcb3df0f5d5963,
+     0xb281579af0d2c487},
+    {"n=1000000 eps=0.2 churn:0.005:0.1:0.25 set=n/10", 0x3fefffffff6babfa,
+     5226, 0x41ec23ffcdef2c1e, 0x41e19305f7d293a3, 0x41d521f3ac392d24,
+     0x41c516d3f62fe433, 0x3feffffffffffff6, 0x3fdfffffffffffec,
+     0x3ff0000000000000, 0x4095e00000000000, 0x6aeaf823ee319931,
+     0xeedb319e29aa86aa},
+    {"n=1000000 eps=0.3 churn:0.005:0.1:0.25 set=n/10", 0x3fefffdebcda3352,
+     2384, 0x41d9c895b133a8f4, 0x41d01894caf7933a, 0x41c36001cc782e84,
+     0x41a9c0ee118c1ec4, 0x3feffffffffdd1f3, 0x3fdffffffffba3e6,
+     0x3ff0000000000000, 0x4083c00000000000, 0x6aeaf823ee319931,
+     0x662d8008a1f91e8d},
+    {"n=1000000000 eps=0.2 churn:0.005:0.1:0.25 set=n/10", 0x3feffffe887d5757,
+     7434, 0x42933538f816eac0, 0x428805613e07af58, 0x427cca21644c58d9,
+     0x426cd3417da2cedf, 0x3feffffffffffffa, 0x3fdffffffffffff4,
+     0x3ff0000000000000, 0x40a0700000000000, 0x675f496578a0bff5,
+     0x15f37514b5805953},
+    {"n=1000000000 eps=0.3 churn:0.005:0.1:0.25 set=n/10", 0x3feffecdf0128e2e,
+     3383, 0x42818c338e2f5dcf, 0x4275effe7af79b2e, 0x426a50d142ce4528,
+     0x42518ccb9592e1a9, 0x3feffffffffffade, 0x3fdffffffffff5bc,
+     0x3ff0000000000000, 0x408d800000000000, 0x675f496578a0bff5,
+     0xa036e68f1bb93227},
+    {"n=1000000 eps=0.2 stage1_only", 0x3fefffff5ba9f2ea, 1970,
+     0x417b7ae205b281b3, 0x417b3316181fd66c, 0x4111f2fb64aad6bf,
+     0x416051da0e7980a8, 0x3fe11985fee77755, 0x3fa1985fee77d160,
+     0x3feffffffffff53b, 0x7ff8000000000000, 0xeeae922419dd66d1,
+     0xcbf29ce484222325},
+    {"n=1000000 eps=0.2 skip_stage1", 0x3ff0000000000000, 3826,
+     0x41ec818410000000, 0x41e204e9413a9ca8, 0x41d4f9359d8ac4e0,
+     0x41c59f7e4e4658ae, 0x3ff0000000000000, 0x3fe0000000000000,
+     0x3ff0000000000000, 0x0000000000000000, 0xccf642f9c6aaa34c,
+     0x01cc5c30281a836a},
+};
+
+TEST(SurrogatePinnedTest, DirectSpecsMatchTheTableBitForBit) {
+  const std::vector<LabeledSpec> specs = pinned_specs();
+  ASSERT_EQ(std::size(kPinnedSurrogate), specs.size())
+      << "every pinned spec needs one kPinnedSurrogate row";
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const PinnedSurrogate& pin = kPinnedSurrogate[i];
+    ASSERT_EQ(specs[i].label, pin.label) << "kPinnedSurrogate row order";
+    const SurrogateResult r = run_surrogate(specs[i].spec);
+    const PinnedSurrogate got{pin.label,
+                              bits_of(r.success_probability),
+                              r.rounds,
+                              bits_of(r.expected_messages),
+                              bits_of(r.expected_delivered),
+                              bits_of(r.expected_dropped),
+                              bits_of(r.expected_flipped),
+                              bits_of(r.correct_fraction),
+                              bits_of(r.final_bias),
+                              bits_of(r.activation_fraction),
+                              bits_of(r.convergence_round),
+                              fnv1a_bits(r.activation_trace),
+                              fnv1a_bits(r.stage2_bias_trace)};
+    EXPECT_EQ(row_literal(got), row_literal(pin));
+  }
+}
+
+/// One surrogate TrialFn outcome through the registry: the doubles as
+/// bit patterns, the counters as they are.
+struct PinnedSurrogateTrial {
+  const char* name;
+  bool success;
+  std::uint64_t rounds;
+  std::uint64_t messages;
+  std::uint64_t correct_fraction;
+  std::uint64_t convergence_round;
+  std::uint64_t delivered;
+  std::uint64_t dropped;
+  std::uint64_t flipped;
+};
+
+std::string row_literal(const PinnedSurrogateTrial& row) {
+  char buf[384];
+  std::snprintf(buf, sizeof buf,
+                "{\"%s\", %s, %" PRIu64 ", 0x%016" PRIx64 ", 0x%016" PRIx64
+                ", 0x%016" PRIx64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                "},",
+                row.name, row.success ? "true" : "false", row.rounds,
+                row.messages, row.correct_fraction, row.convergence_round,
+                row.delivered, row.dropped, row.flipped);
+  return buf;
+}
+
+/// Trials 0-3 of every supports_surrogate entry at its defaults, in
+/// ScenarioRegistry::list() order.
+constexpr PinnedSurrogateTrial kPinnedSurrogateTrials[] = {
+    {"boost", true, 1618, 0x4159480000000000, 0x3feffffffffffffe,
+     0x7ff8000000000000, 4189568, 2437760, 1047392},
+    {"boost", true, 1618, 0x4159480000000000, 0x3feffffffffffffe,
+     0x7ff8000000000000, 4189568, 2437760, 1047392},
+    {"boost", true, 1618, 0x4159480000000000, 0x3feffffffffffffe,
+     0x7ff8000000000000, 4189568, 2437760, 1047392},
+    {"boost", true, 1618, 0x4159480000000000, 0x3feffffffffffffe,
+     0x7ff8000000000000, 4189568, 2437760, 1047392},
+    {"broadcast", true, 3082, 0x4141ca427b82717c, 0x3fefffffffffffea,
+     0x7ff8000000000000, 1517561, 814220, 455268},
+    {"broadcast", true, 3082, 0x4141ca427b82717c, 0x3fefffffffffffea,
+     0x7ff8000000000000, 1517561, 814220, 455268},
+    {"broadcast", true, 3082, 0x4141ca427b82717c, 0x3fefffffffffffea,
+     0x7ff8000000000000, 1517561, 814220, 455268},
+    {"broadcast", true, 3082, 0x4141ca427b82717c, 0x3fefffffffffffea,
+     0x7ff8000000000000, 1517561, 814220, 455268},
+    {"broadcast_burst", true, 3082, 0x4141ca427b82717c, 0x3feffffffffff6ba,
+     0x408e400000000000, 1517561, 814220, 477121},
+    {"broadcast_burst", true, 3082, 0x4141ca427b82717c, 0x3feffffffffff6ba,
+     0x408e400000000000, 1517561, 814220, 477121},
+    {"broadcast_burst", true, 3082, 0x4141ca427b82717c, 0x3feffffffffff6ba,
+     0x408e400000000000, 1517561, 814220, 477121},
+    {"broadcast_burst", true, 3082, 0x4141ca427b82717c, 0x3feffffffffff6ba,
+     0x408e400000000000, 1517561, 814220, 477121},
+    {"broadcast_churn", true, 3082, 0x4140d90ced5479c4, 0x3feffffffffc414e,
+     0x408e400000000000, 1392665, 815617, 417799},
+    {"broadcast_churn", true, 3082, 0x4140d90ced5479c4, 0x3feffffffffc414e,
+     0x408e400000000000, 1392665, 815617, 417799},
+    {"broadcast_churn", true, 3082, 0x4140d90ced5479c4, 0x3feffffffffc414e,
+     0x408e400000000000, 1392665, 815617, 417799},
+    {"broadcast_churn", true, 3082, 0x4140d90ced5479c4, 0x3feffffffffc414e,
+     0x408e400000000000, 1392665, 815617, 417799},
+    {"broadcast_eps_ramp", true, 3082, 0x4141ca427b82717c, 0x3feffffefc6f017c,
+     0x408e400000000000, 1517561, 814220, 459867},
+    {"broadcast_eps_ramp", true, 3082, 0x4141ca427b82717c, 0x3feffffefc6f017c,
+     0x408e400000000000, 1517561, 814220, 459867},
+    {"broadcast_eps_ramp", true, 3082, 0x4141ca427b82717c, 0x3feffffefc6f017c,
+     0x408e400000000000, 1517561, 814220, 459867},
+    {"broadcast_eps_ramp", true, 3082, 0x4141ca427b82717c, 0x3feffffefc6f017c,
+     0x408e400000000000, 1517561, 814220, 459867},
+    {"broadcast_large", true, 3998, 0x4174ceff2563bac8, 0x3ff0000000000000,
+     0x7ff8000000000000, 13921763, 7897616, 4176529},
+    {"broadcast_large", true, 3998, 0x4174ceff2563bac8, 0x3ff0000000000000,
+     0x7ff8000000000000, 13921763, 7897616, 4176529},
+    {"broadcast_large", true, 3998, 0x4174ceff2563bac8, 0x3ff0000000000000,
+     0x7ff8000000000000, 13921763, 7897616, 4176529},
+    {"broadcast_large", true, 3998, 0x4174ceff2563bac8, 0x3ff0000000000000,
+     0x7ff8000000000000, 13921763, 7897616, 4176529},
+    {"broadcast_small", true, 1206, 0x410ce215f12c05d8, 0x3fefffffffff478c,
+     0x7ff8000000000000, 154816, 81794, 30963},
+    {"broadcast_small", true, 1206, 0x410ce215f12c05d8, 0x3fefffffffff478c,
+     0x7ff8000000000000, 154816, 81794, 30963},
+    {"broadcast_small", true, 1206, 0x410ce215f12c05d8, 0x3fefffffffff478c,
+     0x7ff8000000000000, 154816, 81794, 30963},
+    {"broadcast_small", true, 1206, 0x410ce215f12c05d8, 0x3fefffffffff478c,
+     0x7ff8000000000000, 154816, 81794, 30963},
+    {"broadcast_stage1", true, 966, 0x41042427b82717c7, 0x3fe376e4df86c112,
+     0x7ff8000000000000, 147503, 17494, 44251},
+    {"broadcast_stage1", true, 966, 0x41042427b82717c7, 0x3fe376e4df86c112,
+     0x7ff8000000000000, 147503, 17494, 44251},
+    {"broadcast_stage1", true, 966, 0x41042427b82717c7, 0x3fe376e4df86c112,
+     0x7ff8000000000000, 147503, 17494, 44251},
+    {"broadcast_stage1", true, 966, 0x41042427b82717c7, 0x3fe376e4df86c112,
+     0x7ff8000000000000, 147503, 17494, 44251},
+    {"broadcast_variant_rules", true, 3082, 0x4141ca427b82717c,
+     0x3fefffffffffffea, 0x7ff8000000000000, 1517561, 814220, 455268},
+    {"broadcast_variant_rules", true, 3082, 0x4141ca427b82717c,
+     0x3fefffffffffffea, 0x7ff8000000000000, 1517561, 814220, 455268},
+    {"broadcast_variant_rules", true, 3082, 0x4141ca427b82717c,
+     0x3fefffffffffffea, 0x7ff8000000000000, 1517561, 814220, 455268},
+    {"broadcast_variant_rules", true, 3082, 0x4141ca427b82717c,
+     0x3fefffffffffffea, 0x7ff8000000000000, 1517561, 814220, 455268},
+    {"majority", true, 3082, 0x4146213ffaf1900e, 0x3fefffffffffffea,
+     0x7ff8000000000000, 1839802, 1060806, 551940},
+    {"majority", true, 3082, 0x4146213ffaf1900e, 0x3fefffffffffffea,
+     0x7ff8000000000000, 1839802, 1060806, 551940},
+    {"majority", true, 3082, 0x4146213ffaf1900e, 0x3fefffffffffffea,
+     0x7ff8000000000000, 1839802, 1060806, 551940},
+    {"majority", true, 3082, 0x4146213ffaf1900e, 0x3fefffffffffffea,
+     0x7ff8000000000000, 1839802, 1060806, 551940},
+    {"majority_churn", true, 3082, 0x4145134297c5a0cc, 0x3feffffffffc4152,
+     0x4071000000000000, 1702000, 1060373, 510600},
+    {"majority_churn", true, 3082, 0x4145134297c5a0cc, 0x3feffffffffc4152,
+     0x4071000000000000, 1702000, 1060373, 510600},
+    {"majority_churn", true, 3082, 0x4145134297c5a0cc, 0x3feffffffffc4152,
+     0x4071000000000000, 1702000, 1060373, 510600},
+    {"majority_churn", true, 3082, 0x4145134297c5a0cc, 0x3feffffffffc4152,
+     0x4071000000000000, 1702000, 1060373, 510600},
+};
+
+TEST(SurrogatePinnedTest, RegistryTrialFnsMatchTheTableBitForBit) {
+  constexpr std::size_t kTrials = 4;
+  const ScenarioRegistry& registry = ScenarioRegistry::instance();
+  std::vector<const ScenarioInfo*> entries;
+  for (const ScenarioInfo* info : registry.list()) {
+    if (info->supports_surrogate) entries.push_back(info);
+  }
+  ASSERT_EQ(std::size(kPinnedSurrogateTrials), kTrials * entries.size())
+      << "every surrogate entry needs four kPinnedSurrogateTrials rows";
+  const PinnedSurrogateTrial* pin = kPinnedSurrogateTrials;
+  for (const ScenarioInfo* info : entries) {
+    ScenarioOverrides overrides;
+    overrides.engine = EngineMode::kSurrogate;
+    const TrialFn fn = registry.make(info->name, overrides);
+    for (std::size_t trial = 0; trial < kTrials; ++trial, ++pin) {
+      ASSERT_EQ(info->name, pin->name) << "kPinnedSurrogateTrials row order";
+      const TrialOutcome out = fn(0x5eed, trial);
+      const PinnedSurrogateTrial got{pin->name,
+                                     out.success,
+                                     static_cast<std::uint64_t>(out.rounds),
+                                     bits_of(out.messages),
+                                     bits_of(out.correct_fraction),
+                                     bits_of(out.convergence_round),
+                                     out.delivered,
+                                     out.dropped,
+                                     out.flipped};
+      EXPECT_EQ(row_literal(got), row_literal(*pin)) << "trial " << trial;
+    }
+  }
 }
 
 }  // namespace

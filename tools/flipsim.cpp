@@ -207,8 +207,9 @@ int main(int argc, char** argv) {
                   "1..hardware concurrency",
                   &flags.threads);
   parser.add_size("--shards",
-                  "intra-trial shards per execution (default 1, max 256); "
-                  "results are bit-identical for every value",
+                  "intra-trial shards per execution (default 1, max 256; "
+                  "--engine batch only); results are bit-identical for "
+                  "every value",
                   &flags.shards);
   parser.add_option("--engine", "mode",
                     "simulation substrate: batch (SoA fast path, default), "
