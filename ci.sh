@@ -116,11 +116,11 @@ done
   --trials 8 --jsonl "$BUILD_DIR/flipsim_served.jsonl" --quiet
 "$BUILD_DIR/tools/flipsim" --scenario broadcast_small --trials 8 \
   --jsonl "$BUILD_DIR/flipsim_oneshot.jsonl" --quiet
-SURROGATE_SWEEP=(--scenario broadcast --engine surrogate
-  --n 1000000,1000000000 --eps 0.1,0.4 --trials 16)
-"$BUILD_DIR/tools/flipsim" --connect "$PORT" "${SURROGATE_SWEEP[@]}" \
+"$BUILD_DIR/tools/flipsim" --connect "$PORT" --scenario broadcast \
+  --engine surrogate --n 1000000,1000000000 --eps 0.1,0.4 --trials 16 \
   --jsonl "$BUILD_DIR/flipsim_served_surrogate.jsonl" --quiet
-"$BUILD_DIR/tools/flipsim" "${SURROGATE_SWEEP[@]}" \
+"$BUILD_DIR/tools/flipsim" --scenario broadcast \
+  --engine surrogate --n 1000000,1000000000 --eps 0.1,0.4 --trials 16 \
   --jsonl "$BUILD_DIR/flipsim_oneshot_surrogate.jsonl" --quiet
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$BUILD_DIR/flipsim_served.jsonl" \

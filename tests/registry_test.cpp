@@ -226,6 +226,11 @@ TEST(RegistryTest, TopologyEntriesRunBitEqualAcrossSubstratesAndShards) {
 // ablation) run unsharded whatever the shard count says, so resolve()
 // rejects shards > 1 on them with a message naming the entry, instead of
 // labelling an unsharded run as sharded. shards = 1 passes everywhere.
+// Only the batch engine shards a trial, and only on a breathe entry. The
+// single-substrate entries reject shards > 1 outright; the classic and
+// surrogate engines run unsharded, so resolve() rejects shards > 1 on them
+// with a message naming the entry and the engine, instead of running an
+// unsharded cell under a sharded label.
 TEST(RegistryTest, ShardsRejectedOnSingleSubstrateEntries) {
   const ScenarioRegistry& registry = ScenarioRegistry::instance();
   const std::set<std::string> single_substrate = {
@@ -234,63 +239,42 @@ TEST(RegistryTest, ShardsRejectedOnSingleSubstrateEntries) {
       "baseline_two_choices",  "baseline_voter",
       "broadcast_adversarial", "desync",
       "desync_burst",          "desync_clock_sync"};
-  ScenarioOverrides one;
-  one.shards = 1;
-  ScenarioOverrides sharded;
-  sharded.shards = 8;
+  const auto expect_rejected = [&registry](const std::string& name,
+                                           ScenarioOverrides overrides,
+                                           const std::string& names) {
+    overrides.shards = 1;
+    EXPECT_NO_THROW((void)registry.resolve(name, overrides)) << name;
+    overrides.shards = 8;
+    try {
+      (void)registry.resolve(name, overrides);
+      ADD_FAILURE() << name << " accepted shards = 8 (" << names << ")";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + name + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find(names), std::string::npos) << what;
+    }
+  };
   for (const ScenarioInfo* info : registry.list()) {
     const bool single = single_substrate.count(info->name) != 0;
     EXPECT_EQ(info->supports_shards, !single) << info->name;
-    EXPECT_NO_THROW((void)registry.resolve(info->name, one)) << info->name;
-    if (!single) {
-      EXPECT_NO_THROW((void)registry.resolve(info->name, sharded))
-          << info->name;
+    if (single) {
+      expect_rejected(info->name, ScenarioOverrides{}, "shards");
       continue;
     }
-    try {
-      (void)registry.resolve(info->name, sharded);
-      ADD_FAILURE() << info->name << " accepted shards = 8";
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("'" + info->name + "'"), std::string::npos) << what;
-      EXPECT_NE(what.find("shards"), std::string::npos) << what;
-    }
-  }
-}
-
-// Only the batch engine shards a trial: classic and surrogate run
-// unsharded, so resolve() rejects shards > 1 on them with a message naming
-// the entry and the engine, instead of running an unsharded cell under a
-// sharded label. Batch accepts the same overrides.
-TEST(RegistryTest, ShardsRejectedOnClassicAndSurrogateEngines) {
-  const ScenarioRegistry& registry = ScenarioRegistry::instance();
-  for (const ScenarioInfo* info : registry.list()) {
-    if (!info->supports_shards) continue;
-    ScenarioOverrides overrides;
-    overrides.shards = 8;
-    overrides.engine = EngineMode::kBatch;
-    EXPECT_NO_THROW((void)registry.resolve(info->name, overrides))
+    ScenarioOverrides sharded;
+    sharded.shards = 8;
+    sharded.engine = EngineMode::kBatch;
+    EXPECT_NO_THROW((void)registry.resolve(info->name, sharded))
         << info->name;
     for (const EngineMode engine :
          {EngineMode::kClassic, EngineMode::kSurrogate}) {
       if (engine == EngineMode::kSurrogate && !info->supports_surrogate) {
         continue;
       }
-      const std::string mode(engine_mode_name(engine));
+      ScenarioOverrides overrides;
       overrides.engine = engine;
-      overrides.shards = 1;
-      EXPECT_NO_THROW((void)registry.resolve(info->name, overrides))
-          << info->name << " " << mode;
-      overrides.shards = 8;
-      try {
-        (void)registry.resolve(info->name, overrides);
-        ADD_FAILURE() << info->name << " " << mode << " accepted shards = 8";
-      } catch (const std::invalid_argument& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("'" + info->name + "'"), std::string::npos)
-            << what;
-        EXPECT_NE(what.find("--engine " + mode), std::string::npos) << what;
-      }
+      expect_rejected(info->name, overrides,
+                      "--engine " + std::string(engine_mode_name(engine)));
     }
   }
 }

@@ -502,44 +502,21 @@ TEST_F(ServiceTest, RejectsHeterogeneousUnderScheduleAtIngest) {
 }
 
 TEST_F(ServiceTest, RejectsShardsOnSingleSubstrateEntriesAtIngest) {
-  // desync runs one substrate: a shard count passes the argument layer
-  // but the registry rejects it, at ingest, with the CLI's text.
-  SweepRequest request;
-  request.scenario = "desync";
-  request.ns = "256";
-  request.shards = 8;
-  request.trials = 2;
-  SweepSpec spec;
-  ASSERT_FALSE(cli::resolve_sweep_request(request, spec).has_value());
-  std::string cli_message;
-  try {
-    (void)cli::expand_grid(spec);
-  } catch (const std::invalid_argument& e) {
-    cli_message = e.what();
-  }
-  ASSERT_NE(cli_message.find("'desync'"), std::string::npos) << cli_message;
-
-  net::SweepClient client(server_.port());
-  std::size_t lines = 0;
-  try {
-    client.run_sweep(request,
-                     [&](std::size_t, const std::string&) { ++lines; });
-    FAIL() << "shards on a single-substrate entry must be rejected";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(cli_message), std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(lines, 0u);
-}
-
-TEST_F(ServiceTest, RejectsShardsOnUnshardedEnginesAtIngest) {
-  // Classic and surrogate run unsharded: a shard count passes the argument
-  // layer, but the registry rejects it at ingest, with the CLI's text.
-  for (const char* engine : {"classic", "surrogate"}) {
+  // desync runs one substrate, and the classic and surrogate engines run
+  // unsharded: a shard count passes the argument layer, but the registry
+  // rejects it, at ingest, with the CLI's text naming the entry or engine.
+  const struct {
+    const char* scenario;
+    const char* engine;
+    const char* names;
+  } cases[] = {{"desync", "batch", "'desync'"},
+               {"broadcast", "classic", "--engine classic"},
+               {"broadcast", "surrogate", "--engine surrogate"}};
+  for (const auto& c : cases) {
     SweepRequest request;
-    request.scenario = "broadcast";
+    request.scenario = c.scenario;
     request.ns = "256";
-    request.engine = engine;
+    request.engine = c.engine;
     request.shards = 8;
     request.trials = 2;
     SweepSpec spec;
@@ -550,21 +527,20 @@ TEST_F(ServiceTest, RejectsShardsOnUnshardedEnginesAtIngest) {
     } catch (const std::invalid_argument& e) {
       cli_message = e.what();
     }
-    ASSERT_NE(cli_message.find(std::string("--engine ") + engine),
-              std::string::npos)
-        << cli_message;
+    ASSERT_NE(cli_message.find(c.names), std::string::npos) << cli_message;
 
     net::SweepClient client(server_.port());
     std::size_t lines = 0;
     try {
       client.run_sweep(request,
                        [&](std::size_t, const std::string&) { ++lines; });
-      FAIL() << engine << ": shards on an unsharded engine must be rejected";
+      ADD_FAILURE() << c.scenario << " --engine " << c.engine
+                    << " accepted shards = 8";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find(cli_message), std::string::npos)
           << e.what();
     }
-    EXPECT_EQ(lines, 0u) << engine;
+    EXPECT_EQ(lines, 0u) << c.scenario << " --engine " << c.engine;
   }
 }
 

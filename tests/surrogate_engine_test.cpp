@@ -403,6 +403,17 @@ TEST(SurrogateStage1Test, Stage1OnlyTracksActivationNotOpinion) {
 // direction; none of them notices a rewrite that moves a low bit. These
 // tables pin every output bit of a fixed grid, and must pass unedited
 // under any change that claims to keep the arithmetic.
+//
+// The tables hold x86-64 glibc bits. The values pass through libm's
+// expm1/log1p/exp, which another libm rounds differently, and through
+// multiply-add chains, which targets that contract a*b+c into one FMA by
+// default (aarch64 under GCC and clang) round differently. Elsewhere the
+// tables skip rather than fail.
+#if defined(__x86_64__) && defined(__GLIBC__)
+constexpr bool kOnCapturePlatform = true;
+#else
+constexpr bool kOnCapturePlatform = false;
+#endif
 
 /// FNV-1a (64-bit) over the bit patterns of a trace, low byte first.
 std::uint64_t fnv1a_bits(const std::vector<double>& values) {
@@ -680,6 +691,7 @@ constexpr PinnedSurrogate kPinnedSurrogate[] = {
 };
 
 TEST(SurrogatePinnedTest, DirectSpecsMatchTheTableBitForBit) {
+  if (!kOnCapturePlatform) GTEST_SKIP() << "tables hold x86-64 glibc bits";
   const std::vector<LabeledSpec> specs = pinned_specs();
   ASSERT_EQ(std::size(kPinnedSurrogate), specs.size())
       << "every pinned spec needs one kPinnedSurrogate row";
@@ -730,117 +742,54 @@ std::string row_literal(const PinnedSurrogateTrial& row) {
   return buf;
 }
 
-/// Trials 0-3 of every supports_surrogate entry at its defaults, in
-/// ScenarioRegistry::list() order.
+/// Trial 0 of every supports_surrogate entry at its defaults, in
+/// ScenarioRegistry::list() order. The TrialFn ignores the seed and reads
+/// the trial index only through the success draw; every entry here
+/// succeeds with probability above 0.75, the largest radical inverse of
+/// trials 1-3, so those trials must return trial 0's row.
 constexpr PinnedSurrogateTrial kPinnedSurrogateTrials[] = {
     {"boost", true, 1618, 0x4159480000000000, 0x3feffffffffffffe,
      0x7ff8000000000000, 4189568, 2437760, 1047392},
-    {"boost", true, 1618, 0x4159480000000000, 0x3feffffffffffffe,
-     0x7ff8000000000000, 4189568, 2437760, 1047392},
-    {"boost", true, 1618, 0x4159480000000000, 0x3feffffffffffffe,
-     0x7ff8000000000000, 4189568, 2437760, 1047392},
-    {"boost", true, 1618, 0x4159480000000000, 0x3feffffffffffffe,
-     0x7ff8000000000000, 4189568, 2437760, 1047392},
-    {"broadcast", true, 3082, 0x4141ca427b82717c, 0x3fefffffffffffea,
-     0x7ff8000000000000, 1517561, 814220, 455268},
-    {"broadcast", true, 3082, 0x4141ca427b82717c, 0x3fefffffffffffea,
-     0x7ff8000000000000, 1517561, 814220, 455268},
-    {"broadcast", true, 3082, 0x4141ca427b82717c, 0x3fefffffffffffea,
-     0x7ff8000000000000, 1517561, 814220, 455268},
     {"broadcast", true, 3082, 0x4141ca427b82717c, 0x3fefffffffffffea,
      0x7ff8000000000000, 1517561, 814220, 455268},
     {"broadcast_burst", true, 3082, 0x4141ca427b82717c, 0x3feffffffffff6ba,
      0x408e400000000000, 1517561, 814220, 477121},
-    {"broadcast_burst", true, 3082, 0x4141ca427b82717c, 0x3feffffffffff6ba,
-     0x408e400000000000, 1517561, 814220, 477121},
-    {"broadcast_burst", true, 3082, 0x4141ca427b82717c, 0x3feffffffffff6ba,
-     0x408e400000000000, 1517561, 814220, 477121},
-    {"broadcast_burst", true, 3082, 0x4141ca427b82717c, 0x3feffffffffff6ba,
-     0x408e400000000000, 1517561, 814220, 477121},
-    {"broadcast_churn", true, 3082, 0x4140d90ced5479c4, 0x3feffffffffc414e,
-     0x408e400000000000, 1392665, 815617, 417799},
-    {"broadcast_churn", true, 3082, 0x4140d90ced5479c4, 0x3feffffffffc414e,
-     0x408e400000000000, 1392665, 815617, 417799},
-    {"broadcast_churn", true, 3082, 0x4140d90ced5479c4, 0x3feffffffffc414e,
-     0x408e400000000000, 1392665, 815617, 417799},
     {"broadcast_churn", true, 3082, 0x4140d90ced5479c4, 0x3feffffffffc414e,
      0x408e400000000000, 1392665, 815617, 417799},
     {"broadcast_eps_ramp", true, 3082, 0x4141ca427b82717c, 0x3feffffefc6f017c,
      0x408e400000000000, 1517561, 814220, 459867},
-    {"broadcast_eps_ramp", true, 3082, 0x4141ca427b82717c, 0x3feffffefc6f017c,
-     0x408e400000000000, 1517561, 814220, 459867},
-    {"broadcast_eps_ramp", true, 3082, 0x4141ca427b82717c, 0x3feffffefc6f017c,
-     0x408e400000000000, 1517561, 814220, 459867},
-    {"broadcast_eps_ramp", true, 3082, 0x4141ca427b82717c, 0x3feffffefc6f017c,
-     0x408e400000000000, 1517561, 814220, 459867},
-    {"broadcast_large", true, 3998, 0x4174ceff2563bac8, 0x3ff0000000000000,
-     0x7ff8000000000000, 13921763, 7897616, 4176529},
-    {"broadcast_large", true, 3998, 0x4174ceff2563bac8, 0x3ff0000000000000,
-     0x7ff8000000000000, 13921763, 7897616, 4176529},
-    {"broadcast_large", true, 3998, 0x4174ceff2563bac8, 0x3ff0000000000000,
-     0x7ff8000000000000, 13921763, 7897616, 4176529},
     {"broadcast_large", true, 3998, 0x4174ceff2563bac8, 0x3ff0000000000000,
      0x7ff8000000000000, 13921763, 7897616, 4176529},
     {"broadcast_small", true, 1206, 0x410ce215f12c05d8, 0x3fefffffffff478c,
      0x7ff8000000000000, 154816, 81794, 30963},
-    {"broadcast_small", true, 1206, 0x410ce215f12c05d8, 0x3fefffffffff478c,
-     0x7ff8000000000000, 154816, 81794, 30963},
-    {"broadcast_small", true, 1206, 0x410ce215f12c05d8, 0x3fefffffffff478c,
-     0x7ff8000000000000, 154816, 81794, 30963},
-    {"broadcast_small", true, 1206, 0x410ce215f12c05d8, 0x3fefffffffff478c,
-     0x7ff8000000000000, 154816, 81794, 30963},
-    {"broadcast_stage1", true, 966, 0x41042427b82717c7, 0x3fe376e4df86c112,
-     0x7ff8000000000000, 147503, 17494, 44251},
-    {"broadcast_stage1", true, 966, 0x41042427b82717c7, 0x3fe376e4df86c112,
-     0x7ff8000000000000, 147503, 17494, 44251},
-    {"broadcast_stage1", true, 966, 0x41042427b82717c7, 0x3fe376e4df86c112,
-     0x7ff8000000000000, 147503, 17494, 44251},
     {"broadcast_stage1", true, 966, 0x41042427b82717c7, 0x3fe376e4df86c112,
      0x7ff8000000000000, 147503, 17494, 44251},
     {"broadcast_variant_rules", true, 3082, 0x4141ca427b82717c,
      0x3fefffffffffffea, 0x7ff8000000000000, 1517561, 814220, 455268},
-    {"broadcast_variant_rules", true, 3082, 0x4141ca427b82717c,
-     0x3fefffffffffffea, 0x7ff8000000000000, 1517561, 814220, 455268},
-    {"broadcast_variant_rules", true, 3082, 0x4141ca427b82717c,
-     0x3fefffffffffffea, 0x7ff8000000000000, 1517561, 814220, 455268},
-    {"broadcast_variant_rules", true, 3082, 0x4141ca427b82717c,
-     0x3fefffffffffffea, 0x7ff8000000000000, 1517561, 814220, 455268},
     {"majority", true, 3082, 0x4146213ffaf1900e, 0x3fefffffffffffea,
      0x7ff8000000000000, 1839802, 1060806, 551940},
-    {"majority", true, 3082, 0x4146213ffaf1900e, 0x3fefffffffffffea,
-     0x7ff8000000000000, 1839802, 1060806, 551940},
-    {"majority", true, 3082, 0x4146213ffaf1900e, 0x3fefffffffffffea,
-     0x7ff8000000000000, 1839802, 1060806, 551940},
-    {"majority", true, 3082, 0x4146213ffaf1900e, 0x3fefffffffffffea,
-     0x7ff8000000000000, 1839802, 1060806, 551940},
-    {"majority_churn", true, 3082, 0x4145134297c5a0cc, 0x3feffffffffc4152,
-     0x4071000000000000, 1702000, 1060373, 510600},
-    {"majority_churn", true, 3082, 0x4145134297c5a0cc, 0x3feffffffffc4152,
-     0x4071000000000000, 1702000, 1060373, 510600},
-    {"majority_churn", true, 3082, 0x4145134297c5a0cc, 0x3feffffffffc4152,
-     0x4071000000000000, 1702000, 1060373, 510600},
     {"majority_churn", true, 3082, 0x4145134297c5a0cc, 0x3feffffffffc4152,
      0x4071000000000000, 1702000, 1060373, 510600},
 };
 
 TEST(SurrogatePinnedTest, RegistryTrialFnsMatchTheTableBitForBit) {
-  constexpr std::size_t kTrials = 4;
+  if (!kOnCapturePlatform) GTEST_SKIP() << "tables hold x86-64 glibc bits";
   const ScenarioRegistry& registry = ScenarioRegistry::instance();
   std::vector<const ScenarioInfo*> entries;
   for (const ScenarioInfo* info : registry.list()) {
     if (info->supports_surrogate) entries.push_back(info);
   }
-  ASSERT_EQ(std::size(kPinnedSurrogateTrials), kTrials * entries.size())
-      << "every surrogate entry needs four kPinnedSurrogateTrials rows";
-  const PinnedSurrogateTrial* pin = kPinnedSurrogateTrials;
-  for (const ScenarioInfo* info : entries) {
+  ASSERT_EQ(std::size(kPinnedSurrogateTrials), entries.size())
+      << "every surrogate entry needs one kPinnedSurrogateTrials row";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const PinnedSurrogateTrial& pin = kPinnedSurrogateTrials[i];
+    ASSERT_EQ(entries[i]->name, pin.name) << "kPinnedSurrogateTrials row order";
     ScenarioOverrides overrides;
     overrides.engine = EngineMode::kSurrogate;
-    const TrialFn fn = registry.make(info->name, overrides);
-    for (std::size_t trial = 0; trial < kTrials; ++trial, ++pin) {
-      ASSERT_EQ(info->name, pin->name) << "kPinnedSurrogateTrials row order";
+    const TrialFn fn = registry.make(entries[i]->name, overrides);
+    for (std::size_t trial = 0; trial < 4; ++trial) {
       const TrialOutcome out = fn(0x5eed, trial);
-      const PinnedSurrogateTrial got{pin->name,
+      const PinnedSurrogateTrial got{pin.name,
                                      out.success,
                                      static_cast<std::uint64_t>(out.rounds),
                                      bits_of(out.messages),
@@ -849,7 +798,7 @@ TEST(SurrogatePinnedTest, RegistryTrialFnsMatchTheTableBitForBit) {
                                      out.delivered,
                                      out.dropped,
                                      out.flipped};
-      EXPECT_EQ(row_literal(got), row_literal(*pin)) << "trial " << trial;
+      EXPECT_EQ(row_literal(got), row_literal(pin)) << "trial " << trial;
     }
   }
 }
