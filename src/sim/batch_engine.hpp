@@ -16,7 +16,11 @@
 //    route   — every shard walks its own materialized sender list, draws
 //              each sender's recipient + acceptance priority from the
 //              sender's counter stream, and scatters the message into the
-//              destination shard's inbox bucket;
+//              destination shard's inbox bucket. The priority is drawn
+//              only in ranked rounds: a round is unranked when every
+//              arrival a recipient could read carries the same bit (all
+//              senders agree, or Stage I with every agent opinionated,
+//              where deliver reads no kept bit), so any arrival may win;
 //    deliver — every shard min-combines the arrivals for its agent range
 //              (smallest (priority, sender) pair wins — a commutative
 //              reduction, so any arrival order gives the same winner),
@@ -189,12 +193,14 @@ inline ScheduledFlip make_flip(const CorrelatedBurstChannel& channel) {
 }
 
 // Packed-layout constants. Send-list entries carry the opinion in bit 31
-// next to a 31-bit agent id; the per-agent acceptance slot holds one
-// acceptance_word (sim/mailbox.hpp): priority | opinion bit | sender.
+// next to a 31-bit agent id; the per-agent acceptance slot holds the
+// smallest offered_word of the round: an acceptance_word (sim/mailbox.hpp,
+// priority | opinion bit | sender) in ranked rounds, the bare entry in
+// unranked ones.
 inline constexpr std::uint32_t kSendBit = 0x8000'0000u;
 inline constexpr std::uint32_t kAgentMask = ~kSendBit;
 /// Slot sentinel for "no arrival yet": the maximum word, which no real
-/// acceptance_word equals (its sender field would be 2^31 - 1 >= n).
+/// offered_word equals (its sender field would be 2^31 - 1 >= n).
 inline constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
 
 // Per-agent counter layouts. Stage I accumulator: recv count in bits
@@ -210,7 +216,7 @@ inline constexpr std::uint64_t kFieldMask = (std::uint64_t{1} << 21) - 1;
 
 /// One routed message in flight between a source and a destination shard.
 struct RoutedMsg {
-  std::uint64_t word;  ///< acceptance_word: priority | opinion bit | sender
+  std::uint64_t word;  ///< offered_word: [priority |] opinion bit | sender
   std::uint32_t to;    ///< recipient
 };
 
@@ -219,7 +225,7 @@ struct RoutedMsg {
 // for registers with all the surrounding phase state, and a spill inside a
 // 100M-iteration loop costs more than a call per round.
 
-/// The min-combine acceptance step: keeps the smallest acceptance_word.
+/// The min-combine acceptance step: keeps the smallest offered_word.
 /// Commutative + associative, hence identical for any arrival order and
 /// any shard partition. Returns the new touched count. Branch-free: the
 /// slot store is unconditional (a select of the min — which arrival wins
@@ -282,11 +288,29 @@ struct GraphRecipient {
   }
 };
 
+/// The word a routed message offers to the min-combine. Ranked: the full
+/// acceptance_word, whose priority (the sender's kRoute draw after the
+/// recipient) picks a uniform arrival. Unranked — a round in which every
+/// arrival a recipient could read carries the same bit — the bare send
+/// entry (bit 31 = opinion, low bits = sender): the min of equal-bit words
+/// keeps that bit, and the skipped priority is the stream's last draw, so
+/// no other draw shifts. Either way the word stays below kEmptySlot.
+template <bool kRanked, typename Rng>
+[[nodiscard]] inline std::uint64_t offered_word(Rng& rng,
+                                                std::uint32_t e) noexcept {
+  if constexpr (kRanked) {
+    return acceptance_word(rng(), e);
+  } else {
+    return std::uint64_t{e};
+  }
+}
+
 /// Routes one shard's senders and min-combines in place (the single-shard
 /// fast path: no bucket materialization). kChurn filters asleep senders
 /// through `awake` (unused when false — the template keeps the common
-/// static-population loop branch-free).
-template <bool kChurn, typename RecipientFn>
+/// static-population loop branch-free); kRanked selects offered_word's
+/// form (run_breathe decides it per round).
+template <bool kChurn, bool kRanked = true, typename RecipientFn>
 [[gnu::noinline]] inline RoutePartial route_combine(
     const std::uint32_t* __restrict__ send, std::size_t nsend,
     const RecipientFn recipient, const StreamKey rkey,
@@ -303,8 +327,7 @@ template <bool kChurn, typename RecipientFn>
     ++partial.sent;
     CounterRng rng(rkey, sender);
     const std::uint32_t to = recipient(rng, sender);
-    tsize = combine(to, acceptance_word(rng(), (e & kSendBit) | sender),
-                    slot, tdata, tsize);
+    tsize = combine(to, offered_word<kRanked>(rng, e), slot, tdata, tsize);
   }
   partial.touched = tsize;
   return partial;
@@ -312,8 +335,9 @@ template <bool kChurn, typename RecipientFn>
 
 /// Routes one shard's senders into per-destination-shard buckets (the
 /// multi-shard route phase; `shard_mul` is the fastdiv reciprocal of the
-/// shard block size). Returns the number of messages sent.
-template <bool kChurn, typename RecipientFn>
+/// shard block size). Returns the number of messages sent. kChurn and
+/// kRanked as in route_combine.
+template <bool kChurn, bool kRanked = true, typename RecipientFn>
 [[gnu::noinline]] inline std::uint64_t route_scatter(
     const std::uint32_t* __restrict__ send, std::size_t nsend,
     const RecipientFn recipient, const StreamKey rkey,
@@ -331,8 +355,7 @@ template <bool kChurn, typename RecipientFn>
     const std::uint32_t to = recipient(rng, sender);
     const auto dst = static_cast<std::size_t>(
         (static_cast<unsigned __int128>(to) * shard_mul) >> 64);
-    out[dst].push_back(
-        RoutedMsg{acceptance_word(rng(), (e & kSendBit) | sender), to});
+    out[dst].push_back(RoutedMsg{offered_word<kRanked>(rng, e), to});
   }
   return sent;
 }
@@ -740,6 +763,17 @@ class BatchEngine {
     // across trials via reset()).
     for (Round r = 0; r < budget; ++r) {
       const bool in_s1 = r < stage1_rounds;
+      // Whether a collision's winner is observable this round. Opinions
+      // change only at phase ends and the sender lists are exactly the
+      // opinionated agents, so these counts describe this round's senders
+      // (churn only silences some of them). With one bit among them every
+      // arrival carries it; in Stage I once everyone holds an opinion,
+      // deliver reads no kept bit at all. Unranked rounds route the bare
+      // entry (detail::offered_word) and skip the priority draw.
+      const std::size_t ones = pop_.count(Opinion::kOne);
+      const std::size_t opinionated = pop_.opinionated();
+      const bool ranked = !(ones == 0 || ones == opinionated ||
+                            (in_s1 && opinionated == n));
       const StreamKey route_key =
           round_stream_key(trial_key_, RngPurpose::kRoute, r);
       const StreamKey topo_key =
@@ -788,19 +822,23 @@ class BatchEngine {
       // multiple shards scatter into per-destination buckets.
       for_each_shard([&](std::size_t s) {
         ShardScratch& sh = shard_[s];
-        // One statement of each argument list; the bool_constant picks the
-        // churn-filtered or branch-free loop instantiation, the recipient
-        // policy the complete-graph or neighbor-set draw (use_simd is
-        // false whenever the policy is GraphRecipient, so the kernel calls
-        // only ever see the complete graph's draw_bound).
-        const auto route = [&](auto churn_c, const auto recipient) {
+        // One statement of each argument list; the bool_constants pick the
+        // churn-filtered or branch-free and the ranked or unranked loop
+        // instantiation, the recipient policy the complete-graph or
+        // neighbor-set draw (use_simd is false whenever the policy is
+        // GraphRecipient, so the kernel calls only ever see the complete
+        // graph's draw_bound). The SIMD twins always draw the priority:
+        // in ranked and unranked rounds alike that keeps the same bits.
+        const auto route = [&](auto churn_c, auto ranked_c,
+                               const auto recipient) {
           constexpr bool kChurn = decltype(churn_c)::value;
+          constexpr bool kRanked = decltype(ranked_c)::value;
           if (shards == 1) {
             const detail::RoutePartial partial =
                 use_simd ? detail::route_combine_simd<kChurn>(
                                sh.send.data(), sh.send.size(), draw_bound,
                                route_key, awake, slot, sh.touched.data())
-                         : detail::route_combine<kChurn>(
+                         : detail::route_combine<kChurn, kRanked>(
                                sh.send.data(), sh.send.size(), recipient,
                                route_key, awake, slot, sh.touched.data());
             sh.touched_count = partial.touched;
@@ -810,17 +848,24 @@ class BatchEngine {
                                      sh.send.data(), sh.send.size(),
                                      draw_bound, route_key, shard_mul_,
                                      awake, sh.out.data())
-                               : detail::route_scatter<kChurn>(
+                               : detail::route_scatter<kChurn, kRanked>(
                                      sh.send.data(), sh.send.size(),
                                      recipient, route_key, shard_mul_,
                                      awake, sh.out.data());
           }
         };
+        const auto route_ranked = [&](auto churn_c, const auto recipient) {
+          if (ranked) {
+            route(churn_c, std::true_type{}, recipient);
+          } else {
+            route(churn_c, std::false_type{}, recipient);
+          }
+        };
         const auto route_dispatch = [&](const auto recipient) {
           if (churn_on) {
-            route(std::true_type{}, recipient);
+            route_ranked(std::true_type{}, recipient);
           } else {
-            route(std::false_type{}, recipient);
+            route_ranked(std::false_type{}, recipient);
           }
         };
         if (topo_complete) {
@@ -994,7 +1039,7 @@ class BatchEngine {
   // Structure-of-arrays scratch, persistent across trials.
   Population pop_{2};
   std::vector<std::uint64_t> acc_;   ///< packed sample counters per agent
-  std::vector<std::uint64_t> slot_;  ///< best acceptance_word, or kEmptySlot
+  std::vector<std::uint64_t> slot_;  ///< best offered_word, or kEmptySlot
   std::vector<ShardScratch> shard_;
   /// The trial's resolved interaction graph (prepare_breathe). Complete by
   /// default — the identity route path.

@@ -23,6 +23,14 @@ namespace {
 /// sparse enough to stay cheap. The classic entries keep probes off.
 constexpr Round kDynamicProbeEvery = 8;
 
+/// The majority entries' initial set |A| = max(64, n/16): Corollary 2.18's
+/// n/16, floored so small populations still seed a usable sample. It must
+/// fit in n, so those entries declare min_n = kMajorityMinN.
+constexpr std::size_t kMajorityMinN = 64;
+std::size_t majority_initial_set(std::size_t n) {
+  return std::max(kMajorityMinN, n / 16);
+}
+
 BroadcastScenario broadcast_from(const ScenarioConfig& config) {
   BroadcastScenario scenario;
   scenario.n = config.n;
@@ -59,6 +67,21 @@ void register_builtin(ScenarioRegistry& registry) {
   const auto env = [](ScenarioInfo info, bool schedule, bool churn) {
     info.supports_schedule = schedule;
     info.supports_churn = churn;
+    return info;
+  };
+
+  // Marks a baseline dynamic: its factory calibrates no Params, so
+  // resolve() lets it take the channels' whole domain, n >= 2 and eps up
+  // to 0.5, instead of the Params domain every other entry declares.
+  const auto baseline = [](ScenarioInfo info) {
+    info.calibrates_params = false;
+    info.min_n = 2;
+    return info;
+  };
+
+  // Marks a majority entry: its initial set must fit in n.
+  const auto majority_floor = [](ScenarioInfo info) {
+    info.min_n = kMajorityMinN;
     return info;
   };
 
@@ -203,15 +226,15 @@ void register_builtin(ScenarioRegistry& registry) {
     ChurnSpec join_churn = churn;
     join_churn.start_asleep = 0.25;
     registry.add(
-        topo(sur(env({"majority_churn",
+        majority_floor(topo(sur(env({"majority_churn",
          "Majority-consensus with churn and 25% late joiners "
          "(start_asleep 0.25)",
-         "majority", 1024, 0.2, bsc, EnvironmentSchedule{}, join_churn}, true, true))),
+         "majority", 1024, 0.2, bsc, EnvironmentSchedule{}, join_churn}, true, true)))),
         [](const ScenarioConfig& config) {
           MajorityScenario scenario;
           scenario.n = config.n;
           scenario.eps = config.eps;
-          scenario.initial_set = std::max<std::size_t>(64, config.n / 16);
+          scenario.initial_set = majority_initial_set(config.n);
           scenario.majority_bias = 0.25;
           scenario.engine = config.engine;
           scenario.shards = config.shards;
@@ -268,15 +291,15 @@ void register_builtin(ScenarioRegistry& registry) {
       });
 
   registry.add(
-      topo(env({"majority_smallworld",
+      majority_floor(topo(env({"majority_smallworld",
        "Majority-consensus on a Watts-Strogatz small world (k = 8, rewire "
        "p = 0.1)",
-       "majority", 1024, 0.2, bsc}, true, true), "smallworld:8:0.1"),
+       "majority", 1024, 0.2, bsc}, true, true), "smallworld:8:0.1")),
       [](const ScenarioConfig& config) {
         MajorityScenario scenario;
         scenario.n = config.n;
         scenario.eps = config.eps;
-        scenario.initial_set = std::max<std::size_t>(64, config.n / 16);
+        scenario.initial_set = majority_initial_set(config.n);
         scenario.majority_bias = 0.25;
         scenario.engine = config.engine;
         scenario.shards = config.shards;
@@ -297,14 +320,14 @@ void register_builtin(ScenarioRegistry& registry) {
       });
 
   registry.add(
-      topo(sur(env({"majority",
+      majority_floor(topo(sur(env({"majority",
        "Corollary 2.18 majority-consensus: |A| = n/16, majority-bias 0.25",
-       "majority", 1024, 0.2, bsc}, true, true))),
+       "majority", 1024, 0.2, bsc}, true, true)))),
       [](const ScenarioConfig& config) {
         MajorityScenario scenario;
         scenario.n = config.n;
         scenario.eps = config.eps;
-        scenario.initial_set = std::max<std::size_t>(64, config.n / 16);
+        scenario.initial_set = majority_initial_set(config.n);
         scenario.majority_bias = 0.25;
         scenario.engine = config.engine;
         scenario.shards = config.shards;
@@ -358,9 +381,9 @@ void register_builtin(ScenarioRegistry& registry) {
       });
 
   registry.add(
-      {"baseline_silent",
+      baseline({"baseline_silent",
        "Sec 1.6 silent-listening strawman: correct but Theta(n log n/eps^2)",
-       "broadcast", 256, 0.3, bsc},
+       "broadcast", 256, 0.3, bsc}),
       [](const ScenarioConfig& config) {
         return TrialFn([config](std::uint64_t seed, std::size_t trial) {
           const double unit = theory::round_unit(config.n, config.eps);
@@ -383,9 +406,9 @@ void register_builtin(ScenarioRegistry& registry) {
       });
 
   registry.add(
-      {"baseline_forward",
+      baseline({"baseline_forward",
        "Sec 1.6 forward-now strawman: fast, bias decays (2 eps)^depth",
-       "broadcast", 1024, 0.2, bsc},
+       "broadcast", 1024, 0.2, bsc}),
       [](const ScenarioConfig& config) {
         return TrialFn([config](std::uint64_t seed, std::size_t trial) {
           BinarySymmetricChannel channel(config.eps);
@@ -404,9 +427,9 @@ void register_builtin(ScenarioRegistry& registry) {
       });
 
   registry.add(
-      {"baseline_voter",
+      baseline({"baseline_voter",
        "Noisy voter with a zealot source: hovers near 50/50 (refs 49, 50)",
-       "broadcast", 1024, 0.2, bsc},
+       "broadcast", 1024, 0.2, bsc}),
       [](const ScenarioConfig& config) {
         return TrialFn([config](std::uint64_t seed, std::size_t trial) {
           const double unit = theory::round_unit(config.n, config.eps);
@@ -450,21 +473,21 @@ void register_builtin(ScenarioRegistry& registry) {
   };
 
   registry.add(
-      {"baseline_two_choices",
+      baseline({"baseline_two_choices",
        "Two-choices pull dynamics (ref 22) run through the noisy channel",
-       "majority", 1024, 0.2, bsc},
+       "majority", 1024, 0.2, bsc}),
       pull_factory(PullRule::kTwoPlusOwn, 2.0));
 
   registry.add(
-      {"baseline_three_majority",
+      baseline({"baseline_three_majority",
        "3-majority pull dynamics (ref 11) run through the noisy channel",
-       "majority", 1024, 0.2, bsc},
+       "majority", 1024, 0.2, bsc}),
       pull_factory(PullRule::kThreeSamples, 3.0));
 
   registry.add(
-      {"baseline_aae",
+      baseline({"baseline_aae",
        "Angluin-Aspnes-Eisenstat 3-state dynamics; noisy misreads break it",
-       "majority", 1024, 0.2, bsc},
+       "majority", 1024, 0.2, bsc}),
       [](const ScenarioConfig& config) {
         return TrialFn([config](std::uint64_t seed, std::size_t trial) {
           const double unit = theory::round_unit(config.n, config.eps);
@@ -637,9 +660,11 @@ ScenarioConfig ScenarioRegistry::resolve(std::string_view name,
         " runs unsharded and does not support shards > 1 (only --engine "
         "batch shards a trial)");
   }
-  if (config.n < 2) {
-    throw std::invalid_argument("scenario '" + entry.info.name +
-                                "': n must be >= 2");
+  if (config.n < entry.info.min_n) {
+    throw std::invalid_argument(
+        "scenario '" + entry.info.name + "': n must be >= " +
+        std::to_string(entry.info.min_n) + ", got " +
+        std::to_string(config.n));
   }
   // n-dependent topology validation (k <= n - 2, grid factorization):
   // resolve here so a bad (topology, n) pair fails before any trial runs,
@@ -653,6 +678,11 @@ ScenarioConfig ScenarioRegistry::resolve(std::string_view name,
   if (!(config.eps > 0.0) || config.eps > 0.5) {
     throw std::invalid_argument("scenario '" + entry.info.name +
                                 "': eps must be in (0, 0.5]");
+  }
+  if (entry.info.calibrates_params && config.eps == 0.5) {
+    throw std::invalid_argument(
+        "scenario '" + entry.info.name +
+        "': eps must be in (0, 0.5) to calibrate its schedule, got 0.5");
   }
   if (std::find(entry.info.channels.begin(), entry.info.channels.end(),
                 config.channel) == entry.info.channels.end()) {

@@ -65,6 +65,17 @@ struct ScenarioInfo {
   /// dynamics run one substrate, so resolve() rejects shards > 1 on them
   /// rather than running unsharded under a sharded label.
   bool supports_shards = false;
+  /// The smallest n the factory accepts; resolve() rejects a smaller one
+  /// naming the entry, so a sweep grid fails before its first cell. The
+  /// default is the Params domain's n >= 4 (the breathe families and
+  /// desync calibrate Params); the majority entries raise it to 64, since
+  /// their initial set of max(64, n/16) agents must fit in n, and the
+  /// baselines lower it to 2.
+  std::size_t min_n = 4;
+  /// Whether the factory calibrates Params (core/params.hpp), whose eps
+  /// domain is open at 0.5: resolve() then rejects eps = 0.5. The
+  /// baselines clear it and take the channels' closed domain.
+  bool calibrates_params = true;
 };
 
 /// One resolved grid point the factory builds a TrialFn for.

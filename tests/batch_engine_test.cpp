@@ -334,6 +334,93 @@ TEST(BatchEngineTest, ShardsBeyondPopulationClampHarmlessly) {
       run_broadcast(on(scenario, EngineMode::kBatch, 200), 0x5eed, 0));
 }
 
+// --- Unranked rounds ----------------------------------------------------
+// run_breathe skips the acceptance priority in rounds where no recipient
+// can tell its arrivals apart (one bit among the senders, or Stage I with
+// everyone opinionated). A skip condition that is slightly too wide hands
+// a mixed round's collisions to the smallest bare entry, which changes a
+// few kept bits early on; a trial that converges anyway hides that in its
+// final outcome. So these hold every per-phase statistic of the classic
+// oracle, on rounds with one to three dissenting senders, at noise levels
+// where Stage II verdicts sit near ties: the calibrated vote of 2r + 1
+// samples stays several deviations from a tie at any eps, so the test
+// shrinks it to five samples, where one changed sample often decides.
+
+RunDetail detail_of(const BreatheFastResult& result) {
+  RunDetail detail;
+  detail.metrics = result.metrics;
+  detail.success = result.success;
+  detail.correct_fraction = result.correct_fraction;
+  detail.final_bias = result.final_bias;
+  detail.protocol_rounds = result.protocol_rounds;
+  detail.stage1 = result.stage1;
+  detail.stage2 = result.stage2;
+  return detail;
+}
+
+/// Trial 0 of `seed` on the classic oracle, then on the batch engine at 1
+/// and 8 shards. The shards run inline (pool == nullptr): the same
+/// route_scatter / combine_bucket path as a pooled trial, without the two
+/// barriers per round that make a pooled n = 64 trial cost 30x an
+/// unsharded one.
+void expect_substrates_agree(const Params& params,
+                             const BreatheConfig& config,
+                             std::uint64_t seed) {
+  const StreamKey key = trial_stream_key(seed, 0);
+  BinarySymmetricChannel channel(params.eps());
+  BreatheFastResult classic;
+  classic.protocol_rounds =
+      BatchEngine::breathe_schedule(params, config, false).budget;
+  Engine engine(params.n(), channel, key);
+  BreatheProtocol protocol(params, config, key);
+  classic.metrics = engine.run(protocol, classic.protocol_rounds);
+  classic.success = protocol.succeeded();
+  classic.correct_fraction =
+      protocol.population().correct_fraction(config.correct);
+  classic.final_bias = protocol.population().bias(config.correct);
+  classic.stage1 = protocol.stage1_stats();
+  classic.stage2 = protocol.stage2_stats();
+
+  BatchEngine batch;
+  BreatheFastResult fast;
+  for (const std::size_t shards : {1, 8}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    BreatheRunOptions options;
+    options.shards = shards;
+    batch.run_breathe(params, config, channel, key, false, options, fast);
+    expect_detail_eq(detail_of(classic), detail_of(fast));
+  }
+}
+
+TEST(BatchEngineTest, NearUnanimousRoundsIdenticalAcrossSubstrates) {
+  Tuning near_tie;
+  near_tie.r_mult = 0.01;      // r = 2: five-sample Stage II votes
+  near_tie.final_mult = 0.01;  // final phase of the same length
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    const std::size_t n = seed % 2 == 0 ? 64 : 128;
+    const std::size_t dissenters = 1 + seed % 3;
+    const double eps = seed % 4 < 2 ? 0.2 : 0.1;
+    SCOPED_TRACE("seed " + std::to_string(seed) + " n " + std::to_string(n) +
+                 " eps " + std::to_string(eps) + " dissenters " +
+                 std::to_string(dissenters));
+    const Params params = Params::calibrated(n, eps, near_tie);
+    // Stage II from the first round: n - dissenters agents hold B.
+    BreatheConfig boost =
+        majority_config(params, n, n - dissenters, Opinion::kOne);
+    boost.skip_stage1 = true;
+    expect_substrates_agree(params, boost, seed);
+    // Stage I spreads from an initial set of 8 with the dissenters in it.
+    expect_substrates_agree(
+        params, majority_config(params, 8, 8 - dissenters, Opinion::kOne),
+        seed);
+    // First-message pick: newly_correct counts every kept bit.
+    BreatheConfig variant = broadcast_config();
+    variant.stage1_pick = Stage1Pick::kFirstMessage;
+    variant.stage2_subset = Stage2Subset::kPrefixSubset;
+    expect_substrates_agree(params, variant, seed);
+  }
+}
+
 // --- Every registry entry: batch, classic, and sharded agree exactly ----
 
 /// Full TrialOutcome equality: the outcome doubles AND the Metrics
@@ -532,6 +619,45 @@ TEST(BatchEngineTest, EveryRegistryEntryIdenticalOutcomes) {
         expect_outcome_eq(batch, sharded_fn(0x5eed, trial),
                           what + " (batch vs 8 shards)");
       }
+    }
+  }
+}
+
+/// The entries the repository benchmark runs at n = 1024 (sweep_mc and
+/// daemon_mix cells), pinned at that size: batch engine, trials 0 and 1 of
+/// seed 0x5eed. kPinnedOutcomes stops at n = 256, where the per-round
+/// paths these cells spend their time in run far fewer rounds.
+constexpr PinnedOutcome kPinnedBenchOutcomes[] = {
+    {"broadcast", true, 3082, 2328750,
+     1515537, 813213, 0, 454689, 0x3ff0000000000000},
+    {"broadcast", true, 3082, 2328750,
+     1514933, 813817, 0, 454952, 0x3ff0000000000000},
+    {"broadcast_churn", true, 3082, 2212478,
+     1396725, 815753, 0, 419019, 0x3ff0000000000000},
+    {"broadcast_churn", true, 3082, 2213305,
+     1396193, 817112, 0, 419052, 0x3ff0000000000000},
+    {"broadcast_dynamic_rewire", false, 3082, 2184452,
+     1434177, 750275, 0, 430565, 0x3fe8a00000000000},
+    {"broadcast_dynamic_rewire", false, 3082, 2167540,
+     1423906, 743634, 0, 428058, 0x3fecc00000000000},
+    {"majority", true, 3082, 2900608,
+     1840003, 1060605, 0, 552414, 0x3ff0000000000000},
+    {"majority", true, 3082, 2900608,
+     1839749, 1060859, 0, 552103, 0x3ff0000000000000},
+};
+
+TEST(BatchEngineTest, BenchmarkCellsPinnedAtTheirOwnSize) {
+  const ScenarioRegistry& registry = ScenarioRegistry::instance();
+  for (std::size_t row = 0; row < std::size(kPinnedBenchOutcomes); row += 2) {
+    const PinnedOutcome* pin = &kPinnedBenchOutcomes[row];
+    ScenarioOverrides overrides;
+    overrides.n = 1024;
+    overrides.engine = EngineMode::kBatch;
+    const TrialFn fn = registry.make(pin->name, overrides);
+    for (std::size_t trial = 0; trial < 2; ++trial, ++pin) {
+      expect_outcome_pinned(fn(0x5eed, trial), *pin,
+                            std::string(pin->name) + " n=1024 trial " +
+                                std::to_string(trial));
     }
   }
 }

@@ -255,6 +255,51 @@ TEST(SweepTest, HeterogeneousUnderScheduleFailsBeforeTheFirstCell) {
   }
 }
 
+TEST(SweepTest, FactoryRejectedPointsFailBeforeTheFirstCell) {
+  // Each grid's first point is valid and its second is outside the
+  // entry's factory domain: expand_grid rejects the whole grid, naming the
+  // entry and the value, and run_sweep runs no cell.
+  const struct {
+    const char* scenario;
+    std::vector<std::size_t> ns;
+    std::vector<double> epss;
+    EngineMode engine;
+    const char* error;
+  } cases[] = {
+      {"broadcast_small", {}, {0.3, 0.5}, EngineMode::kBatch,
+       "scenario 'broadcast_small': eps must be in (0, 0.5) to calibrate "
+       "its schedule, got 0.5"},
+      {"broadcast_small", {64, 3}, {}, EngineMode::kBatch,
+       "scenario 'broadcast_small': n must be >= 4, got 3"},
+      {"desync", {64, 3}, {}, EngineMode::kBatch,
+       "scenario 'desync': n must be >= 4, got 3"},
+      {"majority", {128, 32}, {}, EngineMode::kBatch,
+       "scenario 'majority': n must be >= 64, got 32"},
+      {"majority", {128, 32}, {}, EngineMode::kSurrogate,
+       "scenario 'majority': n must be >= 64, got 32"},
+  };
+  for (const auto& c : cases) {
+    SweepSpec spec;
+    spec.scenario = c.scenario;
+    spec.ns = c.ns;
+    spec.epss = c.epss;
+    spec.engine = c.engine;
+    spec.trials = 2;
+    try {
+      (void)expand_grid(spec);
+      ADD_FAILURE() << c.error << ": expand_grid accepted the grid";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), c.error);
+    }
+    std::size_t points = 0;
+    EXPECT_THROW(run_sweep(spec,
+                           [&](std::size_t, const SweepPoint&) { ++points; }),
+                 std::invalid_argument)
+        << c.error;
+    EXPECT_EQ(points, 0u) << c.error;
+  }
+}
+
 // --- Reporting ----------------------------------------------------------
 
 // A fixed SweepResult with exactly representable numbers, so the JSON and

@@ -319,6 +319,78 @@ TEST(RegistryTest, ResolveValidates) {
   EXPECT_THROW(registry.resolve("broadcast", bad_n), std::invalid_argument);
 }
 
+// The domain rules a factory would enforce only when its cell runs are
+// declared on the entry (min_n, calibrates_params) and checked by
+// resolve(), so a sweep grid fails before its first point instead of
+// after it.
+
+std::string resolve_error(const std::string& name,
+                          const ScenarioOverrides& overrides) {
+  try {
+    (void)ScenarioRegistry::instance().resolve(name, overrides);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RegistryTest, ParamsEntriesRejectNBelowFour) {
+  ScenarioOverrides tiny;
+  tiny.n = 3;
+  for (const ScenarioInfo* info : ScenarioRegistry::instance().list()) {
+    if (info->calibrates_params) {
+      EXPECT_EQ(resolve_error(info->name, tiny),
+                "scenario '" + info->name + "': n must be >= " +
+                    std::to_string(info->min_n) + ", got 3");
+      EXPECT_GE(info->min_n, 4u) << info->name;
+    } else {
+      EXPECT_EQ(resolve_error(info->name, tiny), "") << info->name;
+    }
+  }
+}
+
+TEST(RegistryTest, ParamsEntriesRejectEpsOneHalf) {
+  ScenarioOverrides half;
+  half.eps = 0.5;
+  std::size_t calibrated = 0;
+  for (const ScenarioInfo* info : ScenarioRegistry::instance().list()) {
+    if (info->calibrates_params) {
+      ++calibrated;
+      EXPECT_EQ(resolve_error(info->name, half),
+                "scenario '" + info->name +
+                    "': eps must be in (0, 0.5) to calibrate its schedule, "
+                    "got 0.5");
+    } else {
+      // The baselines take the channel's closed domain.
+      EXPECT_EQ(resolve_error(info->name, half), "") << info->name;
+    }
+  }
+  EXPECT_EQ(calibrated, 20u) << "the breathe families and desync";
+}
+
+TEST(RegistryTest, MajorityEntriesRejectNBelowTheirInitialSet) {
+  const ScenarioRegistry& registry = ScenarioRegistry::instance();
+  for (const char* name :
+       {"majority", "majority_churn", "majority_smallworld"}) {
+    const bool surrogate = registry.find(name)->supports_surrogate;
+    for (const EngineMode engine :
+         {EngineMode::kBatch, EngineMode::kSurrogate}) {
+      if (engine == EngineMode::kSurrogate && !surrogate) continue;
+      ScenarioOverrides overrides;
+      overrides.engine = engine;
+      overrides.n = 63;
+      EXPECT_EQ(resolve_error(name, overrides),
+                std::string("scenario '") + name +
+                    "': n must be >= 64, got 63");
+      // The smallest accepted n builds and runs: the initial set of 64
+      // is the whole population.
+      overrides.n = 64;
+      EXPECT_NO_THROW((void)registry.make(name, overrides)(0x5eed, 0))
+          << name << " " << engine_mode_name(engine);
+    }
+  }
+}
+
 TEST(RegistryTest, AddRejectsBadEntries) {
   ScenarioRegistry registry;
   const auto factory = [](const ScenarioConfig&) {

@@ -544,6 +544,52 @@ TEST_F(ServiceTest, RejectsShardsOnSingleSubstrateEntriesAtIngest) {
   }
 }
 
+TEST_F(ServiceTest, RejectsFactoryRejectedPointsAtIngest) {
+  // Each grid's first point is valid and its second is outside the
+  // entry's factory domain: ingest rejects the request with the CLI's
+  // text before the first point streams.
+  const struct {
+    const char* scenario;
+    const char* ns;
+    const char* epss;
+    const char* engine;
+  } cases[] = {{"broadcast_small", "", "0.3,0.5", "batch"},
+               {"broadcast_small", "64,3", "", "batch"},
+               {"majority", "128,32", "", "batch"},
+               {"majority", "128,32", "", "surrogate"}};
+  for (const auto& c : cases) {
+    SweepRequest request;
+    request.scenario = c.scenario;
+    request.ns = c.ns;
+    request.epss = c.epss;
+    request.engine = c.engine;
+    request.trials = 2;
+    SweepSpec spec;
+    ASSERT_FALSE(cli::resolve_sweep_request(request, spec).has_value());
+    std::string cli_message;
+    try {
+      (void)cli::expand_grid(spec);
+    } catch (const std::invalid_argument& e) {
+      cli_message = e.what();
+    }
+    ASSERT_NE(cli_message.find(c.scenario), std::string::npos)
+        << cli_message;
+
+    net::SweepClient client(server_.port());
+    std::size_t lines = 0;
+    try {
+      client.run_sweep(request,
+                       [&](std::size_t, const std::string&) { ++lines; });
+      ADD_FAILURE() << c.scenario << " n=" << c.ns << " eps=" << c.epss
+                    << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(cli_message), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(lines, 0u) << c.scenario << " n=" << c.ns;
+  }
+}
+
 TEST_F(ServiceTest, ResumeFromSkipsCompletedCells) {
   SweepRequest request;
   request.scenario = "broadcast_small";
