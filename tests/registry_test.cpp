@@ -319,10 +319,9 @@ TEST(RegistryTest, ResolveValidates) {
   EXPECT_THROW(registry.resolve("broadcast", bad_n), std::invalid_argument);
 }
 
-// The domain rules a factory would enforce only when its cell runs are
-// declared on the entry (min_n, calibrates_params) and checked by
-// resolve(), so a sweep grid fails before its first point instead of
-// after it.
+// Each entry declares the domain its factory enforces (min_n,
+// calibrates_params) and resolve() checks it, so a sweep grid with one
+// point outside it fails before its first point instead of mid-sweep.
 
 std::string resolve_error(const std::string& name,
                           const ScenarioOverrides& overrides) {
