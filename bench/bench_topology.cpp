@@ -2,10 +2,10 @@
 // protocol across interaction-graph families at fixed n.
 //
 // Not a paper claim: times the substrate. The complete graph rides the
-// zero-cost identity path (and, in FLIP_SIMD builds, the vector route
-// kernel); every sparse family routes through GraphRecipient on the scalar
-// path, the rewired kinds paying an extra CounterRng stream per rewired
-// edge lookup and the dynamic kind re-deriving its graph key every round.
+// zero-cost identity path; every sparse family routes through
+// GraphRecipient, the rewired kinds paying an extra CounterRng stream per
+// rewired edge lookup and the dynamic kind re-deriving its graph key every
+// round.
 // This harness makes that price visible next to what the graph does to the
 // protocol itself (success / rounds / messages at the same eps), so a
 // reader can separate substrate cost from protocol behavior:

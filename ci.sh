@@ -192,9 +192,9 @@ fi
 
 # Repository benchmark: perfbench/ calls the pooled run_breathe and the
 # detail:: phase loops directly, so a library change that breaks it must
-# fail here. The suite builds the perfbench binary (always Release,
-# FLIP_SIMD=OFF, into .bench_build/), runs its --selftest, checks the
-# metric catalogue, and runs every workload for 1 s traced and untraced:
+# fail here. The suite builds the perfbench binary (always Release, into
+# .bench_build/), runs its --selftest, checks the metric catalogue, and
+# runs every workload for 1 s traced and untraced:
 # the per-trial conservation check, the run_sweep aggregate replay and the
 # shards=4 == shards=1 digest run on the build the benchmark measures, and
 # each run must report failed == 0 (~1 min).
@@ -204,31 +204,6 @@ else
   echo "python3 not found; skipping the perfbench checks" >&2
 fi
 
-# FLIP_SIMD=ON pass: build the vector round kernels and re-run the whole
-# suite — the SIMD differential/property tests only bite in this
-# configuration (they SKIP in the scalar build above). The --simd perf gate
-# then holds the measured kernel speedup to the committed
-# bench/results/BENCH_simd.json point; on machines whose CPU can't run any
-# compiled vector set the gate self-skips (isa=scalar) while the exactness
-# tests still ran. Skip the whole job with FLIP_SKIP_SIMD=1 (e.g.
-# architectures without kernels, where it would duplicate the scalar run).
-if [ "${FLIP_SKIP_SIMD:-0}" != "1" ]; then
-  SIMD_DIR="${BUILD_DIR}-simd"
-  cmake -B "$SIMD_DIR" -S . -DFLIP_WERROR=ON -DFLIP_SIMD=ON \
-    -DFLIP_BUILD_BENCH=ON
-  cmake --build "$SIMD_DIR" -j
-  (cd "$SIMD_DIR" && ctest --output-on-failure -j "$(nproc)")
-  SIMD_BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$SIMD_DIR/CMakeCache.txt")"
-  if [ "$SIMD_BUILD_TYPE" = "Release" ] && command -v python3 >/dev/null 2>&1; then
-    python3 tools/check_engine_perf.py --simd "$SIMD_DIR/bench/bench_simd" \
-      bench/results/BENCH_simd.json "$SIMD_DIR/bench_simd.json"
-  else
-    echo "skipping simd perf gate (build type: ${SIMD_BUILD_TYPE:-unknown})"
-  fi
-else
-  echo "skipping FLIP_SIMD pass (FLIP_SKIP_SIMD=1)"
-fi
-
 # ThreadSanitizer pass over the sharded engine: the intra-trial shard
 # phases (route/deliver AND the churn liveness phase with its per-shard
 # delta merge) and the helping ThreadPool wait are the only cross-thread
@@ -236,9 +211,9 @@ fi
 # The filter includes the churn-enabled sharded tests, the
 # dynamic-scenario AND sparse-topology sweep matrices (per-round graph
 # rewiring + the locality-partitioned sharded route run under
-# SweepDeterminism/Registry/PropertyDifferential), and (FLIP_SIMD is ON
-# here too) the property/differential suites, which drive the vector
-# kernels from sharded rounds. The service layer runs here too: the sweep
+# SweepDeterminism/Registry/PropertyDifferential), whose sharded
+# complete-graph trials drive the same route_scatter and deliver loops
+# every build ships. The service layer runs here too: the sweep
 # daemon's ingest/runner threads, the ring-buffer handoff, the framing
 # helpers, and the thread-local TrialArena lease stack
 # (ServiceTest/RingBufferTest/FrameTest/TrialArenaTest — none need the
@@ -247,43 +222,38 @@ fi
 if [ "${FLIP_SKIP_TSAN:-0}" != "1" ]; then
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DFLIP_TSAN=ON -DFLIP_SIMD=ON -DFLIP_BUILD_BENCH=OFF \
+    -DFLIP_TSAN=ON -DFLIP_BUILD_BENCH=OFF \
     -DFLIP_BUILD_EXAMPLES=OFF -DFLIP_BUILD_TOOLS=OFF
   cmake --build "$TSAN_DIR" -j
   (cd "$TSAN_DIR" && ctest --output-on-failure -j "$(nproc)" \
-    -R 'BatchEngineTest|SweepDeterminismTest|ThreadPoolTest|PropertyDifferentialTest|SimdDifferentialTest|SimdKernelsTest|ServiceTest|RingBufferTest|FrameTest|TrialArenaTest|RegistryTest.TopologyEntriesRunBitEqualAcrossSubstratesAndShards')
+    -R 'BatchEngineTest|SweepDeterminismTest|ThreadPoolTest|PropertyDifferentialTest|ServiceTest|RingBufferTest|FrameTest|TrialArenaTest|RegistryTest.TopologyEntriesRunBitEqualAcrossSubstratesAndShards')
 else
   echo "skipping ThreadSanitizer pass (FLIP_SKIP_TSAN=1)"
 fi
 
 # AddressSanitizer + UndefinedBehaviorSanitizer pass: the FULL ctest suite
-# (the 21-second suite is cheap even instrumented; the builds dominate) in
-# BOTH FLIP_SIMD settings — the packed SoA paths, the SIMD stack buffers,
-# and the arena lease stack are exactly where a one-past-the-end write
-# hides from the scalar build — plus the fuzz harnesses' corpus smoke and
-# the live daemon smoke (serve/ping/sweep/shutdown, asserting the served
+# (the 21-second suite is cheap even instrumented; the build dominates) —
+# the packed SoA paths and the arena lease stack are exactly where a
+# one-past-the-end write hides from the uninstrumented build — plus the
+# fuzz harnesses' corpus smoke and the live daemon smoke (serve/ping/sweep/shutdown, asserting the served
 # stream under instrumentation). halt_on_error + detect_leaks: any report
 # is a hard failure. Skip with FLIP_SKIP_ASAN=1 (e.g. toolchains without
 # the runtimes). TSan is mutually exclusive with ASan (CMake enforces it),
-# hence the separate trees.
+# hence the separate tree.
 if [ "${FLIP_SKIP_ASAN:-0}" != "1" ]; then
   ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1:check_initialization_order=1:detect_stack_use_after_return=1"
   UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
   export ASAN_OPTIONS UBSAN_OPTIONS
-  for SIMD in ON OFF; do
-    ASAN_DIR="${BUILD_DIR}-asan"
-    [ "$SIMD" = "OFF" ] && ASAN_DIR="${BUILD_DIR}-asan-scalar"
-    cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DFLIP_ASAN=ON -DFLIP_UBSAN=ON -DFLIP_SIMD="$SIMD" -DFLIP_FUZZ=ON \
-      -DFLIP_WERROR=ON -DFLIP_BUILD_BENCH=OFF -DFLIP_BUILD_EXAMPLES=OFF
-    cmake --build "$ASAN_DIR" -j
-    (cd "$ASAN_DIR" && ctest --output-on-failure -j "$(nproc)")
-  done
+  ASAN_DIR="${BUILD_DIR}-asan"
+  cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DFLIP_ASAN=ON -DFLIP_UBSAN=ON -DFLIP_FUZZ=ON \
+    -DFLIP_WERROR=ON -DFLIP_BUILD_BENCH=OFF -DFLIP_BUILD_EXAMPLES=OFF
+  cmake --build "$ASAN_DIR" -j
+  (cd "$ASAN_DIR" && ctest --output-on-failure -j "$(nproc)")
 
   # Daemon smoke under ASan+UBSan: the resident service is the one
   # component whose lifetime outlives a test binary — leases, ring buffer,
   # framing and shutdown all run instrumented here.
-  ASAN_DIR="${BUILD_DIR}-asan"
   "$ASAN_DIR/tools/flipsim" --serve 0 > "$ASAN_DIR/flipsim_serve.log" &
   ASAN_SERVE_PID=$!
   trap 'kill "$ASAN_SERVE_PID" 2>/dev/null || true' EXIT

@@ -44,16 +44,6 @@ void convergence_object(JsonWriter& json, const TrialSummary& summary) {
 
 }  // namespace
 
-std::string point_key(const SweepResult& result, const SweepPoint& point) {
-  std::string key = result.spec.scenario;
-  key += "_n" + std::to_string(point.config.n);
-  key += "_eps" + JsonWriter::number(point.config.eps);
-  if (point.config.channel != kChannelBsc) {
-    key += "_" + point.config.channel;
-  }
-  return key;
-}
-
 void append_sweep_point(JsonWriter& json, const SweepPoint& point) {
   json.begin_object();
   json.key("params")
@@ -189,57 +179,6 @@ TextTable sweep_table(const SweepResult& result) {
         .cell(point.summary.wall_seconds, 2);
   }
   return table;
-}
-
-std::string sweep_to_bench_json(const SweepResult& result,
-                                const std::string& experiment,
-                                const std::string& git_rev) {
-  JsonWriter json;
-  json.begin_object()
-      .field("bench", "flipsim")
-      .field("experiment", experiment)
-      .field("git_rev", git_rev);
-  json.key("metrics").begin_object();
-  const auto metric = [&json](const std::string& name, double value,
-                              const char* unit, bool higher_is_better) {
-    json.key(name)
-        .begin_object()
-        .field("value", value)
-        .field("unit", unit)
-        .field("higher_is_better", higher_is_better)
-        .end_object();
-  };
-  std::size_t total_trials = 0;
-  for (const SweepPoint& point : result.points) {
-    const std::string key = point_key(result, point);
-    metric(key + "_success_rate", point.summary.success.estimate,
-           "probability", true);
-    metric(key + "_rounds_mean", point.summary.rounds.mean(), "rounds",
-           false);
-    metric(key + "_messages_mean", point.summary.messages.mean(), "messages",
-           false);
-    metric(key + "_wall_seconds", point.summary.wall_seconds, "seconds", false);
-    total_trials += point.summary.trials;
-  }
-  metric("sweep_wall_seconds", result.wall_seconds, "seconds", false);
-  if (result.wall_seconds > 0.0) {
-    metric("sweep_trials_per_second",
-           static_cast<double>(total_trials) / result.wall_seconds,
-           "trials/s", true);
-  }
-  json.end_object();  // metrics
-  json.key("params")
-      .begin_object()
-      .field("scenario", result.spec.scenario)
-      .field("trials_per_point",
-             static_cast<std::uint64_t>(result.spec.trials))
-      .field("seed", result.spec.seed)
-      .field("engine", std::string(engine_mode_name(result.spec.engine)))
-      .field("shards", static_cast<std::uint64_t>(result.spec.shards))
-      .field("grid_points", static_cast<std::uint64_t>(result.points.size()))
-      .end_object();
-  json.end_object();
-  return json.str();
 }
 
 std::string validation_to_json(const SurrogateValidationResult& result) {

@@ -35,7 +35,7 @@
 //
 // The engines consume this through two calls on the route hot path:
 // draw_bound() — the range of the recipient index draw (degree, or n-1 on
-// the complete graph: the ONE bound the scalar, SIMD and sharded routes
+// the complete graph: the ONE bound the single-shard and sharded routes
 // share) — and recipient(), which maps the drawn index to an agent id.
 
 #include <cstddef>
@@ -158,7 +158,7 @@ class ResolvedTopology {
   /// n - 1 on the complete graph.
   [[nodiscard]] std::uint64_t degree() const noexcept { return degree_; }
   /// The range of the per-message recipient index draw — the single bound
-  /// the scalar, SIMD and sharded route paths share. Equals degree().
+  /// the single-shard and sharded route paths share. Equals degree().
   [[nodiscard]] std::uint64_t draw_bound() const noexcept { return degree_; }
   /// Grid factorization (rows * cols == n, row-major agent layout);
   /// meaningful for the grid kind only.

@@ -61,7 +61,6 @@
 #include "sim/mailbox.hpp"
 #include "sim/metrics.hpp"
 #include "sim/population.hpp"
-#include "simd/simd.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -130,14 +129,7 @@ namespace detail {
 /// bsc_flip_threshold). One draw, no int-to-double conversion.
 /// Every flip functor exposes begin_round(): a no-op for the static
 /// channels, the schedule evaluation for the round-scoped one.
-/// Flip functors additionally expose kIntegerThreshold: true when the
-/// per-message decision is exactly `(rng() >> 11) < threshold` for a
-/// round-constant `threshold` member — the shape the SIMD flip kernel
-/// implements. HeterogeneousFlip draws a data-dependent probability per
-/// message, so it opts out and keeps the scalar deliver loop (its route
-/// phase still vectorizes: route draws are channel-independent).
 struct BscFlip {
-  static constexpr bool kIntegerThreshold = true;
   std::uint64_t threshold;
   explicit BscFlip(const BinarySymmetricChannel& channel)
       : threshold(bsc_flip_threshold(channel.eps())) {}
@@ -151,7 +143,6 @@ struct BscFlip {
 /// HeterogeneousChannel::transmit, minus the optional: same draws from the
 /// same per-recipient stream.
 struct HeterogeneousFlip {
-  static constexpr bool kIntegerThreshold = false;
   double eps;
   explicit HeterogeneousFlip(const HeterogeneousChannel& channel)
       : eps(channel.eps()) {}
@@ -168,7 +159,6 @@ struct HeterogeneousFlip {
 /// draw) the channel's begin_round performs, re-pinned here once per round,
 /// so the per-message loop stays one draw + one compare like BscFlip.
 struct ScheduledFlip {
-  static constexpr bool kIntegerThreshold = true;
   const EnvironmentSchedule* schedule;
   std::uint64_t threshold = 0;
   explicit ScheduledFlip(const CorrelatedBurstChannel& channel)
@@ -261,7 +251,7 @@ struct DeliverPartial {
 /// Recipient policies for the route loops below. Both consume the same
 /// kRoute words (one uniform_index draw, then the caller takes the
 /// acceptance-priority word), so swapping policies never shifts any other
-/// stream — the topology's draw bound is the ONE bound the scalar, SIMD,
+/// stream — the topology's draw bound is the ONE bound the single-shard
 /// and sharded route paths share.
 ///
 /// The complete graph keeps its own policy (rather than going through
@@ -466,215 +456,6 @@ template <bool kChurn, typename FlipFn>
   return partial;
 }
 
-// --------------------------------------------------------------------------
-// SIMD-blocked twins of the four phase loops above. Each splits its loop at
-// the dispatch seam (src/simd/simd.hpp): pass A batches the pure-arithmetic
-// RNG replay (recipient draw + acceptance priority, or the channel flip)
-// through the active block kernel into small stack buffers; pass B is the
-// unchanged memory-irregular remainder (scatter, min-combine, counter
-// packing), consuming one precomputed lane per message. Because every draw
-// is a pure function of (key, agent) — never of which other draws happened —
-// precomputing a draw the churn filter then discards changes nothing, and
-// the twins are bit-identical to the scalar loops by construction. The
-// scalar loops above stay as compiled ground truth; run_breathe picks a
-// twin only when simd::enabled().
-
-/// Entries per kernel block: big enough to amortize the dispatch call and
-/// keep the vector pipeline fed, small enough that the three stack buffers
-/// (~4 KiB) stay cache-resident under the pass-B scatter traffic.
-inline constexpr std::size_t kSimdBlock = 256;
-
-/// Filters a block of send-list entries to awake senders (the same
-/// pre-draw filter the scalar loops apply). Returns the live count.
-inline std::size_t filter_awake(const std::uint32_t* __restrict__ block,
-                                std::size_t count,
-                                const std::uint8_t* __restrict__ awake,
-                                std::uint32_t* __restrict__ live) {
-  std::size_t live_count = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t e = block[i];
-    live[live_count] = e;
-    live_count += awake[e & kAgentMask] != 0;
-  }
-  return live_count;
-}
-
-/// route_combine, SIMD-blocked (single-shard fast path). `draw_bound` is
-/// the topology's recipient draw bound; the kernels implement the complete
-/// graph only (self-skip baked in), so run_breathe routes sparse topologies
-/// through the scalar loops — draw_bound always equals n - 1 here.
-template <bool kChurn>
-[[gnu::noinline]] inline RoutePartial route_combine_simd(
-    const std::uint32_t* __restrict__ send, std::size_t nsend,
-    std::uint64_t draw_bound, const StreamKey rkey,
-    const std::uint8_t* __restrict__ awake,
-    std::uint64_t* __restrict__ slot, AgentId* __restrict__ tdata) {
-  const simd::Kernels kernels = simd::active();
-  RoutePartial partial;
-  std::size_t tsize = 0;
-  std::uint32_t live[kSimdBlock];
-  std::uint32_t to_buf[kSimdBlock];
-  std::uint64_t word_buf[kSimdBlock];
-  for (std::size_t base = 0; base < nsend; base += kSimdBlock) {
-    const std::size_t take = std::min(kSimdBlock, nsend - base);
-    const std::uint32_t* block = send + base;
-    std::size_t count = take;
-    if constexpr (kChurn) {
-      count = filter_awake(block, take, awake, live);
-      block = live;
-    }
-    kernels.route_block(rkey.hi, rkey.lo, block, count, draw_bound, to_buf,
-                        word_buf);
-    for (std::size_t i = 0; i < count; ++i) {
-      tsize = combine(to_buf[i], word_buf[i], slot, tdata, tsize);
-    }
-    partial.sent += count;
-  }
-  partial.touched = tsize;
-  return partial;
-}
-
-/// route_scatter, SIMD-blocked (multi-shard route phase). Same complete-
-/// graph-only draw_bound contract as route_combine_simd.
-template <bool kChurn>
-[[gnu::noinline]] inline std::uint64_t route_scatter_simd(
-    const std::uint32_t* __restrict__ send, std::size_t nsend,
-    std::uint64_t draw_bound, const StreamKey rkey, std::uint64_t shard_mul,
-    const std::uint8_t* __restrict__ awake,
-    std::vector<RoutedMsg>* __restrict__ out) {
-  const simd::Kernels kernels = simd::active();
-  std::uint64_t sent = 0;
-  std::uint32_t live[kSimdBlock];
-  std::uint32_t to_buf[kSimdBlock];
-  std::uint64_t word_buf[kSimdBlock];
-  for (std::size_t base = 0; base < nsend; base += kSimdBlock) {
-    const std::size_t take = std::min(kSimdBlock, nsend - base);
-    const std::uint32_t* block = send + base;
-    std::size_t count = take;
-    if constexpr (kChurn) {
-      count = filter_awake(block, take, awake, live);
-      block = live;
-    }
-    kernels.route_block(rkey.hi, rkey.lo, block, count, draw_bound, to_buf,
-                        word_buf);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint32_t to = to_buf[i];
-      const auto dst = static_cast<std::size_t>(
-          (static_cast<unsigned __int128>(to) * shard_mul) >> 64);
-      out[dst].push_back(RoutedMsg{word_buf[i], to});
-    }
-    sent += count;
-  }
-  return sent;
-}
-
-/// deliver_stage2 with the channel flip batched through the flip kernel.
-/// `flip_threshold` is the round's integer threshold (the kIntegerThreshold
-/// functors' member). Flips are precomputed for every touched recipient;
-/// under kChurn an asleep recipient's lane is simply never read — its slot
-/// clear and asleep-drop count happen in pass B exactly as in the scalar
-/// loop.
-template <bool kChurn>
-[[gnu::noinline]] inline DeliverPartial deliver_stage2_simd(
-    const AgentId* __restrict__ tdata, std::size_t tsize,
-    const StreamKey ckey, std::uint64_t threshold,
-    std::uint64_t flip_threshold, const std::uint8_t* __restrict__ awake,
-    std::uint64_t* __restrict__ slot, std::uint64_t* __restrict__ acc) {
-  const simd::Kernels kernels = simd::active();
-  DeliverPartial partial;
-  std::uint8_t flip_buf[kSimdBlock];
-  for (std::size_t base = 0; base < tsize; base += kSimdBlock) {
-    const std::size_t take = std::min(kSimdBlock, tsize - base);
-    kernels.flip_block(ckey.hi, ckey.lo, tdata + base, take, flip_threshold,
-                       flip_buf);
-    for (std::size_t j = 0; j < take; ++j) {
-      const std::size_t i = base + j;
-      if (i + 16 < tsize) {
-        __builtin_prefetch(&slot[tdata[i + 16]], 1);
-        __builtin_prefetch(&acc[tdata[i + 16]], 1);
-      }
-      const AgentId to = tdata[i];
-      const std::uint64_t m = slot[to];
-      slot[to] = kEmptySlot;
-      if constexpr (kChurn) {
-        if (awake[to] == 0) {
-          ++partial.asleep_drops;
-          continue;
-        }
-      }
-      const bool sent_one = (m & kSendBit) != 0;
-      const bool flip = flip_buf[j] != 0;
-      partial.flipped += flip;
-      std::uint64_t w = acc[to] + 1;  // ++recv
-      const auto one = static_cast<std::uint64_t>(sent_one ^ flip);
-      const auto in_prefix =
-          static_cast<std::uint64_t>((w & kFieldMask) <= threshold);
-      w += (one << kOnesShift) + ((one & in_prefix) << kPrefixShift);
-      acc[to] = w;
-    }
-  }
-  return partial;
-}
-
-/// deliver_stage1 with the channel flip batched through the flip kernel.
-/// The protocol-side reservoir draw (kProtocol stream) stays scalar in
-/// pass B: it only fires for unopinionated recipients under the uniform
-/// pick rule, and its stream is independent of the channel stream.
-template <bool kChurn>
-[[gnu::noinline]] inline DeliverPartial deliver_stage1_simd(
-    const AgentId* __restrict__ tdata, std::size_t tsize,
-    const StreamKey ckey, const StreamKey pkey, bool uniform_pick,
-    std::uint64_t flip_threshold,
-    const std::uint8_t* __restrict__ has_opinion,
-    const std::uint8_t* __restrict__ awake,
-    std::uint64_t* __restrict__ slot, std::uint64_t* __restrict__ acc,
-    std::vector<AgentId>& activation) {
-  const simd::Kernels kernels = simd::active();
-  DeliverPartial partial;
-  std::uint8_t flip_buf[kSimdBlock];
-  for (std::size_t base = 0; base < tsize; base += kSimdBlock) {
-    const std::size_t take = std::min(kSimdBlock, tsize - base);
-    kernels.flip_block(ckey.hi, ckey.lo, tdata + base, take, flip_threshold,
-                       flip_buf);
-    for (std::size_t j = 0; j < take; ++j) {
-      const std::size_t i = base + j;
-      if (i + 16 < tsize) {
-        __builtin_prefetch(&slot[tdata[i + 16]], 1);
-        __builtin_prefetch(&acc[tdata[i + 16]], 1);
-      }
-      const AgentId to = tdata[i];
-      const std::uint64_t m = slot[to];
-      slot[to] = kEmptySlot;
-      if constexpr (kChurn) {
-        if (awake[to] == 0) {
-          ++partial.asleep_drops;
-          continue;
-        }
-      }
-      const bool sent_one = (m & kSendBit) != 0;
-      const bool flip = flip_buf[j] != 0;
-      partial.flipped += flip;
-      const bool seen_one = sent_one != flip;
-      if (has_opinion[to]) continue;  // Stage I ignores opinionated agents
-      const std::uint64_t v = acc[to];
-      const std::uint64_t recv = (v & kS1RecvMask) + 1;
-      if (recv == 1) activation.push_back(to);
-      std::uint64_t kept;
-      if (uniform_pick) {
-        CounterRng prng(pkey, to);
-        kept = (recv == 1 || uniform_index(prng, recv) == 0)
-                   ? static_cast<std::uint64_t>(seen_one)
-                   : (v >> kKeptShift);
-      } else {
-        kept = recv == 1 ? static_cast<std::uint64_t>(seen_one)
-                         : (v >> kKeptShift);
-      }
-      acc[to] = recv | (kept << kKeptShift);
-    }
-  }
-  return partial;
-}
-
 }  // namespace detail
 
 class BatchEngine {
@@ -732,14 +513,6 @@ class BatchEngine {
     const bool uniform_pick =
         config.stage1_pick == Stage1Pick::kUniformMessage;
     auto flips = detail::make_flip(channel);
-    // The SIMD dispatch seam: when this build compiled vector kernels and
-    // the active set is one (src/simd/simd.hpp), the round phases run the
-    // blocked twins; results are bit-identical either way, so this is a
-    // pure wall-clock decision. kCompiled folds the whole branch out of
-    // FLIP_SIMD=OFF builds. The route kernels implement the complete graph
-    // only, so sparse topologies legitimately fall back to the scalar
-    // route loops (deliver still vectorizes — it is topology-blind).
-    const bool use_simd = simd::kCompiled && simd::enabled() && topo_complete;
     const std::size_t shards = shards_;
     const ChurnSpec& churn = options.engine.churn;
     const bool churn_on = churn.enabled();
@@ -825,33 +598,22 @@ class BatchEngine {
         // One statement of each argument list; the bool_constants pick the
         // churn-filtered or branch-free and the ranked or unranked loop
         // instantiation, the recipient policy the complete-graph or
-        // neighbor-set draw (use_simd is false whenever the policy is
-        // GraphRecipient, so the kernel calls only ever see the complete
-        // graph's draw_bound). The SIMD twins always draw the priority:
-        // in ranked and unranked rounds alike that keeps the same bits.
+        // neighbor-set draw.
         const auto route = [&](auto churn_c, auto ranked_c,
                                const auto recipient) {
           constexpr bool kChurn = decltype(churn_c)::value;
           constexpr bool kRanked = decltype(ranked_c)::value;
           if (shards == 1) {
             const detail::RoutePartial partial =
-                use_simd ? detail::route_combine_simd<kChurn>(
-                               sh.send.data(), sh.send.size(), draw_bound,
-                               route_key, awake, slot, sh.touched.data())
-                         : detail::route_combine<kChurn, kRanked>(
-                               sh.send.data(), sh.send.size(), recipient,
-                               route_key, awake, slot, sh.touched.data());
+                detail::route_combine<kChurn, kRanked>(
+                    sh.send.data(), sh.send.size(), recipient, route_key,
+                    awake, slot, sh.touched.data());
             sh.touched_count = partial.touched;
             sh.sent = partial.sent;
           } else {
-            sh.sent = use_simd ? detail::route_scatter_simd<kChurn>(
-                                     sh.send.data(), sh.send.size(),
-                                     draw_bound, route_key, shard_mul_,
-                                     awake, sh.out.data())
-                               : detail::route_scatter<kChurn, kRanked>(
-                                     sh.send.data(), sh.send.size(),
-                                     recipient, route_key, shard_mul_,
-                                     awake, sh.out.data());
+            sh.sent = detail::route_scatter<kChurn, kRanked>(
+                sh.send.data(), sh.send.size(), recipient, route_key,
+                shard_mul_, awake, sh.out.data());
           }
         };
         const auto route_ranked = [&](auto churn_c, const auto recipient) {
@@ -893,23 +655,6 @@ class BatchEngine {
 
         const auto deliver = [&](auto churn_c) -> detail::DeliverPartial {
           constexpr bool kChurn = decltype(churn_c)::value;
-          // The flip kernel handles exactly the integer-threshold functors;
-          // HeterogeneousFlip (kIntegerThreshold == false) keeps the scalar
-          // deliver loop on every build.
-          if constexpr (std::remove_cvref_t<decltype(flips)>::
-                            kIntegerThreshold) {
-            if (use_simd) {
-              return in_s1 ? detail::deliver_stage1_simd<kChurn>(
-                                 sh.touched.data(), sh.touched_count,
-                                 channel_key, protocol_key, uniform_pick,
-                                 flips.threshold, pop_.has_opinion_data(),
-                                 awake, slot, acc, sh.activation)
-                           : detail::deliver_stage2_simd<kChurn>(
-                                 sh.touched.data(), sh.touched_count,
-                                 channel_key, threshold, flips.threshold,
-                                 awake, slot, acc);
-            }
-          }
           return in_s1 ? detail::deliver_stage1<kChurn>(
                              sh.touched.data(), sh.touched_count,
                              channel_key, protocol_key, uniform_pick,

@@ -16,10 +16,8 @@
 
 namespace flip {
 
-// Stafford's Mix13 multipliers. Named (rather than inlined literals) so the
-// SIMD kernels in src/simd/ broadcast the very same constants into their
-// vector lanes — the golden-vector tests then pin one derivation chain, not
-// two copies of it.
+// Stafford's Mix13 multipliers, named so tests/rng_test.cpp can pin them
+// next to the golden vectors of the chain they feed.
 inline constexpr std::uint64_t kMix13MulA = 0xbf58476d1ce4e5b9ULL;
 inline constexpr std::uint64_t kMix13MulB = 0x94d049bb133111ebULL;
 

@@ -609,32 +609,6 @@ TEST(SweepTest, TopologyTooLargeForGridFailsBeforeRunning) {
   EXPECT_THROW(expand_grid(spec), std::invalid_argument);
 }
 
-TEST(ReportTest, PointKeyIsStable) {
-  const SweepResult result = known_result();
-  EXPECT_EQ(point_key(result, result.points[0]), "demo_n64_eps0.25");
-  SweepResult hetero = known_result();
-  hetero.points[0].config.channel = "heterogeneous";
-  EXPECT_EQ(point_key(hetero, hetero.points[0]),
-            "demo_n64_eps0.25_heterogeneous");
-}
-
-TEST(ReportTest, BenchTrajectorySchema) {
-  const std::string json =
-      sweep_to_bench_json(known_result(), "baseline", "abc1234");
-  EXPECT_NE(json.find("\"bench\": \"flipsim\""), std::string::npos);
-  EXPECT_NE(json.find("\"experiment\": \"baseline\""), std::string::npos);
-  EXPECT_NE(json.find("\"git_rev\": \"abc1234\""), std::string::npos);
-  // Stable metric keys with mandatory unit/higher_is_better.
-  EXPECT_NE(json.find("\"demo_n64_eps0.25_success_rate\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"demo_n64_eps0.25_rounds_mean\""), std::string::npos);
-  EXPECT_NE(json.find("\"unit\": \"rounds\""), std::string::npos);
-  EXPECT_NE(json.find("\"higher_is_better\": false"), std::string::npos);
-  EXPECT_NE(json.find("\"sweep_wall_seconds\""), std::string::npos);
-  // The params block pins reproduction inputs, including the seed.
-  EXPECT_NE(json.find("\"seed\": 7"), std::string::npos);
-}
-
 TEST(ReportTest, BenchReportJsonGolden) {
   BenchReport report;
   report.id = "E1 demo";

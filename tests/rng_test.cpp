@@ -363,16 +363,13 @@ TEST(CounterRngTest, WordsAreApproximatelyUniform) {
   EXPECT_NEAR(static_cast<double>(low_bit) / kAgents, 0.5, 0.01);
 }
 
-// --- SIMD block-kernel chain -------------------------------------------
+// --- Block-kernel chain ------------------------------------------------
 //
-// The src/simd/ kernels recompute the mix64 chain lane-parallel, so the
-// Mix13 multipliers are now named constants shared between the scalar
-// mix64 and the vector kernels. Pin the constants AND the full blocked
-// route/flip chain (key -> per-agent draws -> Lemire index -> self-skip ->
-// acceptance word / threshold compare) through the always-compiled scalar
-// kernel set. simd_kernels_test.cpp then holds every vector set to the
-// same bytes, so these vectors transitively pin the SIMD path too. Like
-// the vectors above: never "fix" these constants — fix the code.
+// Pin the Mix13 constants AND the full blocked route/flip chain (key ->
+// per-agent draws -> Lemire index -> self-skip -> acceptance word /
+// threshold compare) through the src/simd/ block kernels, which replay the
+// draws of the engine's route and deliver loops. Like the vectors above:
+// never "fix" these constants — fix the code.
 
 TEST(CounterRngTest, Mix13ConstantsArePinned) {
   EXPECT_EQ(kMix13MulA, 0xbf58476d1ce4e5b9ULL);
@@ -392,8 +389,8 @@ TEST(CounterRngTest, SimdRouteBlockGoldenVectors) {
                                     100u, 0x8000'0000u | 55u, 12u};
   std::uint32_t to[6];
   std::uint64_t word[6];
-  simd::scalar_kernels().route_block(route0.hi, route0.lo, entries, 6, 100,
-                                     to, word);
+  simd::active().route_block(route0.hi, route0.lo, entries, 6, 100, to,
+                             word);
   const std::uint32_t to_golden[6] = {34u, 2u, 78u, 86u, 59u, 36u};
   const std::uint64_t word_golden[6] = {
       0x0984c24a00000000ULL, 0xc1772bfe00000007ULL, 0x7466f88880000003ULL,
@@ -413,8 +410,8 @@ TEST(CounterRngTest, SimdFlipBlockGoldenVectors) {
   const std::uint32_t recipients[6] = {0u, 1u, 7u, 100u, 4095u, 65535u};
   std::uint8_t flips[6];
   // threshold = 2^51, i.e. a BSC at eps = 0.25 (flip prob 1/4 over 2^53).
-  simd::scalar_kernels().flip_block(chan3.hi, chan3.lo, recipients, 6,
-                                    std::uint64_t{1} << 51, flips);
+  simd::active().flip_block(chan3.hi, chan3.lo, recipients, 6,
+                            std::uint64_t{1} << 51, flips);
   const std::uint8_t golden[6] = {0, 0, 0, 1, 0, 0};
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(flips[i], golden[i]) << "recipient " << recipients[i];

@@ -2,7 +2,7 @@
 // Minimal property-based testing harness for the gtest suite.
 //
 // The differential/property layer (property_differential_test.cpp,
-// simd_differential_test.cpp) checks universal invariants over RANDOM
+// simd_kernels_test.cpp) checks universal invariants over RANDOM
 // configurations, not hand-picked examples. rapidcheck is the
 // fully-featured engine for that style and tests/CMakeLists.txt wires it
 // in when available (FLIP_HAVE_RAPIDCHECK) — but it cannot be a hard

@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Engine perf gates: fast-path, sharded-speedup, and SIMD-kernel points.
+"""Engine perf gates: fast-path and sharded-speedup points.
 
 Usage:
   check_engine_perf.py <bench_engine_perf-binary> <committed-json> <out-json>
   check_engine_perf.py --shards <bench_shards-binary> <committed-json> <out-json>
-  check_engine_perf.py --simd <bench_simd-binary> <committed-json> <out-json>
 
 Default mode runs the CI-sized engine A/B (n=1024, 8 trials, 8 threads) and
 compares the measured batch/classic speedup against the committed reference
@@ -27,19 +26,6 @@ machine's cores, so the gate is hardware-aware:
     box without the cores to feed it, but never expensive — and on any box
     a collapse of the sharded path shows up here.
 
---simd mode runs the CI-sized scalar-vs-vector kernel A/B (single-trial
-broadcast, n=16384) from a FLIP_SIMD=ON build and gates the speedup against
-bench/results/BENCH_simd.json. SIMD speedups depend on the measured ISA and
-the machine, so the gate is hardware-aware like --shards:
-
-  * measured isa == "scalar" (FLIP_SIMD=OFF binary, or a CPU without any
-    compiled vector set) -> nothing to gate; pass with a notice. The
-    exactness tests still ran; only the speedup claim is unmeasurable.
-  * committed row with the SAME isa exists (cores-matching row preferred)
-    -> measured speedup must stay >= 0.8x the committed one;
-  * otherwise -> overhead floor: the vector kernels may be useless on this
-    machine but never expensive (speedup >= 0.95).
-
 Shared by ci.sh and ci.yml so the two CI paths cannot drift. Methodology:
 docs/PERFORMANCE.md.
 """
@@ -58,10 +44,6 @@ SHARD_GATE_SHARDS = 8
 # than the in-process A/B ratio, so its regression tolerance is wider.
 SHARD_TOLERANCE = 0.7
 SHARD_OVERHEAD_FLOOR = 0.75  # 8 shards may not be >25% slower than 1
-
-SIMD_GATE_N = 16384
-SIMD_TOLERANCE = 0.8  # same ISA: >20% regression fails
-SIMD_OVERHEAD_FLOOR = 0.95  # unknown ISA: SIMD may not be >5% slower
 
 
 def rows_from(path):
@@ -161,62 +143,10 @@ def gate_shards(bench, committed_path, out_path):
           f"on {cores} core(s) ({kind})")
 
 
-def simd_row_from(path, n, isa=None, cores=None):
-    """First n row — preferring a matching isa, then matching cores, so a
-    trajectory file holding rows from several machines/ISAs gates against
-    the right one. Returns (speedup, isa, cores) or None."""
-    fallback = None
-    for cols, row in rows_from(path):
-        if row[cols["n"]] != str(n):
-            continue
-        found = (float(row[cols["speedup"]]), row[cols["isa"]],
-                 int(row[cols["cores"]]))
-        if isa is None or found[1] == isa:
-            if cores is None or found[2] == cores:
-                return found
-            fallback = fallback or found
-    return fallback
-
-
-def required_simd_row(path):
-    row = simd_row_from(path, SIMD_GATE_N)
-    if row is None:
-        raise SystemExit(f"{path}: no n={SIMD_GATE_N} row")
-    return row
-
-
-def gate_simd(bench, committed_path, out_path):
-    best = best_of(
-        [bench, "--n", str(SIMD_GATE_N), "--trials", "2",
-         "--json", out_path],
-        out_path, lambda p: required_simd_row(p)[0])
-    _, isa, cores = required_simd_row(out_path)
-
-    if isa == "scalar":
-        print("simd gate skipped: no vector kernel set in this "
-              "build/machine (isa=scalar, speedup is definitionally 1)")
-        return
-    committed = simd_row_from(committed_path, SIMD_GATE_N, isa, cores)
-    if committed is not None and committed[1] == isa:
-        floor = SIMD_TOLERANCE * committed[0]
-        kind = (f"committed {committed[0]:.2f}x for {committed[1]} on "
-                f"{committed[2]} core(s), floor {floor:.2f}x")
-    else:
-        floor = SIMD_OVERHEAD_FLOOR
-        kind = (f"no committed point for {isa}; "
-                f"overhead floor {floor:.2f}x")
-    if best < floor:
-        raise SystemExit(
-            f"simd-kernel regression: {isa} speedup {best:.2f} fell below "
-            f"{floor:.2f} ({kind})")
-    print(f"simd speedup ok: {best:.2f}x with {isa} kernels on {cores} "
-          f"core(s) ({kind})")
-
-
 def main():
     args = sys.argv[1:]
     mode = None
-    if args and args[0] in ("--shards", "--simd"):
+    if args and args[0] == "--shards":
         mode = args[0]
         args = args[1:]
     if len(args) != 3:
@@ -224,8 +154,6 @@ def main():
     bench, committed_path, out_path = args
     if mode == "--shards":
         gate_shards(bench, committed_path, out_path)
-    elif mode == "--simd":
-        gate_simd(bench, committed_path, out_path)
     else:
         gate_fastpath(bench, committed_path, out_path)
 
