@@ -12,7 +12,8 @@
 //
 // resolve_sweep_request runs on every accepted parse too: it is the exact
 // surface a hostile daemon client reaches, and it must reject or resolve
-// without crashing (scenario lookups, list parsing, spec validation).
+// without crashing (scenario lookups, list parsing, and expand_grid's
+// per-point ScenarioRegistry::resolve, topology factoring included).
 
 #include <cstdint>
 #include <optional>

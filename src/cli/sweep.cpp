@@ -1,12 +1,11 @@
 #include "cli/sweep.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <optional>
-#include <sstream>
+#include <set>
 #include <stdexcept>
 
 namespace flip::cli {
@@ -15,7 +14,9 @@ namespace {
 
 // Repeated axis values would produce duplicate grid points — and duplicate
 // metric keys in the BENCH_*.json trajectory, where JSON parsers silently
-// keep only the last one. Order-preserving dedup.
+// keep only the last one. Order-preserving dedup, O(k log k) because the
+// list comes from an untrusted request. A NaN equals nothing, so it is
+// kept (resolve rejects it) and never enters the ordered set.
 template <typename T>
 std::vector<std::optional<T>> axis_values(const std::vector<T>& values) {
   std::vector<std::optional<T>> axis;
@@ -23,9 +24,9 @@ std::vector<std::optional<T>> axis_values(const std::vector<T>& values) {
     axis.push_back(std::nullopt);
     return axis;
   }
+  std::set<T> seen;
   for (const T& value : values) {
-    if (std::find(axis.begin(), axis.end(), std::optional<T>(value)) ==
-        axis.end()) {
+    if (!(value == value) || seen.insert(value).second) {
       axis.emplace_back(value);
     }
   }
@@ -35,6 +36,9 @@ std::vector<std::optional<T>> axis_values(const std::vector<T>& values) {
 }  // namespace
 
 std::vector<ScenarioConfig> expand_grid(const SweepSpec& spec) {
+  if (spec.trials == 0) {
+    throw std::invalid_argument("run_sweep: trials == 0");
+  }
   const ScenarioRegistry& registry = ScenarioRegistry::instance();
   // Materialize each axis with a one-element "default" entry so the cross
   // product below stays a plain triple loop. nullopt — not a sentinel
@@ -62,6 +66,12 @@ std::vector<ScenarioConfig> expand_grid(const SweepSpec& spec) {
       }
     }
   }
+  if (spec.first_cell > grid.size()) {
+    throw std::invalid_argument(
+        "run_sweep: first_cell " + std::to_string(spec.first_cell) +
+        " is past the " + std::to_string(grid.size()) +
+        "-cell grid (stale checkpoint for a different spec?)");
+  }
   return grid;
 }
 
@@ -82,83 +92,11 @@ std::optional<std::string> validate_threads(std::size_t threads,
   return std::nullopt;
 }
 
-std::optional<std::string> validate_shards(std::size_t shards) {
-  if (shards == 0 || shards > kMaxShards) {
-    return "--shards: " + std::to_string(shards) + " is outside 1.." +
-           std::to_string(kMaxShards);
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> validate_eps_values(
-    const std::vector<double>& epss) {
-  for (const double eps : epss) {
-    if (!(eps > 0.0) || eps > 0.5) {
-      std::ostringstream os;
-      os << "--eps: " << eps << " is outside the model's domain (0, 0.5]";
-      return os.str();
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> validate_engine(std::string_view scenario,
-                                           EngineMode engine) {
-  const ScenarioInfo* info = ScenarioRegistry::instance().find(scenario);
-  if (info == nullptr) {
-    return "--scenario: unknown scenario '" + std::string(scenario) +
-           "' (see flipsim --list)";
-  }
-  if (engine == EngineMode::kSurrogate && !info->supports_surrogate) {
-    return "--engine: scenario '" + info->name +
-           "' has no mean-field surrogate model (the surrogate engine "
-           "covers the broadcast/majority/boost families; use --engine "
-           "batch or --engine classic here)";
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> validate_topology(
-    std::string_view scenario, const std::optional<TopologySpec>& topology,
-    EngineMode engine) {
-  const ScenarioInfo* info = ScenarioRegistry::instance().find(scenario);
-  if (info == nullptr) {
-    return "--scenario: unknown scenario '" + std::string(scenario) +
-           "' (see flipsim --list)";
-  }
-  if (topology && !topology->complete() && !info->supports_topology) {
-    return "--topology: scenario '" + info->name +
-           "' does not run on a sparse interaction graph (the broadcast/"
-           "majority/boost families do; see flipsim --list)";
-  }
-  // The graph the sweep would actually run: the override when given, the
-  // registered default otherwise — the preset topology entries are sparse
-  // without any flag on the command line.
-  const TopologySpec& effective =
-      topology ? *topology : info->default_topology;
-  if (engine == EngineMode::kSurrogate && !effective.complete()) {
-    return "--engine: scenario '" + info->name +
-           "': the mean-field surrogate engine models the complete "
-           "interaction graph only, not topology '" + effective.describe() +
-           "'; use --engine batch or --engine classic";
-  }
-  return std::nullopt;
-}
-
 SweepResult run_sweep(const SweepSpec& spec, const SweepPointSink& on_point) {
-  if (spec.trials == 0) {
-    throw std::invalid_argument("run_sweep: trials == 0");
-  }
   const ScenarioRegistry& registry = ScenarioRegistry::instance();
   // Validates every point (including the scenario name) up front, so a
   // typo fails fast instead of after minutes of simulation.
   const std::vector<ScenarioConfig> grid = expand_grid(spec);
-  if (spec.first_cell > grid.size()) {
-    throw std::invalid_argument(
-        "run_sweep: first_cell " + std::to_string(spec.first_cell) +
-        " is past the " + std::to_string(grid.size()) +
-        "-cell grid (stale checkpoint for a different spec?)");
-  }
 
   // One persistent pool serves every grid cell of every sweep: workers are
   // spawned once per distinct --threads value and then live for the whole

@@ -3,6 +3,8 @@
 // grid against the workload registry, runs each point through the parallel
 // Monte-Carlo harness, and keeps wall-clock per point so the reporting
 // layer can emit the perf trajectory alongside the protocol statistics.
+// The registry checks every grid point; this layer adds only its own
+// preconditions (trials, first_cell) and the host's --threads bound.
 
 #include <cstddef>
 #include <cstdint>
@@ -76,56 +78,28 @@ using SweepPointSink =
     std::function<void(std::size_t cell_index, const SweepPoint& point)>;
 
 /// Expands the grid (cross product, axis order n -> eps -> channel) and
-/// runs every point from spec.first_cell on. Validates the whole grid
-/// against the registry before running anything, so a typo fails fast
-/// instead of after minutes of simulation. Throws std::invalid_argument on
-/// unknown scenario/channel, zero trials, or first_cell past the grid.
+/// runs every point from spec.first_cell on. The grid is expanded, and so
+/// checked, before anything runs, so a typo fails fast instead of after
+/// minutes of simulation. Throws what expand_grid throws.
 SweepResult run_sweep(const SweepSpec& spec,
                       const SweepPointSink& on_point = {});
 
-/// The resolved grid run_sweep would execute, in execution order.
+/// The resolved grid run_sweep would execute, in execution order. Every
+/// point goes through ScenarioRegistry::resolve, the one place the
+/// simulator states each entry's domain (n, eps, channel, engine, shards,
+/// topology). Throws std::invalid_argument on the first point resolve
+/// rejects, on zero trials, or on a first_cell past the grid.
 std::vector<ScenarioConfig> expand_grid(const SweepSpec& spec);
 
-// Argument-layer validation shared by flipsim (and testable without a
-// process): each returns nullopt when the value is acceptable, the error
-// text (without the "error: " prefix) otherwise.
-
-/// Validates a --threads request against the detected hardware concurrency.
+/// Validates a --threads request against the detected hardware concurrency
+/// (the one request check that depends on the host, not the grid): nullopt
+/// when acceptable, the error text without the "error: " prefix otherwise.
 /// `hardware` == 0 means the runtime cannot tell (std::thread::
 /// hardware_concurrency is allowed to return 0) — that falls back to a
 /// floor of one worker, so any positive request is accepted rather than
 /// every request being rejected against an upper bound of 0.
 std::optional<std::string> validate_threads(std::size_t threads,
                                             std::size_t hardware);
-
-/// Validates a --shards request against the registry's kMaxShards bound.
-std::optional<std::string> validate_shards(std::size_t shards);
-
-/// Validates every --eps value against the model's (0, 0.5] domain, so a
-/// bad grid fails at the argument layer with the offending value named
-/// instead of deep inside Params::calibrated mid-sweep.
-std::optional<std::string> validate_eps_values(
-    const std::vector<double>& epss);
-
-/// Validates an --engine request against the scenario's registry entry:
-/// the surrogate mode is rejected on scenarios with no mean-field model
-/// (adversarial, desync, baselines) with the supported alternatives named,
-/// BEFORE any simulation runs. Exact modes pass for every known scenario;
-/// an unknown scenario name also fails here (same message as the
-/// registry's, so the user is pointed at --list either way).
-std::optional<std::string> validate_engine(std::string_view scenario,
-                                           EngineMode engine);
-
-/// Validates a --topology request against the scenario's registry entry:
-/// a non-complete graph is rejected on scenarios whose factory ignores it
-/// (adversarial, desync, baselines), and any effective non-complete graph
-/// (the override, or the scenario's default when no override was given) is
-/// rejected under the surrogate engine, which models the complete graph
-/// only. Both fail at the argument layer, naming the scenario and the
-/// topology, BEFORE any simulation runs.
-std::optional<std::string> validate_topology(
-    std::string_view scenario, const std::optional<TopologySpec>& topology,
-    EngineMode engine);
 
 // --- surrogate validation harness (flipsim --validate-surrogate) --------
 //

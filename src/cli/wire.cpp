@@ -1,6 +1,7 @@
 #include "cli/wire.hpp"
 
 #include <charconv>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -173,8 +174,8 @@ std::optional<std::string> resolve_sweep_request(const SweepRequest& request,
   spec = SweepSpec{};
   spec.scenario = request.scenario;
   std::string error;
-  // The validation order is tools/flipsim.cpp's, so CLI and server reject
-  // a bad request with the same message at the same stage.
+  // First the strings become values; a malformed list or spec is named by
+  // the flag it came from.
   if (!request.ns.empty()) {
     const auto ns = parse_size_list(request.ns, error);
     if (!ns) return "--n: " + error;
@@ -183,7 +184,6 @@ std::optional<std::string> resolve_sweep_request(const SweepRequest& request,
   if (!request.epss.empty()) {
     const auto epss = parse_double_list(request.epss, error);
     if (!epss) return "--eps: " + error;
-    if (const auto eps_error = validate_eps_values(*epss)) return eps_error;
     spec.epss = *epss;
   }
   if (!request.channels.empty()) {
@@ -198,11 +198,6 @@ std::optional<std::string> resolve_sweep_request(const SweepRequest& request,
       return threads_error;
     }
     spec.threads = request.threads;
-  }
-  if (request.shards != 1) {
-    if (const auto shards_error = validate_shards(request.shards)) {
-      return shards_error;
-    }
   }
   spec.shards = request.shards;
   if (!request.schedule.empty()) {
@@ -232,17 +227,16 @@ std::optional<std::string> resolve_sweep_request(const SweepRequest& request,
     return "--engine: unknown mode '" + request.engine +
            "' (batch | classic | surrogate)";
   }
-  if (!request.scenario.empty()) {
-    if (const auto engine_error =
-            validate_engine(request.scenario, spec.engine)) {
-      return engine_error;
-    }
-    if (const auto topology_error = validate_topology(
-            request.scenario, spec.topology, spec.engine)) {
-      return topology_error;
-    }
-  }
   spec.first_cell = request.resume_from;
+  if (request.scenario.empty()) return std::nullopt;
+  // Then every grid point meets the registry's rules. Any exception is a
+  // reject: a grid too large to allocate must not take down the caller,
+  // which in the daemon is its one ingest thread.
+  try {
+    (void)expand_grid(spec);
+  } catch (const std::exception& e) {
+    return std::string(e.what());
+  }
   return std::nullopt;
 }
 

@@ -2,12 +2,14 @@
 // Request (de)serialization for the sweep service and the checkpoint
 // files — the text the flipsvc/1 frames and flipchk/1 files carry.
 //
-// A SweepRequest is the ARGUMENT-layer form of a sweep: the raw
-// comma-lists and spec strings exactly as they appear on the flipsim
-// command line. resolve_sweep_request() turns one into a validated
-// SweepSpec through the SAME parse + validate_* calls tools/flipsim.cpp
-// makes (flipsim itself routes through it), so a request rejected by the
-// CLI is rejected by the server with the same message, and vice versa.
+// A SweepRequest is the raw form of a sweep: the comma-lists and spec
+// strings exactly as they appear on the flipsim command line.
+// resolve_sweep_request() is the whole check of one: it parses the
+// strings, then expands the grid, so every point meets
+// ScenarioRegistry::resolve, the one place each entry's domain is stated.
+// flipsim and the daemon's ingest both call it and nothing else, so a
+// request rejected by the CLI is rejected by the server with the same
+// message, and vice versa.
 //
 // Wire text is line-oriented UTF-8: a `flipsvc/1 <command>` first line,
 // then one `key=value` per line (defaulted fields omitted). Unknown keys
@@ -32,8 +34,8 @@ inline constexpr std::string_view kCheckpointProto = "flipchk/1";
 /// What a request frame asks the server to do.
 enum class WireCommand { kSweep, kPing, kShutdown };
 
-/// One sweep request in argument-layer (raw string) form. Field spellings
-/// follow the flipsim flags they mirror.
+/// One sweep request in raw string form. Field spellings follow the
+/// flipsim flags they mirror.
 struct SweepRequest {
   WireCommand command = WireCommand::kSweep;
   std::string scenario;
@@ -63,15 +65,15 @@ struct SweepRequest {
 [[nodiscard]] std::optional<SweepRequest> parse_sweep_request(
     std::string_view text, std::string& error);
 
-/// Argument-layer validation + resolution, shared verbatim between
+/// The whole check of a sweep request, shared verbatim between
 /// tools/flipsim.cpp and the server's ingest thread: parses the list and
-/// spec strings, runs validate_eps_values / validate_threads /
-/// validate_shards / validate_engine / validate_topology in the CLI's
-/// order, and fills `spec`. On failure returns the error text (without
-/// the "error: " prefix) — the same message flipsim prints. When
-/// `scenario` is empty the scenario-dependent checks are skipped (the
-/// --validate-surrogate path); callers that need a scenario enforce that
-/// themselves.
+/// spec strings, checks --threads against this host, fills `spec`, then
+/// runs expand_grid on it. On failure returns the error text (without the
+/// "error: " prefix) — the same message flipsim prints, verbatim from
+/// ScenarioRegistry::resolve for a bad grid point. Any exception
+/// expand_grid throws is a reject, std::bad_alloc included. When
+/// `scenario` is empty only the parse runs (the --validate-surrogate
+/// path); callers that need a scenario enforce that themselves.
 [[nodiscard]] std::optional<std::string> resolve_sweep_request(
     const SweepRequest& request, SweepSpec& spec);
 

@@ -11,6 +11,21 @@ double StageOnePhaseStats::layer_bias() const noexcept {
   return 0.5 * (good - bad) / static_cast<double>(newly_activated);
 }
 
+BreatheSchedule breathe_schedule(const Params& params,
+                                 std::uint64_t start_phase, bool skip_stage1,
+                                 bool stage1_only) {
+  const StageOneSchedule& s1 = params.stage1();
+  BreatheSchedule schedule;
+  schedule.stage1_offset =
+      skip_stage1 ? s1.total_rounds() : s1.phase_start(start_phase);
+  schedule.stage1_rounds = s1.total_rounds() - schedule.stage1_offset;
+  schedule.total_rounds =
+      schedule.stage1_rounds + params.stage2().total_rounds();
+  schedule.budget =
+      stage1_only ? schedule.stage1_rounds : schedule.total_rounds;
+  return schedule;
+}
+
 BreatheProtocol::BreatheProtocol(const Params& params, BreatheConfig config,
                                  const StreamKey& key)
     : params_(params),
@@ -27,14 +42,8 @@ BreatheProtocol::BreatheProtocol(const Params& params, BreatheConfig config,
     throw std::invalid_argument("BreatheProtocol: empty initial set");
   }
 
-  if (config_.skip_stage1) {
-    stage1_offset_ = s1.total_rounds();
-    stage1_rounds_ = 0;
-  } else {
-    stage1_offset_ = s1.phase_start(config_.start_phase);
-    stage1_rounds_ = s1.total_rounds() - stage1_offset_;
-  }
-  total_rounds_ = stage1_rounds_ + params_.stage2().total_rounds();
+  schedule_ = breathe_schedule(params_, config_.start_phase,
+                               config_.skip_stage1, false);
 
   opinionated_.reserve(params_.n());
   for (const Seed& seed : config_.initial) {
@@ -186,7 +195,9 @@ void BreatheProtocol::finalize_stage2_phase(std::uint64_t phase) {
   stage2_stats_.push_back(stats);
 }
 
-bool BreatheProtocol::done(Round r) const { return r + 1 >= total_rounds_; }
+bool BreatheProtocol::done(Round r) const {
+  return r + 1 >= schedule_.total_rounds;
+}
 
 std::string BreatheProtocol::name() const {
   return config_.initial.size() == 1 ? "breathe-broadcast"

@@ -70,6 +70,26 @@ struct BreatheConfig {
   Stage2Subset stage2_subset = Stage2Subset::kUniformSubset;
 };
 
+/// The execution-round layout of one breathe run. Execution starts at
+/// Stage I phase start_phase (at Stage II when skip_stage1), so execution
+/// round r is Stage I schedule round r + stage1_offset while
+/// r < stage1_rounds and Stage II round r - stage1_rounds after that.
+/// BreatheProtocol, BatchEngine::run_breathe and run_surrogate all take it
+/// from breathe_schedule(), so their budgets agree round for round.
+struct BreatheSchedule {
+  Round stage1_offset = 0;  ///< Stage I schedule round of execution round 0
+  Round stage1_rounds = 0;  ///< execution rounds spent in Stage I
+  Round total_rounds = 0;   ///< Stage I from start_phase + all of Stage II
+  Round budget = 0;  ///< rounds this run executes (stage1_only truncates)
+};
+
+/// The layout of a run joining at `start_phase`; `skip_stage1` starts at
+/// Stage II, `stage1_only` ends the budget with Stage I. Precondition:
+/// start_phase <= T + 1.
+BreatheSchedule breathe_schedule(const Params& params,
+                                 std::uint64_t start_phase, bool skip_stage1,
+                                 bool stage1_only);
+
 /// Stage I per-phase observation: the X_i / Y_i / Z_i of the analysis.
 struct StageOnePhaseStats {
   std::uint64_t phase = 0;
@@ -114,8 +134,12 @@ class BreatheProtocol final : public Protocol {
   [[nodiscard]] const Population& population() const noexcept { return pop_; }
   [[nodiscard]] const Params& params() const noexcept { return params_; }
   /// Total execution length in rounds (Stage I from start_phase + Stage II).
-  [[nodiscard]] Round total_rounds() const noexcept { return total_rounds_; }
-  [[nodiscard]] Round stage1_rounds() const noexcept { return stage1_rounds_; }
+  [[nodiscard]] Round total_rounds() const noexcept {
+    return schedule_.total_rounds;
+  }
+  [[nodiscard]] Round stage1_rounds() const noexcept {
+    return schedule_.stage1_rounds;
+  }
   /// True iff every agent ended holding the correct opinion.
   [[nodiscard]] bool succeeded() const;
   [[nodiscard]] const std::vector<StageOnePhaseStats>& stage1_stats()
@@ -129,15 +153,15 @@ class BreatheProtocol final : public Protocol {
 
  private:
   [[nodiscard]] bool in_stage1(Round r) const noexcept {
-    return r < stage1_rounds_;
+    return r < schedule_.stage1_rounds;
   }
   /// Stage I schedule round for execution round r (execution starts at
   /// start_phase, not phase 0).
   [[nodiscard]] Round stage1_round(Round r) const noexcept {
-    return r + stage1_offset_;
+    return r + schedule_.stage1_offset;
   }
   [[nodiscard]] Round stage2_round(Round r) const noexcept {
-    return r - stage1_rounds_;
+    return r - schedule_.stage1_rounds;
   }
 
   void finalize_stage1_phase(std::uint64_t phase);
@@ -156,9 +180,7 @@ class BreatheProtocol final : public Protocol {
   /// Stage II phase (only consulted under Stage2Subset::kPrefixSubset).
   std::vector<std::uint32_t> prefix_ones_;
 
-  Round stage1_offset_ = 0;   ///< phase_start(start_phase)
-  Round stage1_rounds_ = 0;   ///< execution rounds spent in Stage I
-  Round total_rounds_ = 0;
+  BreatheSchedule schedule_;
 
   /// Opinionated agents in the order they gained an opinion; the Stage I
   /// senders are a prefix of this list (those opinionated before the

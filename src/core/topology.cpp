@@ -1,6 +1,9 @@
 #include "core/topology.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -61,11 +64,15 @@ void check_degree(std::size_t k, std::string_view kind) {
 }
 
 /// The largest divisor of n that is at most floor(sqrt(n)) — the most
-/// square rows x cols factorization of n.
+/// square rows x cols factorization of n. O(sqrt(n)): callers bound n.
 std::size_t best_rows(std::size_t n) {
-  std::size_t isqrt = 1;
-  while ((isqrt + 1) * (isqrt + 1) <= n) ++isqrt;
-  for (std::size_t rows = isqrt; rows >= 1; --rows) {
+  // The double root is within one of floor(sqrt(n)); the corrections
+  // compare by division, so they cannot wrap where a square would.
+  std::size_t isqrt = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::sqrt(static_cast<double>(n))));
+  while (isqrt > n / isqrt) --isqrt;
+  while (isqrt + 1 <= n / (isqrt + 1)) ++isqrt;
+  for (std::size_t rows = isqrt; rows > 1; --rows) {
     if (n % rows == 0) return rows;
   }
   return 1;
@@ -172,6 +179,17 @@ ResolvedTopology ResolvedTopology::resolve(const TopologySpec& spec,
     std::ostringstream os;
     os << "topology " << spec.describe() << " needs a population of n >= 2, "
        << "got " << n;
+    throw std::invalid_argument(os.str());
+  }
+  // Neighbour lookups return AgentId, so a sparse graph's agents must fit
+  // its range. Checked before the grid factorization, whose cost grows
+  // like sqrt(n).
+  constexpr std::uint64_t kMaxAgents =
+      std::uint64_t{std::numeric_limits<AgentId>::max()} + 1;
+  if (!spec.complete() && n > kMaxAgents) {
+    std::ostringstream os;
+    os << "topology " << spec.describe() << " addresses agents by 32-bit id, "
+       << "so it needs n <= " << kMaxAgents << ", got n = " << n;
     throw std::invalid_argument(os.str());
   }
   ResolvedTopology topo;

@@ -137,7 +137,8 @@ class ResolvedTopology {
 
   /// Binds `spec` to population `n`. Throws std::invalid_argument with an
   /// actionable message when the family does not fit the population:
-  /// k > n - 2, or no grid factorization with both sides >= 2*radius + 1.
+  /// k > n - 2, no grid factorization with both sides >= 2*radius + 1, or
+  /// a sparse family with more agents than AgentId can address.
   static ResolvedTopology resolve(const TopologySpec& spec, std::size_t n);
 
   [[nodiscard]] TopologyKind kind() const noexcept { return spec_.kind; }

@@ -130,30 +130,10 @@ void SweepServer::serve_connection(int fd) {
   }
   Job job;
   job.fd = fd;
+  // The CLI's whole check, grid expansion included, so a doomed request
+  // is rejected here and never occupies the runner.
   if (auto reject = cli::resolve_sweep_request(*request, job.spec)) {
     [[maybe_unused]] const bool ok = write_frame(fd, "error " + *reject);
-    close_fd(fd);
-    return;
-  }
-  // Fail fast at ingest, before the job can occupy the runner: expanding
-  // the grid runs the registry's full per-cell validation (unknown
-  // channel, bad n, ...), and the checks below mirror run_sweep's own
-  // preconditions so a doomed request never enqueues.
-  std::string reject;
-  try {
-    const auto grid = cli::expand_grid(job.spec);
-    if (job.spec.trials == 0) {
-      reject = "run_sweep: trials == 0";
-    } else if (job.spec.first_cell > grid.size()) {
-      reject = "run_sweep: first_cell " + std::to_string(job.spec.first_cell) +
-               " is past the " + std::to_string(grid.size()) +
-               "-cell grid (stale checkpoint for a different spec?)";
-    }
-  } catch (const std::exception& e) {
-    reject = e.what();
-  }
-  if (!reject.empty()) {
-    [[maybe_unused]] const bool ok = write_frame(fd, "error " + reject);
     close_fd(fd);
     return;
   }

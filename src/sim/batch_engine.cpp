@@ -97,23 +97,6 @@ void BatchEngine::prepare_breathe(const Params& params,
   }
 }
 
-BatchEngine::BreatheSchedule BatchEngine::breathe_schedule(
-    const Params& params, const BreatheConfig& config, bool stage1_only) {
-  const StageOneSchedule& s1 = params.stage1();
-  BreatheSchedule schedule;
-  if (config.skip_stage1) {
-    schedule.stage1_offset = s1.total_rounds();
-  } else {
-    schedule.stage1_offset = s1.phase_start(config.start_phase);
-    schedule.stage1_rounds = s1.total_rounds() - schedule.stage1_offset;
-  }
-  schedule.total_rounds =
-      schedule.stage1_rounds + params.stage2().total_rounds();
-  schedule.budget = stage1_only ? schedule.stage1_rounds
-                                : schedule.total_rounds;
-  return schedule;
-}
-
 void BatchEngine::finish_breathe(BreatheFastResult& result,
                                  Opinion correct) const {
   result.opinionated = pop_.opinionated();

@@ -465,21 +465,6 @@ class BatchEngine {
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
 
-  /// The round layout both substrates run under — one copy of the
-  /// skip_stage1/start_phase arithmetic that BreatheProtocol's constructor
-  /// also performs, so the two cannot drift from each other. Public so the
-  /// scenario layer can size round-anchored environment schedules without
-  /// constructing a protocol first.
-  struct BreatheSchedule {
-    Round stage1_offset = 0;
-    Round stage1_rounds = 0;
-    Round total_rounds = 0;
-    Round budget = 0;  ///< rounds this run executes (stage1_only truncates)
-  };
-  static BreatheSchedule breathe_schedule(const Params& params,
-                                          const BreatheConfig& config,
-                                          bool stage1_only);
-
   /// The sharded SoA fast path for the two-stage breathe protocol. Runs one
   /// execution; call in a loop for a block of trials (all buffers recycle).
   /// `stage1_only` truncates the budget to Stage I, like run_broadcast's
@@ -498,7 +483,8 @@ class BatchEngine {
     trial_key_ = trial_key;
     prepare_breathe(params, config, options);
     const auto [stage1_offset, stage1_rounds, total_rounds, budget] =
-        breathe_schedule(params, config, stage1_only);
+        breathe_schedule(params, config.start_phase, config.skip_stage1,
+                         stage1_only);
 
     result.reset();
     result.protocol_rounds = budget;

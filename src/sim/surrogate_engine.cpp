@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "core/breathe.hpp"
 #include "util/math.hpp"
 
 namespace flip {
@@ -141,20 +142,19 @@ SurrogateResult run_surrogate(const SurrogateSpec& spec) {
   const StageTwoSchedule& s2 = params.stage2();
   const auto n = static_cast<double>(spec.n);
 
-  // Round layout — the same skip_stage1/start_phase arithmetic as
-  // BreatheProtocol's constructor and BatchEngine::breathe_schedule, so the
-  // surrogate's budget matches the exact engines' round for round.
+  // Round layout — the exact engines' own breathe_schedule, so the
+  // surrogate's budget matches theirs round for round.
   const std::uint64_t start_phase =
       spec.auto_join_phase ? params.join_phase_for_initial_set(spec.initial_set)
                            : 0;
-  const Round stage1_offset =
-      spec.skip_stage1 ? s1.total_rounds() : s1.phase_start(start_phase);
-  const Round stage1_rounds = s1.total_rounds() - stage1_offset;
-  const Round total_rounds =
-      stage1_rounds + (spec.stage1_only ? 0 : s2.total_rounds());
+  const BreatheSchedule layout = breathe_schedule(
+      params, start_phase, spec.skip_stage1, spec.stage1_only);
+  const Round stage1_offset = layout.stage1_offset;
+  const Round stage1_rounds = layout.stage1_rounds;
+  const Round budget = layout.budget;
 
   const EnvironmentSchedule schedule =
-      spec.schedule.resolved(spec.eps, total_rounds);
+      spec.schedule.resolved(spec.eps, budget);
   const bool scheduled = schedule.enabled();
   // Effective channel advantage of execution round r. Heterogeneous: flip
   // probability uniform in [0, 1/2 - eps] has mean 1/4 - eps/2, i.e.
@@ -177,7 +177,7 @@ SurrogateResult run_surrogate(const SurrogateSpec& spec) {
 
   AwakeChain awake(spec.churn);
   SurrogateResult result;
-  result.rounds = total_rounds;
+  result.rounds = budget;
 
   const auto opinionated = [&] {
     return seeds_correct.count + seeds_wrong.count + field_count * (1.0 - v);
@@ -350,7 +350,7 @@ SurrogateResult run_surrogate(const SurrogateSpec& spec) {
     const double threshold = 0.99 * n;
     double active = static_cast<double>(spec.initial_set);
     std::size_t next_step = 0;
-    for (Round r = 0; r < total_rounds; r += spec.probe_every) {
+    for (Round r = 0; r < budget; r += spec.probe_every) {
       while (next_step < steps.size() && steps[next_step].round <= r) {
         active = steps[next_step].activated;
         ++next_step;

@@ -57,10 +57,11 @@
 // TrialFn deterministic and thread-order-independent like every other
 // engine's.
 //
-// What the surrogate CANNOT model (run_surrogate throws, and the registry /
-// flipsim reject at the argument layer): the adversarial channel (stateful,
-// order-dependent — no per-round rate exists) and the desync scenarios
-// (per-agent clock offsets break the homogeneous-population assumption).
+// What the surrogate CANNOT model (run_surrogate throws, and
+// ScenarioRegistry::resolve rejects before the first cell): the
+// adversarial channel (stateful, order-dependent — no per-round rate
+// exists) and the desync scenarios (per-agent clock offsets break the
+// homogeneous-population assumption).
 
 #include <cstdint>
 #include <limits>

@@ -1,6 +1,7 @@
 #include "workload/registry.hpp"
 
 #include <algorithm>
+#include <sstream>
 #include <stdexcept>
 
 #include "baselines/aae.hpp"
@@ -603,8 +604,8 @@ ScenarioConfig ScenarioRegistry::resolve(std::string_view name,
     throw std::invalid_argument(
         "scenario '" + entry.info.name +
         "' has no mean-field surrogate model (the surrogate engine covers "
-        "the broadcast/majority/boost families; adversarial, desync and "
-        "baseline entries need --engine batch or --engine classic)");
+        "the broadcast/majority/boost families; use --engine batch or "
+        "--engine classic here)");
   }
   // An override the factory would silently ignore is worse than an error:
   // the run would execute the static environment while reporting the
@@ -645,7 +646,8 @@ ScenarioConfig ScenarioRegistry::resolve(std::string_view name,
   if (config.shards == 0 || config.shards > kMaxShards) {
     throw std::invalid_argument("scenario '" + entry.info.name +
                                 "': shards must be in 1.." +
-                                std::to_string(kMaxShards));
+                                std::to_string(kMaxShards) + ", got " +
+                                std::to_string(config.shards));
   }
   if (config.shards > 1 && !entry.info.supports_shards) {
     throw std::invalid_argument(
@@ -676,8 +678,10 @@ ScenarioConfig ScenarioRegistry::resolve(std::string_view name,
                                 "': " + e.what());
   }
   if (!(config.eps > 0.0) || config.eps > 0.5) {
-    throw std::invalid_argument("scenario '" + entry.info.name +
-                                "': eps must be in (0, 0.5]");
+    std::ostringstream os;
+    os << "scenario '" << entry.info.name << "': eps must be in (0, 0.5], got "
+       << config.eps;
+    throw std::invalid_argument(os.str());
   }
   if (entry.info.calibrates_params && config.eps == 0.5) {
     throw std::invalid_argument(

@@ -244,8 +244,8 @@ const BreatheFastResult& run_breathe_trial(const BreatheCell& cell,
   options.shards = cell.shards;
   options.pool = shard_pool(cell.shards);
   const Round budget =
-      BatchEngine::breathe_schedule(cell.params, cell.config,
-                                    cell.stage1_only)
+      breathe_schedule(cell.params, cell.config.start_phase,
+                       cell.config.skip_stage1, cell.stage1_only)
           .budget;
   BreatheFastResult& result = arena.result;
 

@@ -370,7 +370,8 @@ void expect_substrates_agree(const Params& params,
   BinarySymmetricChannel channel(params.eps());
   BreatheFastResult classic;
   classic.protocol_rounds =
-      BatchEngine::breathe_schedule(params, config, false).budget;
+      breathe_schedule(params, config.start_phase, config.skip_stage1, false)
+          .budget;
   Engine engine(params.n(), channel, key);
   BreatheProtocol protocol(params, config, key);
   classic.metrics = engine.run(protocol, classic.protocol_rounds);

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli/args.hpp"
 #include "cli/bench_report.hpp"
 #include "cli/report.hpp"
 #include "cli/sweep.hpp"
+#include "cli/wire.hpp"
 
 namespace flip::cli {
 namespace {
@@ -436,7 +440,7 @@ TEST(ReportTest, ConvergenceStatsAppearWhenTrialsConverge) {
   EXPECT_EQ(table.at(0, 8), "100");
 }
 
-// --- Argument-layer validation helpers ----------------------------------
+// --- Request checks ---------------------------------------------------
 
 TEST(ValidateThreadsTest, AcceptsWithinHardwareBounds) {
   EXPECT_EQ(validate_threads(1, 8), std::nullopt);
@@ -454,35 +458,72 @@ TEST(ValidateThreadsTest, UnknownHardwareFallsBackToFloorOfOne) {
   EXPECT_NE(validate_threads(0, 0), std::nullopt);
 }
 
+// The rules below live in ScenarioRegistry::resolve; these tests check
+// that resolve_sweep_request, the one request check flipsim and the
+// daemon share, applies them.
+
+/// resolve_sweep_request's verdict on a request for `scenario`.
+std::optional<std::string> verdict(
+    std::string_view scenario,
+    const std::function<void(SweepRequest&)>& edit = {}) {
+  SweepRequest request;
+  request.scenario = scenario;
+  if (edit) edit(request);
+  SweepSpec spec;
+  return resolve_sweep_request(request, spec);
+}
+
 TEST(ValidateShardsTest, EnforcesRegistryBound) {
-  EXPECT_EQ(validate_shards(1), std::nullopt);
-  EXPECT_EQ(validate_shards(kMaxShards), std::nullopt);
-  EXPECT_NE(validate_shards(0), std::nullopt);
-  EXPECT_NE(validate_shards(kMaxShards + 1), std::nullopt);
+  for (const std::size_t shards : {std::size_t{1}, kMaxShards}) {
+    EXPECT_EQ(verdict("broadcast",
+                      [&](SweepRequest& r) { r.shards = shards; }),
+              std::nullopt)
+        << shards;
+  }
+  for (const std::size_t shards : {std::size_t{0}, kMaxShards + 1}) {
+    EXPECT_EQ(verdict("broadcast",
+                      [&](SweepRequest& r) { r.shards = shards; }),
+              "scenario 'broadcast': shards must be in 1.." +
+                  std::to_string(kMaxShards) + ", got " +
+                  std::to_string(shards));
+  }
 }
 
 TEST(ValidateEpsTest, RejectsValuesOutsideModelDomain) {
-  EXPECT_EQ(validate_eps_values({0.1, 0.5}), std::nullopt);
-  const auto too_big = validate_eps_values({0.2, 0.7});
-  ASSERT_TRUE(too_big.has_value());
-  EXPECT_NE(too_big->find("0.7"), std::string::npos);  // names the value
-  EXPECT_TRUE(validate_eps_values({0.0}).has_value());
-  EXPECT_TRUE(validate_eps_values({-0.1}).has_value());
+  // The baselines calibrate no schedule, so they take eps = 0.5.
+  EXPECT_EQ(verdict("baseline_voter",
+                    [](SweepRequest& r) { r.epss = "0.1,0.5"; }),
+            std::nullopt);
+  EXPECT_EQ(verdict("broadcast_small",
+                    [](SweepRequest& r) { r.epss = "0.2,0.7"; }),
+            "scenario 'broadcast_small': eps must be in (0, 0.5], got 0.7");
+  EXPECT_TRUE(verdict("broadcast_small", [](SweepRequest& r) {
+                r.epss = "0";
+              }).has_value());
+  EXPECT_TRUE(verdict("broadcast_small", [](SweepRequest& r) {
+                r.epss = "-0.1";
+              }).has_value());
+  // A NaN equals no other value, so the axis dedup never folds it away.
+  EXPECT_EQ(verdict("broadcast_small",
+                    [](SweepRequest& r) { r.epss = "0.2,nan"; }),
+            "scenario 'broadcast_small': eps must be in (0, 0.5], got nan");
 }
 
 TEST(ValidateEngineTest, ExactEnginesPassForEveryKnownScenario) {
   for (const ScenarioInfo* info : ScenarioRegistry::instance().list()) {
-    EXPECT_EQ(validate_engine(info->name, EngineMode::kBatch), std::nullopt)
-        << info->name;
-    EXPECT_EQ(validate_engine(info->name, EngineMode::kClassic),
-              std::nullopt)
-        << info->name;
+    for (const char* engine : {"batch", "classic"}) {
+      EXPECT_EQ(verdict(info->name,
+                        [&](SweepRequest& r) { r.engine = engine; }),
+                std::nullopt)
+          << info->name << " --engine " << engine;
+    }
   }
 }
 
 TEST(ValidateEngineTest, SurrogateAcceptedExactlyOnSupportedEntries) {
+  const auto surrogate = [](SweepRequest& r) { r.engine = "surrogate"; };
   for (const ScenarioInfo* info : ScenarioRegistry::instance().list()) {
-    const auto error = validate_engine(info->name, EngineMode::kSurrogate);
+    const auto error = verdict(info->name, surrogate);
     if (info->supports_surrogate) {
       EXPECT_EQ(error, std::nullopt) << info->name;
     } else {
@@ -496,19 +537,14 @@ TEST(ValidateEngineTest, SurrogateAcceptedExactlyOnSupportedEntries) {
     }
   }
   // The rejection set is exactly the unmodelable families.
-  EXPECT_TRUE(validate_engine("broadcast_adversarial",
-                              EngineMode::kSurrogate)
-                  .has_value());
-  EXPECT_TRUE(
-      validate_engine("desync", EngineMode::kSurrogate).has_value());
-  EXPECT_TRUE(
-      validate_engine("baseline_voter", EngineMode::kSurrogate).has_value());
-  EXPECT_EQ(validate_engine("broadcast", EngineMode::kSurrogate),
-            std::nullopt);
+  EXPECT_TRUE(verdict("broadcast_adversarial", surrogate).has_value());
+  EXPECT_TRUE(verdict("desync", surrogate).has_value());
+  EXPECT_TRUE(verdict("baseline_voter", surrogate).has_value());
+  EXPECT_EQ(verdict("broadcast", surrogate), std::nullopt);
 }
 
 TEST(ValidateEngineTest, UnknownScenarioFailsAtTheArgumentLayer) {
-  const auto error = validate_engine("no_such_thing", EngineMode::kBatch);
+  const auto error = verdict("no_such_thing");
   ASSERT_TRUE(error.has_value());
   EXPECT_NE(error->find("no_such_thing"), std::string::npos);
   EXPECT_NE(error->find("--list"), std::string::npos);  // points at help
@@ -516,21 +552,18 @@ TEST(ValidateEngineTest, UnknownScenarioFailsAtTheArgumentLayer) {
 
 TEST(ValidateTopologyTest, CompleteAndUnsetPassEverywhere) {
   for (const ScenarioInfo* info : ScenarioRegistry::instance().list()) {
-    EXPECT_EQ(validate_topology(info->name, std::nullopt, EngineMode::kBatch),
-              std::nullopt)
-        << info->name;
-    EXPECT_EQ(validate_topology(info->name, TopologySpec{},
-                                EngineMode::kBatch),
+    EXPECT_EQ(verdict(info->name), std::nullopt) << info->name;
+    EXPECT_EQ(verdict(info->name,
+                      [](SweepRequest& r) { r.topology = "complete"; }),
               std::nullopt)
         << info->name;
   }
 }
 
 TEST(ValidateTopologyTest, SparseAcceptedExactlyOnSupportingEntries) {
-  const TopologySpec ring = TopologySpec::parse("ring:8");
+  const auto ring = [](SweepRequest& r) { r.topology = "ring:8"; };
   for (const ScenarioInfo* info : ScenarioRegistry::instance().list()) {
-    const auto error =
-        validate_topology(info->name, ring, EngineMode::kBatch);
+    const auto error = verdict(info->name, ring);
     if (info->supports_topology) {
       EXPECT_EQ(error, std::nullopt) << info->name;
     } else {
@@ -539,19 +572,18 @@ TEST(ValidateTopologyTest, SparseAcceptedExactlyOnSupportingEntries) {
     }
   }
   // The rejection set is exactly the non-breathe families.
-  EXPECT_TRUE(validate_topology("desync", ring, EngineMode::kBatch)
-                  .has_value());
-  EXPECT_TRUE(validate_topology("baseline_voter", ring, EngineMode::kBatch)
-                  .has_value());
-  EXPECT_EQ(validate_topology("broadcast", ring, EngineMode::kBatch),
-            std::nullopt);
+  EXPECT_TRUE(verdict("desync", ring).has_value());
+  EXPECT_TRUE(verdict("baseline_voter", ring).has_value());
+  EXPECT_EQ(verdict("broadcast", ring), std::nullopt);
 }
 
 TEST(ValidateTopologyTest, SurrogateRejectsAnyEffectiveSparseGraph) {
   // Explicit override under the surrogate engine: rejected, naming the
   // scenario, the topology, and the engines that DO work.
-  const auto error = validate_topology(
-      "broadcast", TopologySpec::parse("ring:8"), EngineMode::kSurrogate);
+  const auto error = verdict("broadcast", [](SweepRequest& r) {
+    r.engine = "surrogate";
+    r.topology = "ring:8";
+  });
   ASSERT_TRUE(error.has_value());
   EXPECT_NE(error->find("broadcast"), std::string::npos) << *error;
   EXPECT_NE(error->find("ring(k=8)"), std::string::npos) << *error;
@@ -559,22 +591,25 @@ TEST(ValidateTopologyTest, SurrogateRejectsAnyEffectiveSparseGraph) {
   EXPECT_NE(error->find("--engine classic"), std::string::npos) << *error;
   // No override, but the scenario's DEFAULT is sparse: still rejected —
   // the effective graph is what matters, not the command line.
-  EXPECT_TRUE(validate_topology("broadcast_ring_k8", std::nullopt,
-                                EngineMode::kSurrogate)
-                  .has_value());
-  // Overriding a sparse-default entry back to complete makes the
-  // surrogate legal again.
-  EXPECT_EQ(validate_topology("broadcast_ring_k8", TopologySpec{},
-                              EngineMode::kSurrogate),
-            std::nullopt);
-  EXPECT_EQ(validate_topology("broadcast", std::nullopt,
-                              EngineMode::kSurrogate),
-            std::nullopt);
+  const auto surrogate = [](SweepRequest& r) { r.engine = "surrogate"; };
+  EXPECT_TRUE(verdict("broadcast_ring_k8", surrogate).has_value());
+  // Overriding a sparse-default entry back to complete clears the graph
+  // rule; what still rejects it is that the entry has no surrogate model.
+  const auto complete = verdict("broadcast_ring_k8", [](SweepRequest& r) {
+    r.engine = "surrogate";
+    r.topology = "complete";
+  });
+  ASSERT_TRUE(complete.has_value());
+  EXPECT_EQ(complete->find("ring(k=8)"), std::string::npos) << *complete;
+  EXPECT_NE(complete->find("no mean-field surrogate model"),
+            std::string::npos)
+      << *complete;
+  EXPECT_EQ(verdict("broadcast", surrogate), std::nullopt);
 }
 
 TEST(ValidateTopologyTest, UnknownScenarioFailsAtTheArgumentLayer) {
   const auto error =
-      validate_topology("no_such_thing", std::nullopt, EngineMode::kBatch);
+      verdict("no_such_thing", [](SweepRequest& r) { r.topology = "ring:8"; });
   ASSERT_TRUE(error.has_value());
   EXPECT_NE(error->find("no_such_thing"), std::string::npos);
   EXPECT_NE(error->find("--list"), std::string::npos);

@@ -21,9 +21,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cli/report.hpp"
@@ -46,6 +49,16 @@ using cli::WireCommand;
 std::string strip_timing(const std::string& line) {
   const std::size_t pos = line.find("\"trial_seconds\"");
   return pos == std::string::npos ? line : line.substr(0, pos);
+}
+
+/// The text resolve_sweep_request rejects `request` with: what flipsim
+/// prints after "error: ", and what the daemon must send back. Empty when
+/// the request is accepted, which every caller treats as a failure.
+std::string cli_reject(const SweepRequest& request) {
+  SweepSpec spec;
+  const auto reject = cli::resolve_sweep_request(request, spec);
+  EXPECT_TRUE(reject.has_value()) << cli::encode_sweep_request(request);
+  return reject.value_or("");
 }
 
 /// The locally-rendered point lines of a sweep, via the same emitter the
@@ -128,7 +141,8 @@ TEST(WireTest, ResolveRejectsWithTheCliMessages) {
   request.epss = "0.9";
   auto reject = cli::resolve_sweep_request(request, spec);
   ASSERT_TRUE(reject.has_value());
-  EXPECT_EQ(*reject, *cli::validate_eps_values({0.9}));
+  EXPECT_EQ(*reject,
+            "scenario 'broadcast_small': eps must be in (0, 0.5], got 0.9");
 
   request.epss = "0.3";
   request.engine = "quantum";
@@ -147,7 +161,94 @@ TEST(WireTest, ResolveRejectsWithTheCliMessages) {
   request.shards = 100000;
   reject = cli::resolve_sweep_request(request, spec);
   ASSERT_TRUE(reject.has_value());
-  EXPECT_EQ(*reject, *cli::validate_shards(100000));
+  EXPECT_EQ(*reject,
+            "scenario 'broadcast_small': shards must be in 1.." +
+                std::to_string(kMaxShards) + ", got 100000");
+}
+
+// Every rule the registry states reaches a request unchanged: for each
+// entry and each override below, resolve_sweep_request returns exactly
+// the text ScenarioRegistry::resolve throws for the same overrides, and
+// accepts exactly where resolve does.
+TEST(WireTest, EveryRegistryRejectionReachesTheRequestVerbatim) {
+  // Each case sets one override on both forms: the raw request field and
+  // the ScenarioOverrides value it parses to.
+  using Apply = std::function<void(const ScenarioInfo&, SweepRequest&,
+                                   ScenarioOverrides&)>;
+  const std::vector<std::pair<const char*, Apply>> cases = {
+      {"engine=surrogate",
+       [](const ScenarioInfo&, SweepRequest& r, ScenarioOverrides& o) {
+         r.engine = "surrogate";
+         o.engine = EngineMode::kSurrogate;
+       }},
+      {"topology=ring:8",
+       [](const ScenarioInfo&, SweepRequest& r, ScenarioOverrides& o) {
+         r.topology = "ring:8";
+         o.topology = TopologySpec::parse("ring:8");
+       }},
+      {"shards=8",
+       [](const ScenarioInfo&, SweepRequest& r, ScenarioOverrides& o) {
+         r.shards = 8;
+         o.shards = 8;
+       }},
+      {"shards=0",
+       [](const ScenarioInfo&, SweepRequest& r, ScenarioOverrides& o) {
+         r.shards = 0;
+         o.shards = 0;
+       }},
+      {"n=min_n-1",
+       [](const ScenarioInfo& info, SweepRequest& r, ScenarioOverrides& o) {
+         r.ns = std::to_string(info.min_n - 1);
+         o.n = info.min_n - 1;
+       }},
+      {"eps=0.5",
+       [](const ScenarioInfo&, SweepRequest& r, ScenarioOverrides& o) {
+         r.epss = "0.5";
+         o.eps = 0.5;
+       }},
+      {"eps=0.7",
+       [](const ScenarioInfo&, SweepRequest& r, ScenarioOverrides& o) {
+         r.epss = "0.7";
+         o.eps = 0.7;
+       }},
+      {"channel=nope",
+       [](const ScenarioInfo&, SweepRequest& r, ScenarioOverrides& o) {
+         r.channels = "nope";
+         o.channel = "nope";
+       }},
+      {"heterogeneous+ramp",
+       [](const ScenarioInfo&, SweepRequest& r, ScenarioOverrides& o) {
+         r.channels = std::string(kChannelHeterogeneous);
+         r.schedule = "ramp:0.4:0.15";
+         o.channel = std::string(kChannelHeterogeneous);
+         o.schedule = EnvironmentSchedule::parse("ramp:0.4:0.15");
+       }},
+  };
+  const ScenarioRegistry& registry = ScenarioRegistry::instance();
+  std::size_t rejections = 0;
+  for (const ScenarioInfo* info : registry.list()) {
+    for (const auto& [what, apply] : cases) {
+      SweepRequest request;
+      request.scenario = info->name;
+      // expand_grid always passes the request's engine and shards.
+      ScenarioOverrides overrides;
+      overrides.engine = EngineMode::kBatch;
+      overrides.shards = 1;
+      apply(*info, request, overrides);
+      std::optional<std::string> expected;
+      try {
+        (void)registry.resolve(info->name, overrides);
+      } catch (const std::invalid_argument& e) {
+        expected = e.what();
+        ++rejections;
+      }
+      SweepSpec spec;
+      EXPECT_EQ(cli::resolve_sweep_request(request, spec), expected)
+          << info->name << " " << what;
+    }
+  }
+  // Most of the crossing is a rejection; a vacuous pass would count 0.
+  EXPECT_GT(rejections, registry.list().size() * 4);
 }
 
 TEST(WireTest, ResolveFillsTheSpec) {
@@ -453,9 +554,7 @@ TEST_F(ServiceTest, RejectsInvalidRequestsWithTheCliMessage) {
     client.run_sweep(request);
     FAIL() << "out-of-domain eps must be rejected";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(*cli::validate_eps_values({0.9})),
-              std::string::npos)
-        << e.what();
+    EXPECT_EQ(e.what(), "flipsvc server: " + cli_reject(request));
   }
   request.epss.clear();
   request.scenario = "no_such_scenario";
@@ -463,10 +562,69 @@ TEST_F(ServiceTest, RejectsInvalidRequestsWithTheCliMessage) {
     client.run_sweep(request);
     FAIL() << "unknown scenario must be rejected at ingest";
   } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), "flipsvc server: " + cli_reject(request));
     EXPECT_NE(std::string(e.what()).find("no_such_scenario"),
               std::string::npos)
         << e.what();
   }
+}
+
+TEST_F(ServiceTest, RejectsEachRegistryRuleWithItsText) {
+  // Three checks that used to be restated before the registry: each
+  // reaches the client as resolve's own text, before any point streams.
+  const struct {
+    const char* scenario;
+    const char* engine;
+    const char* topology;
+    const char* epss;
+  } cases[] = {{"desync", "surrogate", "", ""},
+               {"desync", "batch", "ring:8", ""},
+               {"broadcast_small", "batch", "", "0.7"}};
+  net::SweepClient client(server_.port());
+  for (const auto& c : cases) {
+    SweepRequest request;
+    request.scenario = c.scenario;
+    request.engine = c.engine;
+    request.topology = c.topology;
+    request.epss = c.epss;
+    request.trials = 2;
+    const std::string cli_message = cli_reject(request);
+    ASSERT_NE(cli_message.find(c.scenario), std::string::npos) << cli_message;
+    std::size_t lines = 0;
+    try {
+      client.run_sweep(request,
+                       [&](std::size_t, const std::string&) { ++lines; });
+      ADD_FAILURE() << cli_message << ": the daemon accepted it";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), "flipsvc server: " + cli_message);
+    }
+    EXPECT_EQ(lines, 0u) << cli_message;
+  }
+}
+
+TEST_F(ServiceTest, HostileGridRequestIsRejectedAndPingStillAnswers) {
+  // n = 2^64 - 59 on a grid preset: factoring it used to wrap a square
+  // and then scan divisors for minutes on the one ingest thread. Sent raw
+  // (SweepClient checks nothing locally), it must come back as an error
+  // frame, and the daemon must answer the next ping.
+  SweepRequest request;
+  request.scenario = "broadcast_grid_r2";
+  request.ns = "18446744073709551557";
+  net::SweepClient client(server_.port());
+  std::size_t lines = 0;
+  try {
+    client.run_sweep(request,
+                     [&](std::size_t, const std::string&) { ++lines; });
+    FAIL() << "an n beyond the AgentId range must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), "flipsvc server: " + cli_reject(request));
+    EXPECT_NE(std::string(e.what()).find("18446744073709551557"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(lines, 0u);
+  std::string error;
+  EXPECT_TRUE(client.ping(error)) << error;
 }
 
 TEST_F(ServiceTest, RejectsHeterogeneousUnderScheduleAtIngest) {
@@ -478,15 +636,7 @@ TEST_F(ServiceTest, RejectsHeterogeneousUnderScheduleAtIngest) {
   request.channels = "bsc,heterogeneous";
   request.schedule = "ramp:0.4:0.15";
   request.trials = 2;
-  SweepSpec spec;
-  ASSERT_FALSE(cli::resolve_sweep_request(request, spec).has_value());
-  std::string cli_message;
-  try {
-    (void)cli::expand_grid(spec);
-  } catch (const std::invalid_argument& e) {
-    cli_message = e.what();
-  }
-  ASSERT_FALSE(cli_message.empty()) << "expand_grid must reject the grid";
+  const std::string cli_message = cli_reject(request);
 
   net::SweepClient client(server_.port());
   std::size_t lines = 0;
@@ -495,16 +645,15 @@ TEST_F(ServiceTest, RejectsHeterogeneousUnderScheduleAtIngest) {
                      [&](std::size_t, const std::string&) { ++lines; });
     FAIL() << "heterogeneous + schedule must be rejected at ingest";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(cli_message), std::string::npos)
-        << e.what();
+    EXPECT_EQ(e.what(), "flipsvc server: " + cli_message);
   }
   EXPECT_EQ(lines, 0u);
 }
 
 TEST_F(ServiceTest, RejectsShardsOnSingleSubstrateEntriesAtIngest) {
   // desync runs one substrate, and the classic and surrogate engines run
-  // unsharded: a shard count passes the argument layer, but the registry
-  // rejects it, at ingest, with the CLI's text naming the entry or engine.
+  // unsharded: the registry rejects a shard count there, at ingest, with
+  // the CLI's text naming the entry or engine.
   const struct {
     const char* scenario;
     const char* engine;
@@ -519,14 +668,7 @@ TEST_F(ServiceTest, RejectsShardsOnSingleSubstrateEntriesAtIngest) {
     request.engine = c.engine;
     request.shards = 8;
     request.trials = 2;
-    SweepSpec spec;
-    ASSERT_FALSE(cli::resolve_sweep_request(request, spec).has_value());
-    std::string cli_message;
-    try {
-      (void)cli::expand_grid(spec);
-    } catch (const std::invalid_argument& e) {
-      cli_message = e.what();
-    }
+    const std::string cli_message = cli_reject(request);
     ASSERT_NE(cli_message.find(c.names), std::string::npos) << cli_message;
 
     net::SweepClient client(server_.port());
@@ -537,8 +679,7 @@ TEST_F(ServiceTest, RejectsShardsOnSingleSubstrateEntriesAtIngest) {
       ADD_FAILURE() << c.scenario << " --engine " << c.engine
                     << " accepted shards = 8";
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(cli_message), std::string::npos)
-          << e.what();
+      EXPECT_EQ(e.what(), "flipsvc server: " + cli_message);
     }
     EXPECT_EQ(lines, 0u) << c.scenario << " --engine " << c.engine;
   }
@@ -564,14 +705,7 @@ TEST_F(ServiceTest, RejectsFactoryRejectedPointsAtIngest) {
     request.epss = c.epss;
     request.engine = c.engine;
     request.trials = 2;
-    SweepSpec spec;
-    ASSERT_FALSE(cli::resolve_sweep_request(request, spec).has_value());
-    std::string cli_message;
-    try {
-      (void)cli::expand_grid(spec);
-    } catch (const std::invalid_argument& e) {
-      cli_message = e.what();
-    }
+    const std::string cli_message = cli_reject(request);
     ASSERT_NE(cli_message.find(c.scenario), std::string::npos)
         << cli_message;
 
@@ -583,8 +717,7 @@ TEST_F(ServiceTest, RejectsFactoryRejectedPointsAtIngest) {
       ADD_FAILURE() << c.scenario << " n=" << c.ns << " eps=" << c.epss
                     << " was accepted";
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(cli_message), std::string::npos)
-          << e.what();
+      EXPECT_EQ(e.what(), "flipsvc server: " + cli_message);
     }
     EXPECT_EQ(lines, 0u) << c.scenario << " n=" << c.ns;
   }

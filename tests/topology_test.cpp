@@ -170,6 +170,38 @@ TEST(ResolvedTopologyTest, ResolveRejectsFamiliesThatDoNotFitN) {
       8u);
 }
 
+TEST(ResolvedTopologyTest, SparseFamiliesBeyondTheAgentIdRangeAreRejected) {
+  // Neighbour ids are 32-bit, so a sparse family stops at n = 2^32, and
+  // the check comes before the O(sqrt n) grid factorization: these two
+  // primes would otherwise hold the caller for seconds to minutes.
+  const std::uint64_t limit = std::uint64_t{1} << 32;
+  expect_invalid(
+      [] {
+        ResolvedTopology::resolve(TopologySpec::parse("grid:2"),
+                                  18446744073709551557ULL);  // 2^64 - 59
+      },
+      {"grid(r=2)", "n <= 4294967296", "got n = 18446744073709551557"});
+  expect_invalid(
+      [] {
+        ResolvedTopology::resolve(TopologySpec::parse("grid:2"),
+                                  4611686018427387847ULL);  // prime < 2^62
+      },
+      {"grid(r=2)", "got n = 4611686018427387847"});
+  expect_invalid(
+      [&] {
+        ResolvedTopology::resolve(TopologySpec::parse("ring:8"), limit + 1);
+      },
+      {"ring(k=8)", "got n = 4294967297"});
+  // The last addressable population still resolves.
+  const ResolvedTopology grid =
+      ResolvedTopology::resolve(TopologySpec::parse("grid:2"), limit);
+  EXPECT_EQ(grid.rows(), 65536u);
+  EXPECT_EQ(grid.cols(), 65536u);
+  EXPECT_EQ(
+      ResolvedTopology::resolve(TopologySpec::parse("ring:8"), limit).degree(),
+      8u);
+}
+
 TEST(ResolvedTopologyTest, GridFactorizationPicksTheMostSquareShape) {
   using Shape = std::pair<std::size_t, std::size_t>;
   const auto shape = [](std::size_t n) {

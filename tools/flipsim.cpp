@@ -358,9 +358,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The raw flags in wire form; resolve_sweep_request below runs the exact
-  // parse + validate sequence this file used to inline, so the CLI and the
-  // server reject identically.
+  // The raw flags in wire form; resolve_sweep_request below is the whole
+  // check, grid included, and the daemon runs the same call, so the CLI
+  // and the server reject identically.
   flip::cli::SweepRequest request;
   request.scenario = flags.scenario;
   request.ns = flags.n_list;
