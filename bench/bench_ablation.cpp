@@ -9,16 +9,17 @@
 // plus the schedule's constants (ablations: starved phase 0, tiny gamma,
 // too few boost phases).
 
-#include "bench_common.hpp"
+#include <string>
 
 #include "baselines/forward.hpp"
+#include "cli/bench_report.hpp"
 #include "net/channel.hpp"
 #include "sim/engine.hpp"
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E11 bench_ablation",
       "Knock out each design ingredient (Sections 1.6/2.1.1) and watch "
       "which ones the guarantee\nactually leans on at this scale. Stage II "
@@ -115,7 +116,7 @@ int main(int argc, char** argv) {
         .cell("Sec 1.6: bias decays (2 eps)^depth");
   }
 
-  flip::bench::emit(
+  flip::cli::bench_emit(
       options, table,
       "Note: 'final correct fraction' near 0.5 means the population carries "
       "no usable signal;\nnear 1.0 with success < trials means the "

@@ -10,15 +10,15 @@
 //   3-state AAE    (ref 6): needs three symbols; noisy misreads break it;
 //   push rumor     (noiseless reference point: what's possible sans noise).
 
-#include "bench_common.hpp"
-
 #include <cmath>
+#include <string>
 
 #include "baselines/aae.hpp"
 #include "baselines/forward.hpp"
 #include "baselines/pull_majority.hpp"
 #include "baselines/silent.hpp"
 #include "baselines/voter.hpp"
+#include "cli/bench_report.hpp"
 #include "core/theory.hpp"
 #include "net/channel.hpp"
 #include "sim/engine.hpp"
@@ -39,8 +39,8 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E9 bench_baselines",
       "Every alternative the paper discusses, same noise (eps = 0.2), "
       "n = 2048.\nExpect: only breathe solves noisy broadcast in "
@@ -175,8 +175,8 @@ int main(int argc, char** argv) {
         .cell(row.consensus)
         .cell(row.note);
   }
-  flip::bench::emit(options, table,
-                    "unit = log n / eps^2 = " + flip::format_fixed(unit, 0) +
-                        " rounds.");
+  flip::cli::bench_emit(
+      options, table,
+      "unit = log n / eps^2 = " + flip::format_fixed(unit, 0) + " rounds.");
   return 0;
 }

@@ -4,17 +4,16 @@
 // rounds * eps^2 must stay ~constant and the log-log slope of rounds
 // against eps must be ~ -2.
 
-#include "bench_common.hpp"
-
 #include <vector>
 
+#include "cli/bench_report.hpp"
 #include "core/theory.hpp"
 #include "util/stats.hpp"
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E2 bench_broadcast_eps",
       "Theorem 2.17: rounds ~ 1/eps^2 at fixed n.\n"
       "Expect: rounds*eps^2 ~ constant; log-log slope vs eps ~ -2; "
@@ -47,10 +46,10 @@ int main(int argc, char** argv) {
     rounds.push_back(summary.rounds.mean());
   }
   const flip::PowerLawFit fit = flip::fit_power_law(epses, rounds);
-  flip::bench::emit(options, table,
-                    "power-law fit: rounds ~ " +
-                        flip::format_fixed(fit.prefactor, 1) + " * eps^" +
-                        flip::format_fixed(fit.exponent, 2) + "  (theory: -2; R^2 = " +
-                        flip::format_fixed(fit.r_squared, 4) + ")");
+  flip::cli::bench_emit(
+      options, table,
+      "power-law fit: rounds ~ " + flip::format_fixed(fit.prefactor, 1) +
+          " * eps^" + flip::format_fixed(fit.exponent, 2) +
+          "  (theory: -2; R^2 = " + flip::format_fixed(fit.r_squared, 4) + ")");
   return 0;
 }

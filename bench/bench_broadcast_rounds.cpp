@@ -5,17 +5,16 @@
 // log(n)/eps^2 must stay in a constant band, and the success rate must stay
 // at ~1.
 
-#include "bench_common.hpp"
-
 #include <vector>
 
+#include "cli/bench_report.hpp"
 #include "core/theory.hpp"
 #include "util/stats.hpp"
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E1 bench_broadcast_rounds",
       "Theorem 2.17: noisy broadcast in O(log n / eps^2) rounds, w.h.p.\n"
       "Expect: rounds/(log n/eps^2) ~ constant across n; success ~ 1.");
@@ -50,9 +49,9 @@ int main(int argc, char** argv) {
   // rounds ~ log n: the log-log slope against n should be well below a
   // power law (0.1-0.2 at these sizes).
   const double slope = flip::log_log_slope(ns, rounds);
-  flip::bench::emit(options, table,
-                    "log-log slope of rounds vs n: " +
-                        flip::format_fixed(slope, 3) +
-                        " (logarithmic growth: slope << 1)");
+  flip::cli::bench_emit(options, table,
+                        "log-log slope of rounds vs n: " +
+                            flip::format_fixed(slope, 3) +
+                            " (logarithmic growth: slope << 1)");
   return 0;
 }

@@ -6,17 +6,17 @@
 // the SAME message complexity. The sweep varies D and the attribution rule
 // and includes the full clock-sync pipeline.
 
-#include "bench_common.hpp"
-
 #include <cmath>
+#include <string>
 
+#include "cli/bench_report.hpp"
 #include "core/params.hpp"
 #include "core/theory.hpp"
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E10 bench_desync",
       "Theorem 3.1: no global clock => +O(D * #phases) rounds, unchanged "
       "message complexity,\nsame success guarantee. D rows sweep the skew; "
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   add_row(8 * log_n, flip::Attribution::kLocalWindow, false, "8 log n");
   add_row(0, flip::Attribution::kLocalWindow, true, "clock-sync (Sec 3.2)");
 
-  flip::bench::emit(
+  flip::cli::bench_emit(
       options, table,
       "Extra rounds track D*(#phases+1) exactly (the schedule slack); the "
       "message ratio stays ~1.\nThe clock-sync row additionally pays its "

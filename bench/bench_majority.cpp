@@ -5,16 +5,15 @@
 // Omega(sqrt(log n/|A|)). The sweep covers both thresholds, including the
 // below-threshold region where the guarantee (correctly) disappears.
 
-#include "bench_common.hpp"
-
 #include <algorithm>
 
+#include "cli/bench_report.hpp"
 #include "core/theory.hpp"
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E8 bench_majority",
       "Corollary 2.18: majority-consensus for |A| = Omega(log n/eps^2), "
       "bias = Omega(sqrt(log n/|A|)),\nin O(log n/eps^2) rounds. Expect "
@@ -59,7 +58,7 @@ int main(int argc, char** argv) {
           .cell(summary.rounds.mean(), 0);
     }
   }
-  flip::bench::emit(
+  flip::cli::bench_emit(
       options, table,
       "Rows with bias multiple >= 1 are inside Corollary 2.18's guarantee "
       "and must succeed.\nThe calibrated protocol also survives below the "

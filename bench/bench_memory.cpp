@@ -6,16 +6,15 @@
 // counters and the opinion bits. Squaring n should add O(1) bits; halving
 // eps should add O(1) bits.
 
-#include "bench_common.hpp"
-
 #include <cmath>
 
+#include "cli/bench_report.hpp"
 #include "core/agent.hpp"
 #include "core/params.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E14 bench_memory",
       "Section 1.5: O(log log n + log(1/eps)) memory bits per agent.\n"
       "Expect the bit count to move by O(1) when n is squared or eps "
@@ -37,7 +36,7 @@ int main(int argc, char** argv) {
           .cell(model, 1);
     }
   }
-  flip::bench::emit(
+  flip::cli::bench_emit(
       options, table,
       "The bits column tracks the log log n + log(1/eps) model (last "
       "column), not log2(n):\nagents with loglog-size memory suffice, as "

@@ -6,14 +6,13 @@
 // straight from the source. Expect messages/(n log n/eps^2) in a constant
 // band, and per-agent deliveries above the Shannon-style floor.
 
-#include "bench_common.hpp"
-
+#include "cli/bench_report.hpp"
 #include "core/theory.hpp"
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E3 bench_messages",
       "Theorem 2.17 / Section 1.4: Theta(n log n / eps^2) total bits.\n"
       "Expect: messages/(n log n/eps^2) ~ constant over n AND eps;\n"
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
           .cell(summary.success.to_string());
     }
   }
-  flip::bench::emit(
+  flip::cli::bench_emit(
       options, table,
       "The middle ratio column staying flat across both sweeps is the "
       "Theta(n log n/eps^2) claim;\nits being within a small constant of 1 "

@@ -8,16 +8,15 @@
 //            is Omega(sqrt(log n / n)) — tiny but nonzero, which is all
 //            Stage II needs.
 
-#include "bench_common.hpp"
-
+#include "cli/bench_report.hpp"
 #include "core/params.hpp"
 #include "core/theory.hpp"
 #include "util/stats.hpp"
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E5 bench_stage1_bias",
       "Claims 2.2/2.8: layer bias eps_i >= eps^(i+1)/2 (deteriorates ~2 eps "
       "per layer);\nLemma 2.3: final overall bias = Omega(sqrt(log n/n)).");
@@ -60,7 +59,7 @@ int main(int argc, char** argv) {
   }
 
   const double unit = flip::theory::stage1_output_bias_unit(n);
-  flip::bench::emit(
+  flip::cli::bench_emit(
       options, table,
       "Final overall bias " + flip::format_fixed(overall_bias.mean(), 5) +
           " vs sqrt(log n/n) = " + flip::format_fixed(unit, 5) +

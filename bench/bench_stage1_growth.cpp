@@ -7,16 +7,17 @@
 // Uses a large n with mild noise so that the schedule has several middle
 // phases (T >= 2), and runs Stage I only.
 
-#include "bench_common.hpp"
+#include <iostream>
 
+#include "cli/bench_report.hpp"
 #include "core/params.hpp"
 #include "core/theory.hpp"
 #include "util/stats.hpp"
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E4 bench_stage1_growth",
       "Claim 2.4: layer sizes X_i within [(beta+1)^i X0/16, (beta+1)^i X0];\n"
       "Cor 2.5: X_T = Omega(eps^2 n); Cor 2.6: everyone activated.");
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
       .cell(activated_all == kTrials);
 
   const double eps2n = eps * eps * static_cast<double>(n);
-  flip::bench::emit(
+  flip::cli::bench_emit(
       options, table,
       "X_T / (eps^2 n) = " + flip::format_fixed(x_t.mean() / eps2n, 2) +
           " (Cor 2.5 expects a positive constant); all-activated in " +

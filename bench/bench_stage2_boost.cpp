@@ -8,15 +8,16 @@
 // Runs Stage II in isolation from seeded initial biases and reports the
 // per-phase bias trajectory and final outcome.
 
-#include "bench_common.hpp"
+#include <string>
 
+#include "cli/bench_report.hpp"
 #include "core/theory.hpp"
 #include "util/stats.hpp"
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E7 bench_stage2_boost",
       "Lemma 2.14: per boost phase, bias delta -> min{1.7 delta, 1/800} "
       "w.h.p.;\nCor 2.15 + Lemma 2.16: all correct at Stage II's end.");
@@ -52,11 +53,11 @@ int main(int argc, char** argv) {
           .cell(s.successful);
       prev = s.bias;
     }
-    flip::bench::emit(
+    flip::cli::bench_emit(
         options, table,
         std::string("Seeded bias ") +
-            flip::format_fixed(scenario.initial_bias, 5) +
-            "; run ended " + (detail.success ? "all-correct" : "NOT unanimous") +
+            flip::format_fixed(scenario.initial_bias, 5) + "; run ended " +
+            (detail.success ? "all-correct" : "NOT unanimous") +
             ". The floor column uses the measured previous-phase bias.");
   }
 
@@ -87,7 +88,7 @@ int main(int argc, char** argv) {
         .cell(summary.success.to_string())
         .cell(summary.correct_fraction.mean(), 4);
   }
-  flip::bench::emit(
+  flip::cli::bench_emit(
       options, sweep,
       "Lemma 2.14 promises reliability above ~sqrt(log n/n) (multiple >= 1) "
       "— those rows must be ~1.\nThe calibrated protocol keeps working some "

@@ -10,15 +10,14 @@
 // leaking messages across phases and we measure how far the protocol
 // stretches before the guarantee degrades.
 
-#include "bench_common.hpp"
-
 #include <cmath>
 
+#include "cli/bench_report.hpp"
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E15 bench_sync_granularity",
       "Section 4 open question: schedule slack D vs true clock spread.\n"
       "Expect: success ~1 for spread <= D (Thm 3.1) and graceful "
@@ -56,7 +55,7 @@ int main(int argc, char** argv) {
         .cell(summary.success.to_string())
         .cell(summary.correct_fraction.mean(), 4);
   }
-  flip::bench::emit(
+  flip::cli::bench_emit(
       options, table,
       "Theorem 3.1 covers spread/D <= 1. The region above 1 is outside the "
       "theorem;\nthe slack the protocol tolerates there quantifies the "

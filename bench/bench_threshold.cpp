@@ -5,14 +5,13 @@
 // threshold the phase-0 sample bias eps/2 sinks under its own sampling
 // noise and runs converge to an arbitrary opinion.
 
-#include "bench_common.hpp"
-
+#include "cli/bench_report.hpp"
 #include "core/theory.hpp"
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E12 bench_threshold",
       "Model range (Sec 2): eps > n^(-1/2+eta). Sweeping eps down through "
       "n^(-1/2):\nexpect success ~1 well above the threshold and breakdown "
@@ -44,7 +43,7 @@ int main(int argc, char** argv) {
         .cell(summary.correct_fraction.mean(), 4)
         .cell(summary.rounds.mean(), 0);
   }
-  flip::bench::emit(
+  flip::cli::bench_emit(
       options, table,
       "Below the threshold (multiplier <= 1) the per-sample advantage is "
       "too small for the\nphase-0 seed bias to survive its own sampling "

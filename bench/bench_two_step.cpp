@@ -8,17 +8,16 @@
 // Three computations cross-check each other: the direct binomial, the
 // imaginary two-step process (the proof's construction), and Monte Carlo.
 
-#include "bench_common.hpp"
-
 #include <cmath>
 
+#include "cli/bench_report.hpp"
 #include "core/theory.hpp"
 #include "core/two_step.hpp"
 #include "util/rng.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E6 bench_two_step",
       "Lemma 2.11: P[majority of gamma noisy samples correct] >= "
       "min{1/2+4delta, 1/2+1/100};\nClaim 2.12: Pr(U_x) > x/(10 sqrt r). "
@@ -48,8 +47,8 @@ int main(int argc, char** argv) {
         .cell(bound, 6)
         .cell(exact + 1e-12 >= bound);
   }
-  flip::bench::emit(options, lemma_table,
-                    "(r = ceil(2^22/eps^2) as in Section 2.2.2)");
+  flip::cli::bench_emit(options, lemma_table,
+                        "(r = ceil(2^22/eps^2) as in Section 2.2.2)");
 
   // Cross-validation of the three views at a computable size.
   flip::TextTable xval({"r", "eps", "delta", "exact", "two-step process",
@@ -65,9 +64,9 @@ int main(int argc, char** argv) {
         .cell(flip::majority_correct_via_two_step(cfg), 5)
         .cell(flip::majority_correct_monte_carlo(cfg, 200000, rng), 5);
   }
-  flip::bench::emit(options, xval,
-                    "The two-step process is an exactly equivalent view of "
-                    "the sampling (the proof's key construction).");
+  flip::cli::bench_emit(options, xval,
+                        "The two-step process is an exactly equivalent view of "
+                        "the sampling (the proof's key construction).");
 
   flip::TextTable stirling({"r", "x", "Pr(U_x) exact",
                             "Claim 2.12 bound x/(10 sqrt r)", "holds"});
@@ -86,6 +85,6 @@ int main(int argc, char** argv) {
           .cell(exact > bound);
     }
   }
-  flip::bench::emit(options, stirling, "");
+  flip::cli::bench_emit(options, stirling, "");
   return 0;
 }

@@ -8,13 +8,14 @@
 // per-message flip probability is drawn uniformly from [0, 1/2 - eps]
 // (milder on average) must also preserve the guarantee.
 
-#include "bench_common.hpp"
+#include <string>
 
+#include "cli/bench_report.hpp"
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
-  const auto options = flip::bench::parse_args(argc, argv);
-  flip::bench::banner(
+  const auto options = flip::cli::parse_bench_args(argc, argv);
+  flip::cli::bench_banner(
       options, "E16 bench_variants",
       "Remarks 2.1/2.10 rule variants and the 'at most 1/2 - eps' noise "
       "clause.\nExpect: every variant matches the paper's rule — same "
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
   hetero.heterogeneous_noise = true;
   add_row("heterogeneous noise (flip prob U[0, 1/2-eps])", hetero);
 
-  flip::bench::emit(
+  flip::cli::bench_emit(
       options, table,
       "The first four rows exercise the remark equivalences (the random "
       "choices exist only to make\ndecisions order-invariant for Section "

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Local mirror of .github/workflows/ci.yml: the repo's tier-1 verification
-# plus the flipsim smoke sweep.
+# plus the flipsim CLI and daemon smokes.
 # Usage: ./ci.sh [build-dir]   (default: build)
 set -eu
 
@@ -42,111 +42,11 @@ else
   echo "clang-tidy not found (or no compile database); skipping tidy pass" >&2
 fi
 
-# Smoke sweeps: flipsim must enumerate the registry and emit schema-valid
-# JSON for a small static sweep, a dynamic-environment one (correlated
-# noise bursts at a CI-friendly size), AND a sparse-topology one (the
-# --topology override on a graph preset, exercising the GraphRecipient
-# route + per-round rewiring end to end). The JSON lands in the build
-# dir; CI uploads it as an artifact.
-"$BUILD_DIR/tools/flipsim" --list >/dev/null
-"$BUILD_DIR/tools/flipsim" --scenario broadcast_small --trials 8 \
-  --json "$BUILD_DIR/flipsim_smoke.json"
-"$BUILD_DIR/tools/flipsim" --scenario broadcast_burst --n 256 --eps 0.3 \
-  --trials 4 --json "$BUILD_DIR/flipsim_dynamic.json"
-"$BUILD_DIR/tools/flipsim" --scenario broadcast_dynamic_rewire --n 256 \
-  --eps 0.3 --trials 4 --topology dynamic:8:0.2 \
-  --json "$BUILD_DIR/flipsim_topology.json"
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$BUILD_DIR/flipsim_smoke.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "flipsim-sweep-v1", doc.get("schema")
-assert doc["scenario"] == "broadcast_small"
-assert doc["engine"] == "batch", doc.get("engine")
-assert doc["points"], "sweep produced no grid points"
-point = doc["points"][0]
-assert point["trials"] == 8
-assert {"params", "success_rate", "rounds", "messages", "wall_seconds"} \
-    <= point.keys(), sorted(point.keys())
-assert point["params"]["schedule"] == "static"
-assert point["params"]["churn"] == "none"
-print("flipsim smoke JSON ok:", sys.argv[1])
-EOF
-  python3 - "$BUILD_DIR/flipsim_dynamic.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "flipsim-sweep-v1", doc.get("schema")
-assert doc["scenario"] == "broadcast_burst"
-point = doc["points"][0]
-assert point["params"]["schedule"].startswith("burst("), point["params"]
-assert point["params"]["topology"] == "complete", point["params"]
-assert "convergence_rounds" in point, sorted(point.keys())
-print("flipsim dynamic-scenario JSON ok:", sys.argv[1])
-EOF
-  python3 - "$BUILD_DIR/flipsim_topology.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "flipsim-sweep-v1", doc.get("schema")
-assert doc["scenario"] == "broadcast_dynamic_rewire"
-point = doc["points"][0]
-assert point["params"]["topology"] == "dynamic(k=8 p=0.2)", point["params"]
-print("flipsim topology JSON ok:", sys.argv[1])
-EOF
-else
-  echo "python3 not found; skipping flipsim JSON validation" >&2
-fi
-
-# Service-mode smoke: start the resident daemon on an ephemeral port, run
-# an exact and a surrogate client sweep against it, check the streamed
-# lines are valid JSON and identical (timing fields stripped) to the
-# one-shot CLI's --jsonl output, then shut the daemon down cleanly over
-# the wire (docs/SERVICE.md).
-"$BUILD_DIR/tools/flipsim" --serve 0 > "$BUILD_DIR/flipsim_serve.log" &
-SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
-PORT=""
-for _ in $(seq 1 50); do
-  PORT="$(sed -n 's/^flipsim: serving on 127\.0\.0\.1://p' "$BUILD_DIR/flipsim_serve.log")"
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "flipsim --serve never reported its port" >&2; exit 1; }
-"$BUILD_DIR/tools/flipsim" --connect "$PORT" --ping >/dev/null
-"$BUILD_DIR/tools/flipsim" --connect "$PORT" --scenario broadcast_small \
-  --trials 8 --jsonl "$BUILD_DIR/flipsim_served.jsonl" --quiet
-"$BUILD_DIR/tools/flipsim" --scenario broadcast_small --trials 8 \
-  --jsonl "$BUILD_DIR/flipsim_oneshot.jsonl" --quiet
-"$BUILD_DIR/tools/flipsim" --connect "$PORT" --scenario broadcast \
-  --engine surrogate --n 1000000,1000000000 --eps 0.1,0.4 --trials 16 \
-  --jsonl "$BUILD_DIR/flipsim_served_surrogate.jsonl" --quiet
-"$BUILD_DIR/tools/flipsim" --scenario broadcast \
-  --engine surrogate --n 1000000,1000000000 --eps 0.1,0.4 --trials 16 \
-  --jsonl "$BUILD_DIR/flipsim_oneshot_surrogate.jsonl" --quiet
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$BUILD_DIR/flipsim_served.jsonl" \
-    "$BUILD_DIR/flipsim_oneshot.jsonl" \
-    "$BUILD_DIR/flipsim_served_surrogate.jsonl" \
-    "$BUILD_DIR/flipsim_oneshot_surrogate.jsonl" <<'EOF'
-import json, sys
-strip = lambda lines: [l.split('"trial_seconds"')[0] for l in lines]
-for served_path, oneshot_path in zip(sys.argv[1::2], sys.argv[2::2]):
-    served = open(served_path).read().splitlines()
-    oneshot = open(oneshot_path).read().splitlines()
-    assert served, served_path + ": served sweep streamed no lines"
-    for line in served:
-        point = json.loads(line)
-        assert {"params", "success_rate", "rounds",
-                "messages"} <= point.keys(), sorted(point.keys())
-    assert strip(served) == strip(oneshot), \
-        served_path + ": served sweep diverged from the one-shot CLI"
-    print("flipsim service smoke ok:", served_path, len(served), "line(s)")
-EOF
-else
-  echo "python3 not found; skipping served-JSONL validation" >&2
-fi
-"$BUILD_DIR/tools/flipsim" --connect "$PORT" --shutdown
-wait "$SERVE_PID"
-trap - EXIT
+# CLI and daemon smokes (tools/cli_smoke.sh): three flipsim sweeps with
+# their JSON validated, then a resident daemon whose served sweeps must
+# match the one-shot CLI. The JSON lands in the build dir; CI uploads it
+# as an artifact.
+sh tools/cli_smoke.sh "$BUILD_DIR"
 
 # Surrogate accuracy gate: run the CI-sized surrogate-vs-batch error-band
 # harness (flipsim --validate-surrogate over every supported registry
@@ -235,8 +135,9 @@ fi
 # (the 21-second suite is cheap even instrumented; the build dominates) —
 # the packed SoA paths and the arena lease stack are exactly where a
 # one-past-the-end write hides from the uninstrumented build — plus the
-# fuzz harnesses' corpus smoke and the live daemon smoke (serve/ping/sweep/shutdown, asserting the served
-# stream under instrumentation). halt_on_error + detect_leaks: any report
+# fuzz harnesses' corpus smoke and tools/cli_smoke.sh (the flipsim sweeps
+# and the live daemon smoke, served streams checked against the one-shot
+# CLI under instrumentation). halt_on_error + detect_leaks: any report
 # is a hard failure. Skip with FLIP_SKIP_ASAN=1 (e.g. toolchains without
 # the runtimes). TSan is mutually exclusive with ASan (CMake enforces it),
 # hence the separate tree.
@@ -251,27 +152,10 @@ if [ "${FLIP_SKIP_ASAN:-0}" != "1" ]; then
   cmake --build "$ASAN_DIR" -j
   (cd "$ASAN_DIR" && ctest --output-on-failure -j "$(nproc)")
 
-  # Daemon smoke under ASan+UBSan: the resident service is the one
-  # component whose lifetime outlives a test binary — leases, ring buffer,
-  # framing and shutdown all run instrumented here.
-  "$ASAN_DIR/tools/flipsim" --serve 0 > "$ASAN_DIR/flipsim_serve.log" &
-  ASAN_SERVE_PID=$!
-  trap 'kill "$ASAN_SERVE_PID" 2>/dev/null || true' EXIT
-  PORT=""
-  for _ in $(seq 1 100); do
-    PORT="$(sed -n 's/^flipsim: serving on 127\.0\.0\.1://p' "$ASAN_DIR/flipsim_serve.log")"
-    [ -n "$PORT" ] && break
-    sleep 0.1
-  done
-  [ -n "$PORT" ] || { echo "ASan flipsim --serve never reported its port" >&2; exit 1; }
-  "$ASAN_DIR/tools/flipsim" --connect "$PORT" --ping >/dev/null
-  "$ASAN_DIR/tools/flipsim" --connect "$PORT" --scenario broadcast_small \
-    --trials 4 --jsonl "$ASAN_DIR/flipsim_served.jsonl" --quiet
-  [ -s "$ASAN_DIR/flipsim_served.jsonl" ] || {
-    echo "ASan served sweep streamed nothing" >&2; exit 1; }
-  "$ASAN_DIR/tools/flipsim" --connect "$PORT" --shutdown
-  wait "$ASAN_SERVE_PID"
-  trap - EXIT
+  # The CLI and daemon smokes under ASan+UBSan: the resident service is
+  # the one component whose lifetime outlives a test binary — leases, ring
+  # buffer, framing and shutdown all run instrumented here.
+  sh tools/cli_smoke.sh "$ASAN_DIR"
   unset ASAN_OPTIONS UBSAN_OPTIONS
 else
   echo "skipping ASan+UBSan pass (FLIP_SKIP_ASAN=1)"

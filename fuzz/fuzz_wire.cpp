@@ -12,8 +12,9 @@
 //
 // resolve_sweep_request runs on every accepted parse too: it is the exact
 // surface a hostile daemon client reaches, and it must reject or resolve
-// without crashing (scenario lookups, list parsing, and expand_grid's
-// per-point ScenarioRegistry::resolve, topology factoring included).
+// without crashing (scenario lookups, list parsing, expand_grid's cell
+// limit, and its per-point ScenarioRegistry::resolve, topology factoring
+// included).
 
 #include <cstdint>
 #include <optional>

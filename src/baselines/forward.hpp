@@ -9,7 +9,6 @@
 // With a PerfectChannel this same class is the classic noiseless push
 // rumor-spreading baseline (~log2 n + ln n rounds to inform everyone).
 
-#include <string>
 #include <vector>
 
 #include "core/breathe.hpp"
@@ -37,7 +36,6 @@ class ForwardGossipProtocol final : public Protocol {
   void deliver(AgentId to, Opinion bit, Round r) override;
   void end_round(Round r) override;
   [[nodiscard]] bool done(Round r) const override;
-  [[nodiscard]] std::string name() const override { return "forward-gossip"; }
   [[nodiscard]] double current_bias() const override;
   [[nodiscard]] std::size_t current_opinionated() const override;
 

@@ -5,7 +5,6 @@
 // advantage eps — but the source pushes one message per round, so informing
 // all n agents to w.h.p. confidence takes Theta(n log n / eps^2) rounds.
 
-#include <string>
 #include <vector>
 
 #include "net/message.hpp"
@@ -31,7 +30,6 @@ class SilentListeningProtocol final : public Protocol {
   void deliver(AgentId to, Opinion bit, Round r) override;
   void end_round(Round r) override;
   [[nodiscard]] bool done(Round r) const override;
-  [[nodiscard]] std::string name() const override { return "silent-listen"; }
   [[nodiscard]] double current_bias() const override;
   [[nodiscard]] std::size_t current_opinionated() const override;
 

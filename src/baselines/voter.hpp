@@ -7,7 +7,6 @@
 // opinions and the zealot's pull is O(1/n) per round — so the interesting
 // measurements are the correct-fraction plateau and time-to-plateau.
 
-#include <string>
 #include <vector>
 
 #include "core/breathe.hpp"
@@ -30,7 +29,6 @@ class NoisyVoterProtocol final : public Protocol {
   void deliver(AgentId to, Opinion bit, Round r) override;
   void end_round(Round r) override;
   [[nodiscard]] bool done(Round r) const override;
-  [[nodiscard]] std::string name() const override { return "noisy-voter"; }
   [[nodiscard]] double current_bias() const override;
   [[nodiscard]] std::size_t current_opinionated() const override;
 

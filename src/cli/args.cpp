@@ -163,6 +163,7 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       error_ = "unknown option '" + std::string(name) + "'";
       return false;
     }
+    spec->given = true;
 
     switch (spec->kind) {
       case Kind::kFlag:
@@ -198,6 +199,12 @@ bool ArgParser::parse(int argc, const char* const* argv) {
     }
   }
   return true;
+}
+
+bool ArgParser::given(std::string_view name) const {
+  return std::any_of(specs_.begin(), specs_.end(), [&](const Spec& spec) {
+    return spec.given && spec.name == name;
+  });
 }
 
 std::string ArgParser::usage() const {

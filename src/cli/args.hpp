@@ -1,8 +1,9 @@
 #pragma once
 // Declarative command-line parsing shared by tools/flipsim and every
-// bench/ binary (via bench_common.hpp). Options are registered up front so
-// --help is generated, unknown flags are errors instead of silently
-// ignored, and the 16 bench binaries stop re-implementing argv loops.
+// bench/ binary (directly, or through parse_bench_args in
+// cli/bench_report.hpp). Options are registered up front so --help is
+// generated, unknown flags are errors instead of silently ignored, and no
+// binary re-implements an argv loop.
 //
 // Supported shapes: "--flag", "--opt value", "--opt=value", and options
 // whose value is optional ("--json" writes to stdout, "--json path" to a
@@ -48,6 +49,10 @@ class ArgParser {
   /// (error() is non-empty). Callable once.
   bool parse(int argc, const char* const* argv);
 
+  /// True when option `name` (with its leading "--") was on the parsed
+  /// command line, whatever its value.
+  [[nodiscard]] bool given(std::string_view name) const;
+
   [[nodiscard]] bool help_requested() const noexcept { return help_; }
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
   [[nodiscard]] const std::vector<std::string>& positionals() const noexcept {
@@ -65,6 +70,7 @@ class ArgParser {
     Kind kind;
     std::function<bool(std::string_view value, std::string& error)> apply;
     bool* present = nullptr;  // kFlag / kOptionalValue
+    bool given = false;
   };
 
   Spec* find(std::string_view name);

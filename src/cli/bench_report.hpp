@@ -1,10 +1,12 @@
 #pragma once
-// Shared option handling and output for the bench/ experiment binaries.
-// bench_common.hpp forwards here, so all 16 binaries get the same flags
-// from one parser: --csv (machine rows to stdout), --json <path> (the
-// "flip-bench-v1" document), and a generated --help. The report
-// accumulates every emitted table, and the JSON file is rewritten after
-// each emit so partial output exists even if a later experiment aborts.
+// Shared option handling and output for the bench/ experiment binaries,
+// which call it directly: parse_bench_args (or their own ArgParser over a
+// BenchOptions, for benches with extra flags), bench_banner and bench_emit.
+// Every binary thus accepts the same flags: --csv (machine rows to
+// stdout), --json <path> (the "flip-bench-v1" document), and a generated
+// --help. The report accumulates every emitted table, and the JSON file is
+// rewritten after each emit so partial output exists even if a later
+// experiment aborts.
 
 #include <memory>
 #include <string>
@@ -29,9 +31,9 @@ struct BenchReport {
 struct BenchOptions {
   bool csv = false;
   std::string json_path;  ///< empty = no JSON output
-  /// Mutable accumulation behind a const Options value: the bench main()s
-  /// hold `const auto options = parse_args(...)` by long-standing
-  /// convention, but banner/emit still need somewhere to collect tables.
+  /// Mutable accumulation behind a const options value: the bench main()s
+  /// hold `const auto options = parse_bench_args(...)`, but banner/emit
+  /// still need somewhere to collect tables.
   std::shared_ptr<BenchReport> report = std::make_shared<BenchReport>();
 };
 

@@ -150,14 +150,6 @@ std::string sweep_csv_row(const SweepSpec& spec, const SweepPoint& point) {
   return csv;
 }
 
-std::string sweep_to_csv(const SweepResult& result) {
-  std::string csv = sweep_csv_header();
-  for (const SweepPoint& point : result.points) {
-    csv += sweep_csv_row(result.spec, point);
-  }
-  return csv;
-}
-
 TextTable sweep_table(const SweepResult& result) {
   TextTable table({"n", "eps", "channel", "trials", "success", "rounds",
                    "messages", "correct", "conv round", "wall s"});

@@ -1,8 +1,9 @@
 #pragma once
 // Machine-readable reporting for sweeps: the flipsim-sweep-v1 JSON schema,
 // a flat CSV with one row per grid point, the human table, and the
-// BENCH_*.json trajectory schema documented in docs/BENCHMARKS.md. All
-// emitters walk the same SweepResult, so the formats cannot drift apart.
+// flipsim-validate-v1 document of the surrogate validation harness. Every
+// format renders a grid point through the per-point emitters below, so the
+// formats cannot drift apart.
 
 #include <string>
 
@@ -35,7 +36,8 @@ void append_sweep_point(JsonWriter& json, const SweepPoint& point);
 /// The CSV header line, newline-terminated.
 [[nodiscard]] std::string sweep_csv_header();
 
-/// One newline-terminated CSV row for a grid point.
+/// One newline-terminated CSV row for a grid point; numeric columns use
+/// shortest-round-trip formatting.
 [[nodiscard]] std::string sweep_csv_row(const SweepSpec& spec,
                                         const SweepPoint& point);
 
@@ -45,10 +47,6 @@ void append_sweep_point(JsonWriter& json, const SweepPoint& point);
 /// order is fixed (insertion order), so output is byte-stable for a given
 /// result.
 [[nodiscard]] std::string sweep_to_json(const SweepResult& result);
-
-/// One header line plus one row per grid point; numeric columns use
-/// shortest-round-trip formatting.
-[[nodiscard]] std::string sweep_to_csv(const SweepResult& result);
 
 /// Human-readable summary table for the terminal.
 [[nodiscard]] TextTable sweep_table(const SweepResult& result);

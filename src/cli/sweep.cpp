@@ -12,11 +12,10 @@ namespace flip::cli {
 
 namespace {
 
-// Repeated axis values would produce duplicate grid points — and duplicate
-// metric keys in the BENCH_*.json trajectory, where JSON parsers silently
-// keep only the last one. Order-preserving dedup, O(k log k) because the
-// list comes from an untrusted request. A NaN equals nothing, so it is
-// kept (resolve rejects it) and never enters the ordered set.
+// Repeated axis values would produce duplicate grid points. Order-preserving
+// dedup, O(k log k) because the list comes from an untrusted request. A NaN
+// equals nothing, so it is kept (resolve rejects it) and never enters the
+// ordered set.
 template <typename T>
 std::vector<std::optional<T>> axis_values(const std::vector<T>& values) {
   std::vector<std::optional<T>> axis;
@@ -47,9 +46,24 @@ std::vector<ScenarioConfig> expand_grid(const SweepSpec& spec) {
   const auto ns = axis_values(spec.ns);
   const auto epss = axis_values(spec.epss);
   const auto channels = axis_values(spec.channels);
+  // Count the cells before building any: the axes come from an untrusted
+  // request, and their product can ask for gigabytes (or wrap size_t)
+  // long before resolve() would reject a point.
+  std::size_t cells = 1;
+  for (const std::size_t axis : {ns.size(), epss.size(), channels.size()}) {
+    if (axis > kMaxGridCells / cells) {
+      throw std::invalid_argument(
+          "sweep grid has more than " + std::to_string(kMaxGridCells) +
+          " cells (" + std::to_string(ns.size()) + " n x " +
+          std::to_string(epss.size()) + " eps x " +
+          std::to_string(channels.size()) +
+          " channel values); split it into smaller sweeps");
+    }
+    cells *= axis;
+  }
 
   std::vector<ScenarioConfig> grid;
-  grid.reserve(ns.size() * epss.size() * channels.size());
+  grid.reserve(cells);
   for (const auto& n : ns) {
     for (const auto& eps : epss) {
       for (const auto& channel : channels) {

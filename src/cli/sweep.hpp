@@ -4,7 +4,8 @@
 // Monte-Carlo harness, and keeps wall-clock per point so the reporting
 // layer can emit the perf trajectory alongside the protocol statistics.
 // The registry checks every grid point; this layer adds only its own
-// preconditions (trials, first_cell) and the host's --threads bound.
+// preconditions (trials, grid size, first_cell) and the host's --threads
+// bound.
 
 #include <cstddef>
 #include <cstdint>
@@ -84,11 +85,18 @@ using SweepPointSink =
 SweepResult run_sweep(const SweepSpec& spec,
                       const SweepPointSink& on_point = {});
 
+/// The most cells one sweep grid may have, counted over the deduplicated
+/// axes. A resolved cell takes about 150 bytes, so the largest grid costs
+/// about 10 MB each time it is built (at the daemon's ingest, then in
+/// run_sweep). A larger sweep is several requests.
+inline constexpr std::size_t kMaxGridCells = 65536;
+
 /// The resolved grid run_sweep would execute, in execution order. Every
 /// point goes through ScenarioRegistry::resolve, the one place the
 /// simulator states each entry's domain (n, eps, channel, engine, shards,
-/// topology). Throws std::invalid_argument on the first point resolve
-/// rejects, on zero trials, or on a first_cell past the grid.
+/// topology). Throws std::invalid_argument on zero trials, on a grid of
+/// more than kMaxGridCells (before any cell is built), on the first point
+/// resolve rejects, or on a first_cell past the grid.
 std::vector<ScenarioConfig> expand_grid(const SweepSpec& spec);
 
 /// Validates a --threads request against the detected hardware concurrency

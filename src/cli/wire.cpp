@@ -228,7 +228,7 @@ std::optional<std::string> resolve_sweep_request(const SweepRequest& request,
            "' (batch | classic | surrogate)";
   }
   spec.first_cell = request.resume_from;
-  if (request.scenario.empty()) return std::nullopt;
+  if (request.scenario.empty()) return "sweep request has no scenario";
   // Then every grid point meets the registry's rules. Any exception is a
   // reject: a grid too large to allocate must not take down the caller,
   // which in the daemon is its one ingest thread.

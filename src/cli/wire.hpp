@@ -71,9 +71,8 @@ struct SweepRequest {
 /// runs expand_grid on it. On failure returns the error text (without the
 /// "error: " prefix) — the same message flipsim prints, verbatim from
 /// ScenarioRegistry::resolve for a bad grid point. Any exception
-/// expand_grid throws is a reject, std::bad_alloc included. When
-/// `scenario` is empty only the parse runs (the --validate-surrogate
-/// path); callers that need a scenario enforce that themselves.
+/// expand_grid throws is a reject, std::bad_alloc included. A request
+/// without a scenario is a reject too, after the parse.
 [[nodiscard]] std::optional<std::string> resolve_sweep_request(
     const SweepRequest& request, SweepSpec& spec);
 

@@ -199,11 +199,6 @@ bool BreatheProtocol::done(Round r) const {
   return r + 1 >= schedule_.total_rounds;
 }
 
-std::string BreatheProtocol::name() const {
-  return config_.initial.size() == 1 ? "breathe-broadcast"
-                                     : "breathe-majority";
-}
-
 double BreatheProtocol::current_bias() const {
   return pop_.bias(config_.correct);
 }

@@ -21,7 +21,6 @@
 // to arrival order, which Section 3 relies on).
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/agent.hpp"
@@ -126,7 +125,6 @@ class BreatheProtocol final : public Protocol {
   void deliver(AgentId to, Opinion bit, Round r) override;
   void end_round(Round r) override;
   [[nodiscard]] bool done(Round r) const override;
-  [[nodiscard]] std::string name() const override;
   [[nodiscard]] double current_bias() const override;
   [[nodiscard]] std::size_t current_opinionated() const override;
 

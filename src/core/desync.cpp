@@ -206,12 +206,6 @@ bool DesyncBreatheProtocol::done(Round g) const {
   return g + 1 >= total_rounds_;
 }
 
-std::string DesyncBreatheProtocol::name() const {
-  return config_.attribution == Attribution::kOracle
-             ? "breathe-desync-oracle"
-             : "breathe-desync-local";
-}
-
 double DesyncBreatheProtocol::current_bias() const {
   return pop_.bias(config_.base.correct);
 }

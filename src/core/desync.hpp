@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "core/breathe.hpp"
@@ -80,7 +79,6 @@ class DesyncBreatheProtocol final : public Protocol {
   void deliver(AgentId to, Opinion bit, Round g) override;
   void end_round(Round g) override;
   [[nodiscard]] bool done(Round g) const override;
-  [[nodiscard]] std::string name() const override;
   [[nodiscard]] double current_bias() const override;
   [[nodiscard]] std::size_t current_opinionated() const override;
 

@@ -1,6 +1,5 @@
 #include "net/channel.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 namespace flip {
@@ -10,12 +9,6 @@ BinarySymmetricChannel::BinarySymmetricChannel(double eps) : eps_(eps) {
     throw std::invalid_argument(
         "BinarySymmetricChannel: eps must be in (0, 0.5]");
   }
-}
-
-std::string BinarySymmetricChannel::name() const {
-  std::ostringstream os;
-  os << "bsc(eps=" << eps_ << ")";
-  return os.str();
 }
 
 ErasureChannel::ErasureChannel(double eps, double erase_prob)
@@ -28,22 +21,10 @@ ErasureChannel::ErasureChannel(double eps, double erase_prob)
   }
 }
 
-std::string ErasureChannel::name() const {
-  std::ostringstream os;
-  os << "erasure(eps=" << eps_ << ", q=" << erase_prob_ << ")";
-  return os.str();
-}
-
 HeterogeneousChannel::HeterogeneousChannel(double eps) : eps_(eps) {
   if (!(eps > 0.0) || eps > 0.5) {
     throw std::invalid_argument("HeterogeneousChannel: eps must be in (0, 0.5]");
   }
-}
-
-std::string HeterogeneousChannel::name() const {
-  std::ostringstream os;
-  os << "heterogeneous(eps_floor=" << eps_ << ")";
-  return os.str();
 }
 
 CorrelatedBurstChannel::CorrelatedBurstChannel(EnvironmentSchedule schedule)
@@ -56,21 +37,7 @@ CorrelatedBurstChannel::CorrelatedBurstChannel(EnvironmentSchedule schedule)
   schedule_.validate();
 }
 
-std::string CorrelatedBurstChannel::name() const {
-  return "scheduled(" + schedule_.describe() + ")";
-}
-
 AdversarialChannel::AdversarialChannel(std::uint64_t flip_budget)
     : budget_left_(flip_budget) {}
-
-std::string AdversarialChannel::name() const {
-  std::ostringstream os;
-  os << "adversarial(budget_left=" << budget_left_ << ")";
-  return os.str();
-}
-
-std::unique_ptr<NoiseChannel> make_flip_channel(double eps) {
-  return std::make_unique<BinarySymmetricChannel>(eps);
-}
 
 }  // namespace flip

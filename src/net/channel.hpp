@@ -9,9 +9,7 @@
 // makes the noise independent of delivery order, thread count, and shard
 // count.
 
-#include <memory>
 #include <optional>
-#include <string>
 
 #include "core/environment.hpp"
 #include "net/message.hpp"
@@ -42,12 +40,6 @@ class NoiseChannel {
     (void)trial_key;
     (void)round;
   }
-
-  /// Nominal per-message flip probability (for reporting; the adversarial
-  /// channel reports its worst-case rate).
-  [[nodiscard]] virtual double flip_probability() const noexcept = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
 };
 
 /// Binary symmetric channel with crossover probability p = 1/2 - eps: the
@@ -60,11 +52,7 @@ class BinarySymmetricChannel final : public NoiseChannel {
                                                 CounterRng& rng) override {
     return bernoulli(rng, 0.5 - eps_) ? flip_opinion(sent) : sent;
   }
-  [[nodiscard]] double flip_probability() const noexcept override {
-    return 0.5 - eps_;
-  }
   [[nodiscard]] double eps() const noexcept { return eps_; }
-  [[nodiscard]] std::string name() const override;
 
  private:
   double eps_;
@@ -78,8 +66,6 @@ class PerfectChannel final : public NoiseChannel {
                                                 CounterRng&) override {
     return sent;
   }
-  [[nodiscard]] double flip_probability() const noexcept override { return 0.0; }
-  [[nodiscard]] std::string name() const override { return "perfect"; }
 };
 
 /// Erasure channel extension: with probability erase_prob the message is
@@ -94,11 +80,6 @@ class ErasureChannel final : public NoiseChannel {
     if (bernoulli(rng, erase_prob_)) return std::nullopt;
     return bernoulli(rng, 0.5 - eps_) ? flip_opinion(sent) : sent;
   }
-  [[nodiscard]] double flip_probability() const noexcept override {
-    return 0.5 - eps_;
-  }
-  [[nodiscard]] double erase_probability() const noexcept { return erase_prob_; }
-  [[nodiscard]] std::string name() const override;
 
  private:
   double eps_;
@@ -121,11 +102,7 @@ class HeterogeneousChannel final : public NoiseChannel {
     const double flip_prob = uniform_unit(rng) * (0.5 - eps_);
     return bernoulli(rng, flip_prob) ? flip_opinion(sent) : sent;
   }
-  [[nodiscard]] double flip_probability() const noexcept override {
-    return (0.5 - eps_) / 2.0;  // mean of the uniform draw
-  }
   [[nodiscard]] double eps() const noexcept { return eps_; }
-  [[nodiscard]] std::string name() const override;
 
  private:
   double eps_;
@@ -161,14 +138,9 @@ class CorrelatedBurstChannel final : public NoiseChannel {
                                                 CounterRng& rng) override {
     return bernoulli(rng, 0.5 - round_eps_) ? flip_opinion(sent) : sent;
   }
-  [[nodiscard]] double flip_probability() const noexcept override {
-    return 0.5 - round_eps_;  // this round's rate
-  }
   [[nodiscard]] const EnvironmentSchedule& schedule() const noexcept {
     return schedule_;
   }
-  [[nodiscard]] double round_eps() const noexcept { return round_eps_; }
-  [[nodiscard]] std::string name() const override;
 
  private:
   EnvironmentSchedule schedule_;
@@ -194,19 +166,9 @@ class AdversarialChannel final : public NoiseChannel {
     }
     return sent;
   }
-  [[nodiscard]] double flip_probability() const noexcept override {
-    return budget_left_ > 0 ? 1.0 : 0.0;
-  }
-  [[nodiscard]] std::uint64_t budget_left() const noexcept {
-    return budget_left_;
-  }
-  [[nodiscard]] std::string name() const override;
 
  private:
   std::uint64_t budget_left_;
 };
-
-/// Factory for the model's canonical channel.
-std::unique_ptr<NoiseChannel> make_flip_channel(double eps);
 
 }  // namespace flip

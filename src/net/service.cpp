@@ -122,12 +122,6 @@ void SweepServer::serve_connection(int fd) {
     stopping_.store(true);
     return;
   }
-  if (request->scenario.empty()) {
-    [[maybe_unused]] const bool ok =
-        write_frame(fd, "error sweep request has no scenario");
-    close_fd(fd);
-    return;
-  }
   Job job;
   job.fd = fd;
   // The CLI's whole check, grid expansion included, so a doomed request

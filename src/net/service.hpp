@@ -32,9 +32,10 @@
 namespace flip::net {
 
 struct ServiceOptions {
-  std::uint16_t port = 0;        ///< 0 = kernel-assigned ephemeral port
-  std::size_t threads = 0;       ///< worker override for requests that
-                                 ///< leave threads unset (0 = inline)
+  std::uint16_t port = 0;  ///< 0 = kernel-assigned ephemeral port
+  /// Worker count for requests that leave threads unset; 0 = the shared
+  /// pool (hardware concurrency).
+  std::size_t threads = 0;
   std::size_t queue_capacity = 16;  ///< accepted-but-unstarted sweep cap
 };
 

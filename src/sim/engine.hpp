@@ -23,7 +23,6 @@
 // arrivals — instead of order-dependent reservoir sampling.
 
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -59,8 +58,6 @@ class Protocol {
 
   /// True once the protocol has terminated (engine stops after this round).
   [[nodiscard]] virtual bool done(Round r) const = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
 
   /// Current bias toward the correct opinion, for the metrics probes.
   /// Protocols that don't track opinions may return 0.

@@ -19,11 +19,6 @@ void Population::reuse(std::size_t n) {
   asleep_ = 0;
 }
 
-std::optional<Opinion> Population::opinion_of(AgentId a) const {
-  if (!has_opinion(a)) return std::nullopt;
-  return opinion(a);
-}
-
 void Population::set_opinion(AgentId a, Opinion o) {
   if (!has_opinion_[a]) {
     has_opinion_[a] = 1;
@@ -33,13 +28,6 @@ void Population::set_opinion(AgentId a, Opinion o) {
   }
   opinion_[a] = static_cast<std::uint8_t>(o);
   if (o == Opinion::kOne) ++ones_;
-}
-
-void Population::clear_opinion(AgentId a) {
-  if (!has_opinion_[a]) return;
-  if (static_cast<Opinion>(opinion_[a]) == Opinion::kOne) --ones_;
-  has_opinion_[a] = 0;
-  --opinionated_;
 }
 
 std::size_t Population::count(Opinion o) const noexcept {

@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "net/message.hpp"
@@ -37,10 +36,8 @@ class Population {
   [[nodiscard]] Opinion opinion(AgentId a) const {
     return static_cast<Opinion>(opinion_[a]);
   }
-  [[nodiscard]] std::optional<Opinion> opinion_of(AgentId a) const;
 
   void set_opinion(AgentId a, Opinion o);
-  void clear_opinion(AgentId a);
 
   /// Aggregate-counter delta accumulated by sharded opinion updates.
   struct Delta {

@@ -1,9 +1,5 @@
 #include "sim/series.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <stdexcept>
-
 namespace flip {
 
 std::optional<Round> stable_crossing(std::span<const Sample> series,
@@ -17,48 +13,6 @@ std::optional<Round> stable_crossing(std::span<const Sample> series,
   }
   if (first_stable == series.size()) return std::nullopt;
   return series[first_stable].round;
-}
-
-std::optional<Round> first_crossing(std::span<const Sample> series,
-                                    double threshold) {
-  for (const Sample& s : series) {
-    if (s.value >= threshold) return s.round;
-  }
-  return std::nullopt;
-}
-
-bool has_plateau(std::span<const Sample> series, std::size_t window,
-                 double tolerance) {
-  if (series.empty()) return false;
-  // Window 0 clamps to 1 (the last sample alone is trivially flat), the
-  // same floor tail_mean applies — so the two helpers always agree on
-  // which suffix they are describing.
-  const std::size_t count = std::min(std::max<std::size_t>(window, 1),
-                                     series.size());
-  const double mean = tail_mean(series, count);
-  for (std::size_t i = series.size() - count; i < series.size(); ++i) {
-    if (std::abs(series[i].value - mean) > tolerance) return false;
-  }
-  return true;
-}
-
-double tail_mean(std::span<const Sample> series, std::size_t window) {
-  if (series.empty()) throw std::invalid_argument("tail_mean: empty series");
-  const std::size_t count = std::min(std::max<std::size_t>(window, 1),
-                                     series.size());
-  double sum = 0.0;
-  for (std::size_t i = series.size() - count; i < series.size(); ++i) {
-    sum += series[i].value;
-  }
-  return sum / static_cast<double>(count);
-}
-
-double max_step(std::span<const Sample> series) {
-  double best = 0.0;
-  for (std::size_t i = 1; i < series.size(); ++i) {
-    best = std::max(best, series[i].value - series[i - 1].value);
-  }
-  return best;
 }
 
 }  // namespace flip

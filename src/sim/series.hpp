@@ -1,8 +1,7 @@
 #pragma once
-// Analysis helpers for the (round, value) probe series recorded in Metrics:
-// convergence times, plateau detection, and summaries. Used to answer
-// questions like "at which round did 99% of the flock know the alert?"
-// without re-running a simulation.
+// Analysis of the (round, value) probe series recorded in Metrics: the
+// convergence time. Answers questions like "at which round did 99% of the
+// flock know the alert?" without re-running a simulation.
 
 #include <optional>
 #include <span>
@@ -17,25 +16,5 @@ namespace flip {
 /// series that can touch a level transiently.
 std::optional<Round> stable_crossing(std::span<const Sample> series,
                                      double threshold);
-
-/// First probe round at which value >= threshold (transient allowed).
-std::optional<Round> first_crossing(std::span<const Sample> series,
-                                    double threshold);
-
-/// True if the series' tail is flat: over the last `window` samples the
-/// values stay within +-tolerance of their mean. Windows larger than the
-/// series use the whole series; window 0 clamps to 1 (like tail_mean).
-/// Empty series are not plateaus.
-bool has_plateau(std::span<const Sample> series, std::size_t window,
-                 double tolerance);
-
-/// Mean of the last `window` samples (the plateau level); window 0 clamps
-/// to 1, windows past the start clamp to the whole series. Precondition:
-/// series non-empty.
-double tail_mean(std::span<const Sample> series, std::size_t window);
-
-/// Largest single-step increase in the series (detects the Stage I -> II
-/// transition spike in bias trajectories). 0 for fewer than two samples.
-double max_step(std::span<const Sample> series);
 
 }  // namespace flip

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace flip {
 
@@ -44,10 +45,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double RunningStats::sem() const noexcept {
-  return count_ < 2 ? 0.0 : stddev() / std::sqrt(static_cast<double>(count_));
-}
-
 std::string ProportionCI::to_string() const {
   std::ostringstream os;
   os.precision(4);
@@ -83,47 +80,6 @@ double percentile(std::span<const double> samples, double p) {
 
 double median(std::span<const double> samples) {
   return percentile(samples, 50.0);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument("Histogram: bins == 0");
-  if (!(lo < hi)) throw std::invalid_argument("Histogram: lo >= hi");
-}
-
-void Histogram::add(double x) noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<long>(std::floor((x - lo_) / width));
-  idx = std::clamp(idx, long{0}, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const {
-  return counts_.at(bin);
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bin);
-}
-
-double Histogram::bin_high(std::size_t bin) const {
-  return bin_low(bin) + (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::render(std::size_t max_width) const {
-  std::size_t peak = 1;
-  for (std::size_t c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  os.precision(4);
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    os << "[" << bin_low(b) << ", " << bin_high(b) << ") ";
-    const std::size_t width = counts_[b] * max_width / peak;
-    for (std::size_t i = 0; i < width; ++i) os << '#';
-    os << ' ' << counts_[b] << '\n';
-  }
-  return os.str();
 }
 
 PowerLawFit fit_power_law(std::span<const double> xs,

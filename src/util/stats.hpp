@@ -1,14 +1,11 @@
 #pragma once
 // Statistics utilities for Monte-Carlo experiment evaluation: running
 // moments, success-probability confidence intervals, order statistics and
-// histograms. Everything is plain value types; nothing allocates except the
-// sample containers the caller already owns.
+// power-law fits. Everything is plain value types.
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace flip {
 
@@ -25,8 +22,6 @@ class RunningStats {
   [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
-  /// Standard error of the mean; 0 for fewer than two samples.
-  [[nodiscard]] double sem() const noexcept;
 
  private:
   std::size_t count_ = 0;
@@ -57,28 +52,6 @@ double percentile(std::span<const double> samples, double p);
 
 /// Median convenience wrapper.
 double median(std::span<const double> samples);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped to the
-/// edge bins so no sample is silently lost.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t bin) const;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_low(std::size_t bin) const;
-  [[nodiscard]] double bin_high(std::size_t bin) const;
-  /// Multi-line ASCII rendering ("[lo, hi) ####### 123").
-  [[nodiscard]] std::string render(std::size_t max_width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 /// Least-squares fit of log(y) against log(x).
 struct PowerLawFit {

@@ -111,6 +111,24 @@ TEST(ArgParserTest, ErrorsAndHelp) {
   }
 }
 
+TEST(ArgParserTest, GivenReportsOnlyOptionsOnTheCommandLine) {
+  bool flag = false;
+  std::string value;
+  std::string path;
+  bool present = false;
+  ArgParser parser("prog", "");
+  parser.add_flag("--verbose", "", &flag);
+  parser.add_option("--engine", "mode", "", &value);
+  parser.add_optional_value("--json", "path", "", &path, &present);
+  // An explicit empty value and a default-equal value still count.
+  const char* argv[] = {"prog", "--engine=", "--json"};
+  ASSERT_TRUE(parser.parse(3, argv));
+  EXPECT_TRUE(parser.given("--engine"));
+  EXPECT_TRUE(parser.given("--json"));
+  EXPECT_FALSE(parser.given("--verbose"));
+  EXPECT_FALSE(parser.given("--nope"));
+}
+
 TEST(ArgParserTest, ListParsing) {
   std::string error;
   const auto sizes = parse_size_list("1024,2048,4096", error);
@@ -148,7 +166,7 @@ TEST(SweepTest, ExpandGridCrossProduct) {
 }
 
 TEST(SweepTest, ExpandGridDedupesRepeatedAxisValues) {
-  // Duplicate grid points would collide in the BENCH_*.json metric keys.
+  // A repeated axis value would run the same grid point twice.
   SweepSpec spec;
   spec.scenario = "broadcast_small";
   spec.ns = {128, 128, 64};
@@ -157,6 +175,30 @@ TEST(SweepTest, ExpandGridDedupesRepeatedAxisValues) {
   ASSERT_EQ(grid.size(), 2u);
   EXPECT_EQ(grid[0].n, 128u);
   EXPECT_EQ(grid[1].n, 64u);
+}
+
+TEST(SweepTest, ExpandGridBoundsTheCellCountOverDistinctValues) {
+  // 256 x 256 distinct values is exactly the limit; one more n is over it
+  // and is rejected before any cell is built. Repeats do not count.
+  SweepSpec spec;
+  spec.scenario = "broadcast_small";
+  for (std::size_t i = 0; i < 256; ++i) {
+    spec.ns.push_back(64 + i);
+    spec.epss.push_back(0.1 + 0.001 * static_cast<double>(i));
+  }
+  static_assert(kMaxGridCells == 256 * 256);
+  spec.ns.push_back(64);
+  EXPECT_EQ(expand_grid(spec).size(), kMaxGridCells);
+
+  spec.ns.push_back(64 + 256);
+  try {
+    (void)expand_grid(spec);
+    FAIL() << "a grid over kMaxGridCells must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "sweep grid has more than 65536 cells (257 n x 256 eps x 1 "
+              "channel values); split it into smaller sweeps");
+  }
 }
 
 TEST(SweepTest, RunSweepProducesSummaries) {
@@ -412,7 +454,10 @@ TEST(ReportTest, SweepCsvGolden) {
       "demo,64,0.25,bsc,static,none,complete,2,1,0.5,0.125,0.875,1100,0,"
       "1100,1100,"
       "500,0,1,null,0,1.5\n";
-  EXPECT_EQ(sweep_to_csv(known_result()), expected);
+  // The header + per-point rows are the path --csv streams.
+  const SweepResult result = known_result();
+  EXPECT_EQ(sweep_csv_header() + sweep_csv_row(result.spec, result.points[0]),
+            expected);
 }
 
 TEST(ReportTest, SweepTableMatchesPoints) {
@@ -434,7 +479,7 @@ TEST(ReportTest, ConvergenceStatsAppearWhenTrialsConverge) {
   const std::string json = sweep_to_json(result);
   EXPECT_NE(json.find("\"converged\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"mean\": 100,"), std::string::npos);
-  const std::string csv = sweep_to_csv(result);
+  const std::string csv = sweep_csv_row(result.spec, result.points[0]);
   EXPECT_NE(csv.find(",100,2,"), std::string::npos);
   const TextTable table = sweep_table(result);
   EXPECT_EQ(table.at(0, 8), "100");

@@ -195,7 +195,6 @@ class ReversedSends final : public Protocol {
   }
   void end_round(Round g) override { inner_.end_round(g); }
   [[nodiscard]] bool done(Round g) const override { return inner_.done(g); }
-  [[nodiscard]] std::string name() const override { return inner_.name(); }
   [[nodiscard]] double current_bias() const override {
     return inner_.current_bias();
   }

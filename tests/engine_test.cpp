@@ -29,7 +29,6 @@ class PingProtocol : public Protocol {
   [[nodiscard]] bool done(Round r) const override {
     return r + 1 >= duration_;
   }
-  [[nodiscard]] std::string name() const override { return "ping"; }
   [[nodiscard]] double current_bias() const override { return 0.0; }
   [[nodiscard]] std::size_t current_opinionated() const override {
     return delivered_;

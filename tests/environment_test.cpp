@@ -254,8 +254,6 @@ TEST(CorrelatedBurstChannelTest, MatchesBscAtThePinnedRoundEps) {
   for (const Round r : {Round{0}, Round{49}, Round{50}, Round{999}}) {
     channel.begin_round(key, r);
     BinarySymmetricChannel& reference = r < 50 ? before : after;
-    EXPECT_DOUBLE_EQ(channel.flip_probability(),
-                     reference.flip_probability());
     const StreamKey ckey = round_stream_key(key, RngPurpose::kChannel, r);
     for (AgentId a = 0; a < 128; ++a) {
       CounterRng rng_a(ckey, a);
@@ -270,12 +268,6 @@ TEST(CorrelatedBurstChannelTest, RequiresResolvedBaseEps) {
   EXPECT_THROW(
       CorrelatedBurstChannel(EnvironmentSchedule::parse("step:10:0.1")),
       std::invalid_argument);  // base_eps still 0 (unresolved)
-}
-
-TEST(CorrelatedBurstChannelTest, NameEmbedsTheSchedule) {
-  const CorrelatedBurstChannel channel(
-      EnvironmentSchedule::parse("burst:0.08:16:0.02").resolved(0.2, 100));
-  EXPECT_EQ(channel.name(), "scheduled(burst(p=0.08 len=16 eps=0.02))");
 }
 
 }  // namespace

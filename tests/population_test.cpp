@@ -13,7 +13,6 @@ TEST(PopulationTest, StartsOpinionless) {
   EXPECT_EQ(pop.opinionated(), 0u);
   for (AgentId a = 0; a < 10; ++a) {
     EXPECT_FALSE(pop.has_opinion(a));
-    EXPECT_EQ(pop.opinion_of(a), std::nullopt);
   }
   EXPECT_EQ(pop.bias(Opinion::kOne), 0.0);
 }
@@ -41,17 +40,6 @@ TEST(PopulationTest, OverwriteKeepsCountsConsistent) {
   EXPECT_EQ(pop.count(Opinion::kZero), 1u);
   pop.set_opinion(0, Opinion::kOne);
   EXPECT_EQ(pop.count(Opinion::kOne), 1u);
-}
-
-TEST(PopulationTest, ClearOpinion) {
-  Population pop(4);
-  pop.set_opinion(1, Opinion::kOne);
-  pop.clear_opinion(1);
-  EXPECT_FALSE(pop.has_opinion(1));
-  EXPECT_EQ(pop.opinionated(), 0u);
-  EXPECT_EQ(pop.count(Opinion::kOne), 0u);
-  pop.clear_opinion(1);  // idempotent
-  EXPECT_EQ(pop.opinionated(), 0u);
 }
 
 TEST(PopulationTest, BiasMatchesDefinition) {

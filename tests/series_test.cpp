@@ -16,19 +16,10 @@ std::vector<Sample> make_series(std::initializer_list<double> values) {
   return series;
 }
 
-TEST(SeriesTest, FirstCrossingFindsEarliest) {
-  const auto s = make_series({0.1, 0.4, 0.6, 0.3, 0.9});
-  EXPECT_EQ(first_crossing(s, 0.5), Round{2});
-  EXPECT_EQ(first_crossing(s, 0.05), Round{0});
-  EXPECT_EQ(first_crossing(s, 1.5), std::nullopt);
-}
-
 TEST(SeriesTest, StableCrossingIgnoresTransients) {
   // Touches 0.5 at index 2 but dips back below; stable from index 4.
   const auto s = make_series({0.1, 0.4, 0.6, 0.3, 0.9, 0.95, 1.0});
   EXPECT_EQ(stable_crossing(s, 0.5), Round{4});
-  // first_crossing would have said 2.
-  EXPECT_EQ(first_crossing(s, 0.5), Round{2});
 }
 
 TEST(SeriesTest, StableCrossingEdgeCases) {
@@ -39,46 +30,6 @@ TEST(SeriesTest, StableCrossingEdgeCases) {
   EXPECT_EQ(stable_crossing(always, 0.5), Round{0});
   const auto last_only = make_series({0.1, 0.9});
   EXPECT_EQ(stable_crossing(last_only, 0.5), Round{1});
-}
-
-TEST(SeriesTest, PlateauDetection) {
-  const auto flat = make_series({0.0, 0.5, 1.0, 1.0, 1.0, 1.0});
-  EXPECT_TRUE(has_plateau(flat, 3, 1e-9));
-  const auto rising = make_series({0.0, 0.2, 0.4, 0.6, 0.8});
-  EXPECT_FALSE(has_plateau(rising, 3, 0.05));
-  EXPECT_FALSE(has_plateau({}, 3, 0.1));
-}
-
-TEST(SeriesTest, TailMean) {
-  const auto s = make_series({0.0, 2.0, 4.0});
-  EXPECT_DOUBLE_EQ(tail_mean(s, 2), 3.0);
-  EXPECT_DOUBLE_EQ(tail_mean(s, 100), 2.0);  // clamps to series size
-  EXPECT_THROW(tail_mean({}, 2), std::invalid_argument);
-}
-
-// Edge cases of the window handling: empty series, window 0, and windows
-// past the series start must all behave (and agree between tail_mean and
-// has_plateau), because the sweep reporting now calls these on probe
-// series that may be empty (probes off) or shorter than the window.
-TEST(SeriesTest, WindowEdgeCases) {
-  // Window 0 clamps to 1 everywhere: the last sample alone.
-  const auto s = make_series({0.0, 2.0, 4.0});
-  EXPECT_DOUBLE_EQ(tail_mean(s, 0), 4.0);
-  EXPECT_TRUE(has_plateau(s, 0, 1e-12));  // a single sample is flat
-  EXPECT_FALSE(has_plateau(s, 2, 0.5));   // two samples 2 apart are not
-
-  // Window larger than the series: the whole series, no out-of-range read.
-  const auto flat = make_series({1.0, 1.0});
-  EXPECT_TRUE(has_plateau(flat, 100, 1e-12));
-  EXPECT_DOUBLE_EQ(tail_mean(flat, 100), 1.0);
-
-  // Empty series: never a plateau, tail_mean throws (documented
-  // precondition), crossings are nullopt.
-  EXPECT_FALSE(has_plateau({}, 0, 1.0));
-  EXPECT_THROW(tail_mean({}, 0), std::invalid_argument);
-  EXPECT_EQ(first_crossing({}, 0.0), std::nullopt);
-  EXPECT_EQ(stable_crossing({}, 0.0), std::nullopt);
-  EXPECT_DOUBLE_EQ(max_step({}), 0.0);
 }
 
 // The convergence-round statistic as the sweep reporting computes it: a
@@ -92,15 +43,6 @@ TEST(SeriesTest, ActivationConvergenceShape) {
   // 0.99 * 256 = 253.44: touched at round 24 (252 < threshold, so not
   // yet), stably from the 254 sample on.
   EXPECT_EQ(stable_crossing(series, 0.99 * n), Round{40});
-  EXPECT_EQ(first_crossing(series, 0.99 * n), Round{40});
-}
-
-TEST(SeriesTest, MaxStep) {
-  const auto s = make_series({0.0, 0.1, 0.7, 0.6, 0.8});
-  EXPECT_DOUBLE_EQ(max_step(s), 0.6);
-  EXPECT_EQ(max_step({}), 0.0);
-  const auto one = make_series({1.0});
-  EXPECT_EQ(max_step(one), 0.0);
 }
 
 TEST(SeriesTest, BroadcastActivationConvergenceTime) {
@@ -121,8 +63,11 @@ TEST(SeriesTest, BroadcastActivationConvergenceTime) {
   EXPECT_LE(*activated_all,
             p.stage1().total_rounds() + scenario.probe_every);
 
-  EXPECT_TRUE(has_plateau(d.metrics.bias_series, 4, 1e-6));
-  EXPECT_NEAR(tail_mean(d.metrics.bias_series, 4), 0.5, 1e-9);
+  const auto& bias = d.metrics.bias_series;
+  ASSERT_GE(bias.size(), 4u);
+  for (std::size_t i = bias.size() - 4; i < bias.size(); ++i) {
+    EXPECT_NEAR(bias[i].value, 0.5, 1e-9) << "probe round " << bias[i].round;
+  }
 }
 
 }  // namespace

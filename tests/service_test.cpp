@@ -21,6 +21,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <functional>
 #include <optional>
 #include <stdexcept>
@@ -623,6 +624,52 @@ TEST_F(ServiceTest, HostileGridRequestIsRejectedAndPingStillAnswers) {
         << e.what();
   }
   EXPECT_EQ(lines, 0u);
+  std::string error;
+  EXPECT_TRUE(client.ping(error)) << error;
+}
+
+TEST_F(ServiceTest, RejectsASweepWithoutAScenarioWithTheResolveText) {
+  SweepRequest request;
+  request.trials = 2;
+  const std::string cli_message = cli_reject(request);
+  EXPECT_EQ(cli_message, "sweep request has no scenario");
+  net::SweepClient client(server_.port());
+  try {
+    client.run_sweep(request);
+    FAIL() << "a sweep without a scenario must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), "flipsvc server: " + cli_message);
+  }
+}
+
+TEST_F(ServiceTest, OversizedGridIsRejectedAtOnceAndPingStillAnswers) {
+  // 4,000 x 4,000 valid values, a ~60 KB frame: built out, the grid would
+  // take gigabytes at ingest. It must be rejected from the axis counts
+  // alone, well within a second, and the daemon must stay responsive.
+  SweepRequest request;
+  request.scenario = "broadcast";
+  for (std::size_t i = 0; i < 4000; ++i) {
+    if (i != 0) {
+      request.ns += ',';
+      request.epss += ',';
+    }
+    request.ns += std::to_string(1024 + i);
+    request.epss += std::to_string(0.1 + 1e-5 * static_cast<double>(i));
+  }
+  const std::string cli_message = cli_reject(request);
+  EXPECT_EQ(cli_message,
+            "sweep grid has more than 65536 cells (4000 n x 4000 eps x 1 "
+            "channel values); split it into smaller sweeps");
+
+  net::SweepClient client(server_.port());
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    client.run_sweep(request);
+    FAIL() << "a grid over kMaxGridCells must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), "flipsvc server: " + cli_message);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
   std::string error;
   EXPECT_TRUE(client.ping(error)) << error;
 }

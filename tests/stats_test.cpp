@@ -14,7 +14,6 @@ TEST(RunningStatsTest, EmptyIsZero) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.sem(), 0.0);
 }
 
 TEST(RunningStatsTest, SingleValue) {
@@ -114,34 +113,6 @@ TEST(PercentileTest, InterpolatesBetweenValues) {
 
 TEST(PercentileTest, ThrowsOnEmpty) {
   EXPECT_THROW(percentile({}, 50.0), std::invalid_argument);
-}
-
-TEST(HistogramTest, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 4
-  h.add(-3.0);   // clamped to bin 0
-  h.add(42.0);   // clamped to bin 4
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(1), 4.0);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-}
-
-TEST(HistogramTest, RenderMentionsCounts) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.1);
-  h.add(0.1);
-  h.add(0.9);
-  const std::string text = h.render();
-  EXPECT_NE(text.find("2"), std::string::npos);
-  EXPECT_NE(text.find("#"), std::string::npos);
 }
 
 TEST(LogLogSlopeTest, RecoversPowerLaw) {

@@ -12,9 +12,7 @@ level, before a test ever runs:
                      src/workload): rand()/srand(), <random> engines and
                      distributions (std::mt19937, std::random_device, ...),
                      system_clock / steady_clock / time() / gettimeofday.
-                     Allowlisted files: sim/clock.hpp (the *model's*
-                     logical clock — no OS time in it, listed so renames
-                     get reviewed) and sim/trial.* (wall-clock timing
+                     Allowlisted files: sim/trial.* (wall-clock timing
                      FIELDS of trial results, explicitly outside the
                      determinism contract).
 
@@ -70,7 +68,6 @@ SCANNED_DIRS = ("src/core", "src/sim", "src/simd", "src/workload")
 # Files inside SCANNED_DIRS that may legitimately name forbidden tokens.
 # Keep this list short and justified — it is part of the contract.
 NONDETERMINISM_ALLOWLIST = {
-    "src/sim/clock.hpp",   # the model's logical per-agent clock (no OS time)
     "src/sim/trial.hpp",   # wall-clock timing *fields* of trial results
     "src/sim/trial.cpp",   # ... and the steady_clock reads that fill them
 }

@@ -155,6 +155,75 @@ std::optional<std::uint16_t> parse_port(const std::string& text) {
   return static_cast<std::uint16_t>(value);
 }
 
+/// --validate-surrogate: the surrogate-vs-batch harness runs each entry's
+/// registered grid point at the --n sizes. A sweep-only flag next to it is
+/// an error, not silently ignored.
+int validate_surrogate(const flip::cli::ArgParser& parser,
+                       const CliFlags& flags) {
+  for (const char* flag :
+       {"--eps", "--channel", "--shards", "--engine", "--schedule", "--churn",
+        "--topology", "--csv", "--jsonl", "--checkpoint", "--resume",
+        "--connect", "--ping", "--shutdown"}) {
+    if (parser.given(flag)) {
+      std::cerr << "error: " << flag
+                << " does not apply to --validate-surrogate (it takes "
+                   "--scenario, --n, --trials, --seed, --threads, --json "
+                   "and --quiet)\n";
+      return 2;
+    }
+  }
+  flip::cli::SurrogateValidationSpec vspec;
+  if (!flags.scenario.empty()) vspec.scenarios.push_back(flags.scenario);
+  if (!flags.n_list.empty()) {
+    std::string error;
+    const auto ns = flip::cli::parse_size_list(flags.n_list, error);
+    if (!ns) {
+      std::cerr << "error: --n: " << error << "\n";
+      return 2;
+    }
+    vspec.ns = *ns;
+  }
+  if (flags.threads) {
+    if (const auto threads_error = flip::cli::validate_threads(
+            *flags.threads, std::thread::hardware_concurrency())) {
+      std::cerr << "error: " << *threads_error << "\n";
+      return 2;
+    }
+    vspec.threads = *flags.threads;
+  }
+  if (flags.trials) vspec.trials = *flags.trials;
+  if (flags.seed) vspec.seed = *flags.seed;
+  try {
+    const flip::cli::SurrogateValidationResult validation =
+        flip::cli::run_surrogate_validation(vspec);
+    const bool json_to_stdout = flags.json && flags.json_path.empty();
+    if (!flags.quiet && !json_to_stdout) {
+      std::cout << "flipsim: surrogate validation, "
+                << validation.cells.size() << " cell(s), "
+                << flip::format_fixed(validation.wall_seconds, 2) << " s, "
+                << (validation.all_pass ? "all within band"
+                                        : "BAND VIOLATION")
+                << "\n\n"
+                << flip::cli::validation_table(validation);
+    }
+    if (flags.json) {
+      const std::string json = flip::cli::validation_to_json(validation);
+      if (json_to_stdout) {
+        std::cout << json << '\n';
+      } else if (!write_file(flags.json_path, json)) {
+        return 1;
+      }
+    }
+    // Exit 0 either way: the harness reports, the CI gate
+    // (tools/check_surrogate_accuracy.py) enforces — so a band failure
+    // still produces the JSON artifact for inspection.
+    return 0;
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
+}
+
 /// Opens a per-cell stream target: stdout when `path` is empty, else the
 /// file — appended to under a resumed sweep so the concatenation equals
 /// the uninterrupted run's output. Returns nullptr on open failure.
@@ -228,8 +297,8 @@ int main(int argc, char** argv) {
   parser.add_flag("--validate-surrogate",
                   "run the surrogate-vs-batch error-band harness instead of "
                   "a sweep (--scenario optional: default is every supported "
-                  "entry; --n/--trials/--seed/--threads apply; --json writes "
-                  "flipsim-validate-v1)",
+                  "entry; only --n/--trials/--seed/--threads/--quiet apply; "
+                  "--json writes flipsim-validate-v1)",
                   &flags.validate_surrogate);
   parser.add_optional_value("--json", "path",
                             "write flipsim-sweep-v1 JSON (no path: stdout)",
@@ -320,6 +389,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  if (flags.validate_surrogate) return validate_surrogate(parser, flags);
+
   const bool connecting = !flags.connect_port.empty();
   if ((flags.ping || flags.shutdown) && !connecting) {
     std::cerr << "error: --ping/--shutdown need --connect <port>\n";
@@ -349,9 +420,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --validate-surrogate picks its own scenario set (every supported
-  // registry entry) when --scenario is omitted; a sweep always needs one.
-  if (flags.scenario.empty() && !flags.validate_surrogate) {
+  if (flags.scenario.empty()) {
     std::cerr << "error: --scenario is required (or --list / --describe / "
                  "--validate-surrogate / --serve / --connect --ping)\n\n"
               << parser.usage();
@@ -388,44 +457,6 @@ int main(int argc, char** argv) {
   if (const auto reject = flip::cli::resolve_sweep_request(request, spec)) {
     std::cerr << "error: " << *reject << "\n";
     return 2;
-  }
-
-  if (flags.validate_surrogate) {
-    flip::cli::SurrogateValidationSpec vspec;
-    if (!flags.scenario.empty()) vspec.scenarios.push_back(flags.scenario);
-    if (!spec.ns.empty()) vspec.ns = spec.ns;
-    if (flags.trials) vspec.trials = *flags.trials;
-    vspec.seed = spec.seed;
-    vspec.threads = spec.threads;
-    try {
-      const flip::cli::SurrogateValidationResult validation =
-          flip::cli::run_surrogate_validation(vspec);
-      const bool json_to_stdout = flags.json && flags.json_path.empty();
-      if (!flags.quiet && !json_to_stdout) {
-        std::cout << "flipsim: surrogate validation, "
-                  << validation.cells.size() << " cell(s), "
-                  << flip::format_fixed(validation.wall_seconds, 2) << " s, "
-                  << (validation.all_pass ? "all within band"
-                                          : "BAND VIOLATION")
-                  << "\n\n"
-                  << flip::cli::validation_table(validation);
-      }
-      if (flags.json) {
-        const std::string json = flip::cli::validation_to_json(validation);
-        if (json_to_stdout) {
-          std::cout << json << '\n';
-        } else if (!write_file(flags.json_path, json)) {
-          return 1;
-        }
-      }
-      // Exit 0 either way: the harness reports, the CI gate
-      // (tools/check_surrogate_accuracy.py) enforces — so a band failure
-      // still produces the JSON artifact for inspection.
-      return 0;
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 2;
-    }
   }
 
   if (flags.resume && flags.checkpoint_path.empty()) {
