@@ -11,10 +11,8 @@
 
 #include <string>
 
-#include "baselines/forward.hpp"
 #include "cli/bench_report.hpp"
-#include "net/channel.hpp"
-#include "sim/engine.hpp"
+#include "workload/registry.hpp"
 #include "workload/scenarios.hpp"
 
 int main(int argc, char** argv) {
@@ -101,18 +99,16 @@ int main(int argc, char** argv) {
 
   // No breathing at all: the Section 1.6 forward-immediately strawman.
   {
-    flip::BinarySymmetricChannel channel(eps);
-    flip::Engine engine(n, channel, flip::trial_stream_key(seed, 99));
-    flip::ForwardConfig config;
-    config.initial = {flip::Seed{0, flip::Opinion::kOne}};
-    config.stop_when_all_informed = true;
-    flip::ForwardGossipProtocol p(n, config);
-    engine.run(p, 1 << 20);
+    flip::ScenarioOverrides overrides;
+    overrides.n = n;
+    overrides.eps = eps;
+    const flip::TrialOutcome o = flip::ScenarioRegistry::instance().make(
+        "baseline_forward", overrides)(seed, 99);
     table.row()
         .cell("no breathing (forward immediately)")
         .cell(std::size_t{1})
-        .cell("0/1")
-        .cell(p.population().correct_fraction(flip::Opinion::kOne), 4)
+        .cell(o.success ? "1/1" : "0/1")
+        .cell(o.correct_fraction, 4)
         .cell("Sec 1.6: bias decays (2 eps)^depth");
   }
 

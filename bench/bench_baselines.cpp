@@ -9,31 +9,50 @@
 //                  dynamics run through the noisy channel;
 //   3-state AAE    (ref 6): needs three symbols; noisy misreads break it;
 //   push rumor     (noiseless reference point: what's possible sans noise).
+//
+// Every row is a registry entry (workload/registry.hpp) run at n = 2048:
+// the registry is where each baseline's parameters are derived.
 
-#include <cmath>
-#include <string>
+#include <cstddef>
+#include <cstdint>
 
-#include "baselines/aae.hpp"
-#include "baselines/forward.hpp"
-#include "baselines/pull_majority.hpp"
-#include "baselines/silent.hpp"
-#include "baselines/voter.hpp"
 #include "cli/bench_report.hpp"
 #include "core/theory.hpp"
-#include "net/channel.hpp"
-#include "sim/engine.hpp"
-#include "util/math.hpp"
-#include "workload/scenarios.hpp"
+#include "sim/trial.hpp"
+#include "workload/registry.hpp"
 
 namespace {
 
 struct Row {
-  std::string name;
-  std::string problem;
-  double rounds = 0.0;
-  double correct = 0.0;
-  bool consensus = false;
-  std::string note;
+  const char* label;
+  const char* problem;
+  const char* entry;  ///< registry name
+  double eps;
+  std::size_t trial;   ///< first trial key under seed 0xE9
+  std::size_t trials;  ///< runs trials [trial, trial + trials)
+  const char* note;
+};
+
+// breathe runs trials 0-4 of seed 0xE9 and each other row one trial of its
+// own, so no two rows share a stream. eps 0.5 is the noiseless channel:
+// the BSC flips with probability 1/2 - eps = 0.
+constexpr Row kRows[] = {
+    {"breathe (this paper)", "broadcast", "broadcast", 0.2, 0, 5,
+     "optimal O(log n/eps^2)"},
+    {"silent-listen (Sec 1.6)", "broadcast", "baseline_silent", 0.2, 10, 1,
+     "correct but Theta(n log n/eps^2)"},
+    {"forward-now (Sec 1.6)", "broadcast", "baseline_forward", 0.2, 11, 1,
+     "fast; bias decays (2eps)^depth"},
+    {"noisy voter (refs 49,50)", "broadcast", "baseline_voter", 0.2, 12, 1,
+     "hovers near 1/2 at 16x our budget"},
+    {"two-choices (ref 22)", "majority (60/40)", "baseline_two_choices", 0.2,
+     13, 1, "noiseless O(log n) dynamics under noise"},
+    {"3-majority (ref 11)", "majority (60/40)", "baseline_three_majority",
+     0.2, 14, 1, "noiseless O(log n) dynamics under noise"},
+    {"3-state AAE (ref 6)", "majority (3:1 seeds)", "baseline_aae", 0.2, 15,
+     1, "needs 3 symbols; misreads break it"},
+    {"push rumor, NO noise", "broadcast", "baseline_forward", 0.5, 16, 1,
+     "the noiseless log n reference"},
 };
 
 }  // namespace
@@ -47,132 +66,31 @@ int main(int argc, char** argv) {
       "~log n/eps^2 rounds; each baseline fails on speed or correctness.");
 
   const std::size_t n = 2048;
-  const double eps = 0.2;
-  const std::uint64_t seed = 0xE9;
-  const double unit = flip::theory::round_unit(n, eps);
-  std::vector<Row> rows;
-
-  // --- breathe (ours) -------------------------------------------------
-  {
-    flip::BroadcastScenario scenario;
-    scenario.n = n;
-    scenario.eps = eps;
-    flip::TrialOptions trial_options;
-    trial_options.trials = 5;
-    trial_options.master_seed = seed;
-    const flip::TrialSummary s =
-        flip::run_trials(flip::broadcast_trial_fn(scenario), trial_options);
-    rows.push_back({"breathe (this paper)", "broadcast", s.rounds.mean(),
-                    s.correct_fraction.mean(),
-                    s.successes == s.trials, "optimal O(log n/eps^2)"});
-  }
-
-  // --- silent listening ------------------------------------------------
-  {
-    flip::BinarySymmetricChannel channel(eps);
-    flip::Engine engine(n, channel, flip::trial_stream_key(seed, 10));
-    flip::SilentConfig config;
-    config.samples_needed =
-        flip::next_odd(static_cast<std::uint64_t>(unit));
-    config.max_rounds = static_cast<flip::Round>(
-        64.0 * static_cast<double>(n) * unit);
-    flip::SilentListeningProtocol p(n, config);
-    const flip::Metrics m = engine.run(p, config.max_rounds);
-    rows.push_back({"silent-listen (Sec 1.6)", "broadcast",
-                    static_cast<double>(m.rounds),
-                    p.population().correct_fraction(flip::Opinion::kOne),
-                    p.all_decided(), "correct but Theta(n log n/eps^2)"});
-  }
-
-  // --- forward immediately --------------------------------------------
-  {
-    flip::BinarySymmetricChannel channel(eps);
-    flip::Engine engine(n, channel, flip::trial_stream_key(seed, 11));
-    flip::ForwardConfig config;
-    config.initial = {flip::Seed{0, flip::Opinion::kOne}};
-    config.stop_when_all_informed = true;
-    flip::ForwardGossipProtocol p(n, config);
-    const flip::Metrics m = engine.run(p, 1 << 20);
-    rows.push_back({"forward-now (Sec 1.6)", "broadcast",
-                    static_cast<double>(m.rounds),
-                    p.population().correct_fraction(flip::Opinion::kOne),
-                    false, "fast; bias decays (2eps)^depth"});
-  }
-
-  // --- noisy voter with zealot ------------------------------------------
-  {
-    flip::BinarySymmetricChannel channel(eps);
-    flip::Engine engine(n, channel, flip::trial_stream_key(seed, 12));
-    flip::VoterConfig config;
-    config.zealots = {flip::Seed{0, flip::Opinion::kOne}};
-    config.duration = static_cast<flip::Round>(16.0 * unit);
-    flip::NoisyVoterProtocol p(n, config);
-    const flip::Metrics m = engine.run(p, config.duration);
-    rows.push_back({"noisy voter (refs 49,50)", "broadcast",
-                    static_cast<double>(m.rounds),
-                    p.population().correct_fraction(flip::Opinion::kOne),
-                    false, "hovers near 1/2 at 16x our budget"});
-  }
-
-  // --- pull dynamics on the majority problem ---------------------------
-  for (const auto rule :
-       {flip::PullRule::kTwoPlusOwn, flip::PullRule::kThreeSamples}) {
-    flip::BinarySymmetricChannel channel(eps);
-    const flip::StreamKey key = flip::trial_stream_key(
-        seed, rule == flip::PullRule::kTwoPlusOwn ? 13 : 14);
-    flip::PullMajorityConfig config;
-    config.rule = rule;
-    config.initial_correct_fraction = 0.6;
-    config.max_rounds = static_cast<flip::Round>(8.0 * unit);
-    flip::PullMajorityDynamics dynamics(n, config, channel, key);
-    const flip::PullMajorityResult r = dynamics.run();
-    rows.push_back({rule == flip::PullRule::kTwoPlusOwn
-                        ? "two-choices (ref 22)"
-                        : "3-majority (ref 11)",
-                    "majority (60/40)", static_cast<double>(r.rounds),
-                    r.final_correct_fraction, r.consensus,
-                    "noiseless O(log n) dynamics under noise"});
-  }
-
-  // --- three-state AAE ---------------------------------------------------
-  {
-    flip::AAEConfig config;
-    config.initial_correct = n * 3 / 10;
-    config.initial_wrong = n / 10;
-    config.eps = eps;
-    config.max_rounds = static_cast<flip::Round>(8.0 * unit);
-    flip::ThreeStateAAE aae(n, config, flip::trial_stream_key(seed, 15));
-    const flip::AAEResult r = aae.run();
-    rows.push_back({"3-state AAE (ref 6)", "majority (3:1 seeds)",
-                    static_cast<double>(r.rounds), r.final_correct_fraction,
-                    r.consensus, "needs 3 symbols; misreads break it"});
-  }
-
-  // --- noiseless push rumor (reference point) ---------------------------
-  {
-    flip::PerfectChannel channel;
-    flip::Engine engine(n, channel, flip::trial_stream_key(seed, 16));
-    flip::ForwardConfig config;
-    config.initial = {flip::Seed{0, flip::Opinion::kOne}};
-    config.stop_when_all_informed = true;
-    flip::ForwardGossipProtocol p(n, config);
-    const flip::Metrics m = engine.run(p, 1 << 20);
-    rows.push_back({"push rumor, NO noise", "broadcast",
-                    static_cast<double>(m.rounds),
-                    p.population().correct_fraction(flip::Opinion::kOne),
-                    true, "the noiseless log n reference"});
-  }
+  const double unit = flip::theory::round_unit(n, 0.2);
 
   flip::TextTable table({"protocol", "problem", "rounds", "rounds/unit",
                          "correct fraction", "consensus", "note"});
-  for (const Row& row : rows) {
+  for (const Row& row : kRows) {
+    flip::ScenarioOverrides overrides;
+    overrides.n = n;
+    overrides.eps = row.eps;
+    const flip::TrialFn fn =
+        flip::ScenarioRegistry::instance().make(row.entry, overrides);
+    flip::TrialOptions trial_options;
+    trial_options.trials = row.trials;
+    trial_options.master_seed = 0xE9;
+    const flip::TrialSummary s = flip::run_trials(
+        [&fn, first = row.trial](std::uint64_t seed, std::size_t i) {
+          return fn(seed, first + i);
+        },
+        trial_options);
     table.row()
-        .cell(row.name)
+        .cell(row.label)
         .cell(row.problem)
-        .cell(row.rounds, 0)
-        .cell(row.rounds / unit, 2)
-        .cell(row.correct, 3)
-        .cell(row.consensus)
+        .cell(s.rounds.mean(), 0)
+        .cell(s.rounds.mean() / unit, 2)
+        .cell(s.correct_fraction.mean(), 3)
+        .cell(s.successes == s.trials)
         .cell(row.note);
   }
   flip::cli::bench_emit(

@@ -11,11 +11,11 @@
 
 #include <iostream>
 
-#include "baselines/forward.hpp"
 #include "core/breathe.hpp"
 #include "net/channel.hpp"
 #include "sim/engine.hpp"
 #include "util/table.hpp"
+#include "workload/registry.hpp"
 
 int main() {
   const std::size_t colony = 8192;  // workers
@@ -53,16 +53,15 @@ int main() {
             << metrics.rounds << " contact rounds.\n\n";
 
   // --- Naive recruitment (forward immediately) ----------------------
-  flip::Engine naive_engine(colony, channel, flip::trial_stream_key(seed, 2));
-  flip::ForwardConfig naive_config;
-  naive_config.initial = {flip::Seed{0, flip::Opinion::kOne}};
-  naive_config.stop_when_all_informed = true;
-  flip::ForwardGossipProtocol naive(colony, naive_config);
-  const flip::Metrics naive_metrics = naive_engine.run(naive, 100000);
+  flip::ScenarioOverrides naive;
+  naive.n = colony;
+  naive.eps = eps;
+  const flip::TrialFn forward =
+      flip::ScenarioRegistry::instance().make("baseline_forward", naive);
+  const flip::TrialOutcome naive_outcome = forward(seed, 2);
   std::cout << "Naive forwarding for comparison: everyone 'recruited' after "
-            << naive_metrics.rounds << " rounds, but only "
-            << naive.population().correct_fraction(flip::Opinion::kOne) *
-                   100.0
+            << naive_outcome.rounds << " rounds, but only "
+            << naive_outcome.correct_fraction * 100.0
             << "% head to the true site (rumor depth destroys the signal).\n";
   return 0;
 }

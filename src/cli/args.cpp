@@ -15,8 +15,15 @@ bool parse_size_value(std::string_view text, std::size_t& out) {
   return ec == std::errc{} && end == text.data() + text.size();
 }
 
-bool parse_uint64_value(std::string_view text, std::uint64_t& out) {
-  // Seeds are conventionally hex in this repo (0xE1, 0x5eed).
+bool parse_double_value(std::string_view text, double& out) {
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), out);
+  return ec == std::errc{} && end == text.data() + text.size();
+}
+
+}  // namespace
+
+bool parse_uint64(std::string_view text, std::uint64_t& out) {
   int base = 10;
   if (text.starts_with("0x") || text.starts_with("0X")) {
     text.remove_prefix(2);
@@ -26,14 +33,6 @@ bool parse_uint64_value(std::string_view text, std::uint64_t& out) {
       std::from_chars(text.data(), text.data() + text.size(), out, base);
   return ec == std::errc{} && end == text.data() + text.size();
 }
-
-bool parse_double_value(std::string_view text, double& out) {
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && end == text.data() + text.size();
-}
-
-}  // namespace
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -119,7 +118,7 @@ void ArgParser::add_uint64(std::string name, std::string help,
   Spec spec{std::move(name), "N", std::move(help), Kind::kValue,
             [out, flag](std::string_view value, std::string& error) {
               std::uint64_t parsed = 0;
-              if (!parse_uint64_value(value, parsed)) {
+              if (!parse_uint64(value, parsed)) {
                 error = flag + ": not an integer (decimal or 0x hex): '" +
                         std::string(value) + "'";
                 return false;

@@ -155,78 +155,68 @@ SurrogateValidationResult run_surrogate_validation(
   std::vector<std::string> scenarios = spec.scenarios;
   if (scenarios.empty()) {
     for (const ScenarioInfo* info : registry.list()) {
-      if (info->supports_surrogate) scenarios.push_back(info->name);
+      if (info->supports_surrogate()) scenarios.push_back(info->name);
     }
-  } else {
-    for (const std::string& name : scenarios) {
-      const ScenarioInfo* info = registry.find(name);
-      if (info == nullptr) {
-        throw std::invalid_argument("run_surrogate_validation: unknown "
-                                    "scenario '" + name + "'");
-      }
-      if (!info->supports_surrogate) {
-        throw std::invalid_argument(
-            "run_surrogate_validation: scenario '" + name +
-            "' has no surrogate model to validate");
-      }
+  }
+
+  // Resolve every cell on both engines before running any, so a bad name
+  // or n fails with resolve()'s message before minutes of Monte Carlo.
+  SurrogateValidationResult result;
+  result.spec = spec;
+  std::vector<ScenarioConfig> surrogate_configs;
+  for (const std::string& name : scenarios) {
+    for (const std::size_t n : spec.ns) {
+      ScenarioOverrides overrides;
+      overrides.n = n;
+      overrides.engine = EngineMode::kSurrogate;
+      surrogate_configs.push_back(registry.resolve(name, overrides));
+      overrides.engine = EngineMode::kBatch;
+      SurrogateValidationCell& cell = result.cells.emplace_back();
+      cell.scenario = name;
+      cell.config = registry.resolve(name, overrides);
+      cell.dynamic =
+          cell.config.schedule.enabled() || cell.config.churn.enabled();
     }
   }
 
   ThreadPool* pool =
       spec.threads != 0 ? &ThreadPool::sized(spec.threads) : nullptr;
-  SurrogateValidationResult result;
-  result.spec = spec;
   const auto start = std::chrono::steady_clock::now();
-  for (const std::string& name : scenarios) {
-    for (const std::size_t n : spec.ns) {
-      ScenarioOverrides overrides;
-      overrides.n = n;
+  for (std::size_t i = 0; i < result.cells.size(); ++i) {
+    SurrogateValidationCell& cell = result.cells[i];
+    TrialOptions mc_options;
+    mc_options.trials = spec.trials;
+    mc_options.master_seed = spec.seed;
+    mc_options.pool = pool;
+    const TrialSummary mc =
+        run_trials(registry.make(cell.scenario, cell.config), mc_options);
 
-      SurrogateValidationCell cell;
-      cell.scenario = name;
-      overrides.engine = EngineMode::kBatch;
-      cell.config = registry.resolve(name, overrides);
-      cell.dynamic =
-          cell.config.schedule.enabled() || cell.config.churn.enabled();
+    // The surrogate side: one analysis, surrogate_trials stratified
+    // outcomes — recovers the analytic probability to 1/surrogate_trials
+    // through the exact same TrialSummary surface the MC side uses.
+    TrialOptions sur_options = mc_options;
+    sur_options.trials = spec.surrogate_trials;
+    const TrialSummary sur = run_trials(
+        registry.make(cell.scenario, surrogate_configs[i]), sur_options);
 
-      TrialOptions mc_options;
-      mc_options.trials = spec.trials;
-      mc_options.master_seed = spec.seed;
-      mc_options.pool = pool;
-      const TrialSummary mc =
-          run_trials(registry.make(name, cell.config), mc_options);
-
-      // The surrogate side: one analysis, surrogate_trials stratified
-      // outcomes — recovers the analytic probability to 1/surrogate_trials
-      // through the exact same TrialSummary surface the MC side uses.
-      overrides.engine = EngineMode::kSurrogate;
-      const ScenarioConfig surrogate_config = registry.resolve(name, overrides);
-      TrialOptions sur_options = mc_options;
-      sur_options.trials = spec.surrogate_trials;
-      const TrialSummary sur =
-          run_trials(registry.make(name, surrogate_config), sur_options);
-
-      cell.success_mc = mc.success.estimate;
-      cell.mc_low = mc.success.low;
-      cell.mc_high = mc.success.high;
-      cell.success_surrogate = sur.success.estimate;
-      cell.abs_error = std::abs(cell.success_surrogate - cell.success_mc);
-      cell.tolerance = cell.dynamic ? kSurrogateDynamicTolerance
-                                    : kSurrogateStaticTolerance;
-      cell.band = 0.5 * (cell.mc_high - cell.mc_low) + cell.tolerance;
-      cell.pass = cell.abs_error <= cell.band;
-      const auto conv_mean = [](const TrialSummary& s) {
-        return s.converged != 0
-                   ? s.convergence_rounds.mean()
-                   : std::numeric_limits<double>::quiet_NaN();
-      };
-      cell.convergence_mc = conv_mean(mc);
-      cell.convergence_surrogate = conv_mean(sur);
-      cell.mc_seconds = mc.wall_seconds;
-      cell.surrogate_seconds = sur.wall_seconds;
-      result.all_pass = result.all_pass && cell.pass;
-      result.cells.push_back(std::move(cell));
-    }
+    cell.success_mc = mc.success.estimate;
+    cell.mc_low = mc.success.low;
+    cell.mc_high = mc.success.high;
+    cell.success_surrogate = sur.success.estimate;
+    cell.abs_error = std::abs(cell.success_surrogate - cell.success_mc);
+    cell.tolerance = cell.dynamic ? kSurrogateDynamicTolerance
+                                  : kSurrogateStaticTolerance;
+    cell.band = 0.5 * (cell.mc_high - cell.mc_low) + cell.tolerance;
+    cell.pass = cell.abs_error <= cell.band;
+    const auto conv_mean = [](const TrialSummary& s) {
+      return s.converged != 0 ? s.convergence_rounds.mean()
+                              : std::numeric_limits<double>::quiet_NaN();
+    };
+    cell.convergence_mc = conv_mean(mc);
+    cell.convergence_surrogate = conv_mean(sur);
+    cell.mc_seconds = mc.wall_seconds;
+    cell.surrogate_seconds = sur.wall_seconds;
+    result.all_pass = result.all_pass && cell.pass;
   }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -130,7 +130,7 @@ inline constexpr double kSurrogateStaticTolerance = 0.10;
 inline constexpr double kSurrogateDynamicTolerance = 0.16;
 
 /// What to validate. Empty `scenarios` = every registry entry with
-/// supports_surrogate.
+/// supports_surrogate().
 struct SurrogateValidationSpec {
   std::vector<std::string> scenarios;
   std::vector<std::size_t> ns = {1024};
@@ -173,8 +173,9 @@ struct SurrogateValidationResult {
   double wall_seconds = 0.0;
 };
 
-/// Runs the harness. Throws std::invalid_argument when a named scenario is
-/// unknown or does not support the surrogate engine.
+/// Runs the harness. Every (scenario, n) cell is resolved on the batch and
+/// the surrogate engine before the first trial; one that does not resolve
+/// throws ScenarioRegistry::resolve's std::invalid_argument.
 SurrogateValidationResult run_surrogate_validation(
     const SurrogateValidationSpec& spec);
 

@@ -1,6 +1,5 @@
 #include "cli/wire.hpp"
 
-#include <charconv>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -19,17 +18,6 @@ const char* command_name(WireCommand command) {
     case WireCommand::kShutdown: return "shutdown";
   }
   return "sweep";
-}
-
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  int base = 10;
-  if (text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
-    base = 16;
-    text.remove_prefix(2);
-  }
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out, base);
-  return ec == std::errc() && ptr == end && !text.empty();
 }
 
 void append_field(std::string& out, std::string_view key,
@@ -145,7 +133,7 @@ std::optional<SweepRequest> parse_sweep_request(std::string_view text,
       request.topology = value;
     } else if (key == "trials" || key == "seed" || key == "threads" ||
                key == "shards" || key == "resume_from") {
-      if (!parse_u64(value, number)) {
+      if (!parse_uint64(value, number)) {
         error = "bad number '" + std::string(value) + "' for key '" +
                 std::string(key) + "'";
         return std::nullopt;
@@ -278,7 +266,7 @@ std::optional<Checkpoint> parse_checkpoint(std::string_view text,
     if (eq == std::string_view::npos) continue;
     const std::string_view key = token.substr(0, eq);
     std::uint64_t number = 0;
-    if (!parse_u64(token.substr(eq + 1), number)) {
+    if (!parse_uint64(token.substr(eq + 1), number)) {
       error = "bad checkpoint header token '" + std::string(token) + "'";
       return std::nullopt;
     }

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "cli/report.hpp"
@@ -193,6 +194,31 @@ int open_request(std::uint16_t port, const cli::SweepRequest& request) {
   return fd;
 }
 
+/// Sends a one-frame command and checks its one-frame reply. True when the
+/// server answered `reply`; false (with `error` set) otherwise.
+bool exchange(std::uint16_t port, cli::WireCommand command,
+              std::string_view reply, std::string& error) {
+  cli::SweepRequest request;
+  request.command = command;
+  int fd = -1;
+  try {
+    fd = open_request(port, request);
+  } catch (const std::exception& e) {
+    error = e.what();
+    return false;
+  }
+  const FrameResult frame = read_frame(fd);
+  close_fd(fd);
+  if (frame.status != FrameStatus::kOk || frame.payload != reply) {
+    error = frame.status == FrameStatus::kOk
+                ? "unexpected reply '" + frame.payload + "'"
+                : (frame.status == FrameStatus::kEof ? "connection closed"
+                                                     : frame.error);
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string SweepClient::run_sweep(const cli::SweepRequest& request,
@@ -239,47 +265,11 @@ std::string SweepClient::run_sweep(const cli::SweepRequest& request,
 }
 
 bool SweepClient::ping(std::string& error) {
-  cli::SweepRequest request;
-  request.command = cli::WireCommand::kPing;
-  int fd = -1;
-  try {
-    fd = open_request(port_, request);
-  } catch (const std::exception& e) {
-    error = e.what();
-    return false;
-  }
-  const FrameResult frame = read_frame(fd);
-  close_fd(fd);
-  if (frame.status != FrameStatus::kOk || frame.payload != "pong") {
-    error = frame.status == FrameStatus::kOk
-                ? "unexpected reply '" + frame.payload + "'"
-                : (frame.status == FrameStatus::kEof ? "connection closed"
-                                                     : frame.error);
-    return false;
-  }
-  return true;
+  return exchange(port_, cli::WireCommand::kPing, "pong", error);
 }
 
 bool SweepClient::shutdown_server(std::string& error) {
-  cli::SweepRequest request;
-  request.command = cli::WireCommand::kShutdown;
-  int fd = -1;
-  try {
-    fd = open_request(port_, request);
-  } catch (const std::exception& e) {
-    error = e.what();
-    return false;
-  }
-  const FrameResult frame = read_frame(fd);
-  close_fd(fd);
-  if (frame.status != FrameStatus::kOk || frame.payload != "bye") {
-    error = frame.status == FrameStatus::kOk
-                ? "unexpected reply '" + frame.payload + "'"
-                : (frame.status == FrameStatus::kEof ? "connection closed"
-                                                     : frame.error);
-    return false;
-  }
-  return true;
+  return exchange(port_, cli::WireCommand::kShutdown, "bye", error);
 }
 
 }  // namespace flip::net

@@ -32,6 +32,15 @@ std::size_t majority_initial_set(std::size_t n) {
   return std::max(kMajorityMinN, n / 16);
 }
 
+/// kDynamicProbeEvery under a dynamic environment, a sparse graph or the
+/// adversarial channel; 0 (no probes) for a static run on the complete graph.
+Round probe_every(const ScenarioConfig& config) {
+  const bool dynamic = config.schedule.enabled() || config.churn.enabled() ||
+                       !config.topology.complete() ||
+                       config.channel == kChannelAdversarial;
+  return dynamic ? kDynamicProbeEvery : 0;
+}
+
 BroadcastScenario broadcast_from(const ScenarioConfig& config) {
   BroadcastScenario scenario;
   scenario.n = config.n;
@@ -42,16 +51,30 @@ BroadcastScenario broadcast_from(const ScenarioConfig& config) {
   scenario.schedule = config.schedule;
   scenario.churn = config.churn;
   scenario.topology = config.topology;
+  scenario.probe_every = probe_every(config);
   if (config.channel == kChannelAdversarial) {
     // Ablation budget: n/2 deterministic flips — the same order of
     // magnitude of extra flips the default burst schedule injects, but
     // spent adversarially on the earliest (most influential) messages.
     scenario.adversarial_budget = config.n / 2;
   }
-  if (scenario.schedule.enabled() || scenario.churn.enabled() ||
-      !scenario.topology.complete() || scenario.adversarial_budget > 0) {
-    scenario.probe_every = kDynamicProbeEvery;
-  }
+  return scenario;
+}
+
+/// Corollary 2.18's majority-consensus: |A| = max(64, n/16) with
+/// majority-bias 0.25.
+MajorityScenario majority_from(const ScenarioConfig& config) {
+  MajorityScenario scenario;
+  scenario.n = config.n;
+  scenario.eps = config.eps;
+  scenario.initial_set = majority_initial_set(config.n);
+  scenario.majority_bias = 0.25;
+  scenario.engine = config.engine;
+  scenario.shards = config.shards;
+  scenario.schedule = config.schedule;
+  scenario.churn = config.churn;
+  scenario.topology = config.topology;
+  scenario.probe_every = probe_every(config);
   return scenario;
 }
 
@@ -86,54 +109,55 @@ void register_builtin(ScenarioRegistry& registry) {
     return info;
   };
 
-  // Marks a scenario the mean-field surrogate engine can model: the
-  // breathe families under rate-modeled environments. NOT the adversarial
-  // ablation (stateful channel), the desync entries (per-agent clocks),
-  // or the baseline dynamics (their factories never dispatch on engine
-  // mode in the first place).
-  const auto sur = [](ScenarioInfo info) {
-    info.supports_surrogate = true;
-    return info;
-  };
-
   // Marks a breathe-family scenario (broadcast / majority / boost): its
-  // factory plumbs a non-complete interaction graph and a shard count
-  // through to the engines. The desync protocols and baseline dynamics
-  // stay complete-only and unsharded. `spec`, when given, becomes the
+  // factory dispatches on the engine mode and plumbs a non-complete
+  // interaction graph and a shard count through to the engines. The desync
+  // protocols, the adversarial ablation and the baseline dynamics run one
+  // substrate on the complete graph. `spec`, when given, becomes the
   // entry's default topology (TopologySpec::parse grammar).
-  const auto topo = [](ScenarioInfo info, const char* spec = nullptr) {
-    info.supports_topology = true;
-    info.supports_shards = true;
+  const auto batch_breathe = [](ScenarioInfo info, const char* spec = nullptr) {
+    info.batch_breathe = true;
     if (spec != nullptr) info.default_topology = TopologySpec::parse(spec);
     return info;
   };
 
-  registry.add(
-      topo(sur(env({"broadcast", "Section 2 noisy broadcast: the two-stage breathe protocol",
-       "broadcast", 1024, 0.2, bsc_or_hetero}, true, true))),
-      [](const ScenarioConfig& config) {
-        return broadcast_trial_fn(broadcast_from(config));
-      });
+  // The factory of every broadcast / majority / desync entry whose
+  // registered defaults are all that sets it apart.
+  const ScenarioFactory broadcast = [](const ScenarioConfig& config) {
+    return broadcast_trial_fn(broadcast_from(config));
+  };
+  const ScenarioFactory majority = [](const ScenarioConfig& config) {
+    return majority_trial_fn(majority_from(config));
+  };
+  const ScenarioFactory desync = [](const ScenarioConfig& config) {
+    DesyncScenario scenario;
+    scenario.n = config.n;
+    scenario.eps = config.eps;
+    scenario.max_skew = 8;
+    scenario.schedule = config.schedule;
+    return desync_trial_fn(scenario);
+  };
 
   registry.add(
-      topo(sur(env({"broadcast_small",
+      batch_breathe(env({"broadcast", "Section 2 noisy broadcast: the two-stage breathe protocol",
+       "broadcast", 1024, 0.2, bsc_or_hetero}, true, true)),
+      broadcast);
+
+  registry.add(
+      batch_breathe(env({"broadcast_small",
        "CI-sized broadcast (seconds per trial even in Debug)", "broadcast",
-       256, 0.3, bsc_or_hetero}, true, true))),
-      [](const ScenarioConfig& config) {
-        return broadcast_trial_fn(broadcast_from(config));
-      });
+       256, 0.3, bsc_or_hetero}, true, true)),
+      broadcast);
 
   registry.add(
-      topo(sur(env({"broadcast_large", "Broadcast at the sizes the scaling benches use",
-       "broadcast", 8192, 0.2, bsc_or_hetero}, true, true))),
-      [](const ScenarioConfig& config) {
-        return broadcast_trial_fn(broadcast_from(config));
-      });
+      batch_breathe(env({"broadcast_large", "Broadcast at the sizes the scaling benches use",
+       "broadcast", 8192, 0.2, bsc_or_hetero}, true, true)),
+      broadcast);
 
   registry.add(
-      topo(sur(env({"broadcast_stage1",
+      batch_breathe(env({"broadcast_stage1",
        "Stage I in isolation; success = every agent activated", "broadcast",
-       1024, 0.2, bsc_or_hetero}, true, true))),
+       1024, 0.2, bsc_or_hetero}, true, true)),
       [](const ScenarioConfig& config) {
         BroadcastScenario scenario = broadcast_from(config);
         scenario.stage1_only = true;
@@ -141,9 +165,9 @@ void register_builtin(ScenarioRegistry& registry) {
       });
 
   registry.add(
-      topo(sur(env({"broadcast_variant_rules",
+      batch_breathe(env({"broadcast_variant_rules",
        "Remarks 2.1/2.10 rule variants: first-message pick, prefix subset",
-       "broadcast", 1024, 0.2, bsc_or_hetero}, true, true))),
+       "broadcast", 1024, 0.2, bsc_or_hetero}, true, true)),
       [](const ScenarioConfig& config) {
         BroadcastScenario scenario = broadcast_from(config);
         scenario.stage1_pick = Stage1Pick::kFirstMessage;
@@ -164,13 +188,11 @@ void register_builtin(ScenarioRegistry& registry) {
     EnvironmentSchedule ramp;
     ramp.segments.push_back(EpsSegment{0, 0, 0.35, 0.1});
     registry.add(
-        topo(sur(env({"broadcast_eps_ramp",
+        batch_breathe(env({"broadcast_eps_ramp",
          "Broadcast under a whole-run eps ramp 0.35 -> 0.1 (ends below the "
          "calibrated advantage)",
-         "broadcast", 1024, 0.2, bsc, ramp}, true, true))),
-        [](const ScenarioConfig& config) {
-          return broadcast_trial_fn(broadcast_from(config));
-        });
+         "broadcast", 1024, 0.2, bsc, ramp}, true, true)),
+        broadcast);
   }
 
   {
@@ -183,27 +205,18 @@ void register_builtin(ScenarioRegistry& registry) {
     burst.burst_len = 16;
     burst.burst_eps = 0.02;
     registry.add(
-        topo(sur(env({"broadcast_burst",
+        batch_breathe(env({"broadcast_burst",
          "Broadcast with correlated noise bursts (8% of 16-round windows "
          "at eps 0.02)",
-         "broadcast", 1024, 0.2, bsc, burst}, true, true))),
-        [](const ScenarioConfig& config) {
-          return broadcast_trial_fn(broadcast_from(config));
-        });
+         "broadcast", 1024, 0.2, bsc, burst}, true, true)),
+        broadcast);
 
     registry.add(
         env({"desync_burst",
          "Desync broadcast (skew D = 8) under the same correlated noise "
          "bursts",
          "desync", 1024, 0.2, bsc, burst}, true, false),
-        [](const ScenarioConfig& config) {
-          DesyncScenario scenario;
-          scenario.n = config.n;
-          scenario.eps = config.eps;
-          scenario.max_skew = 8;
-          scenario.schedule = config.schedule;
-          return desync_trial_fn(scenario);
-        });
+        desync);
   }
 
   {
@@ -214,12 +227,10 @@ void register_builtin(ScenarioRegistry& registry) {
     churn.sleep_prob = 0.005;
     churn.wake_prob = 0.1;
     registry.add(
-        topo(sur(env({"broadcast_churn",
+        batch_breathe(env({"broadcast_churn",
          "Broadcast with agent churn (sleep 0.005 / wake 0.1 per round)",
-         "broadcast", 1024, 0.2, bsc, EnvironmentSchedule{}, churn}, true, true))),
-        [](const ScenarioConfig& config) {
-          return broadcast_trial_fn(broadcast_from(config));
-        });
+         "broadcast", 1024, 0.2, bsc, EnvironmentSchedule{}, churn}, true, true)),
+        broadcast);
 
     // Majority additionally starts with a quarter of the population not
     // yet joined — late joiners adopt opinions through Stage I as they
@@ -227,24 +238,11 @@ void register_builtin(ScenarioRegistry& registry) {
     ChurnSpec join_churn = churn;
     join_churn.start_asleep = 0.25;
     registry.add(
-        majority_floor(topo(sur(env({"majority_churn",
+        majority_floor(batch_breathe(env({"majority_churn",
          "Majority-consensus with churn and 25% late joiners "
          "(start_asleep 0.25)",
-         "majority", 1024, 0.2, bsc, EnvironmentSchedule{}, join_churn}, true, true)))),
-        [](const ScenarioConfig& config) {
-          MajorityScenario scenario;
-          scenario.n = config.n;
-          scenario.eps = config.eps;
-          scenario.initial_set = majority_initial_set(config.n);
-          scenario.majority_bias = 0.25;
-          scenario.engine = config.engine;
-          scenario.shards = config.shards;
-          scenario.schedule = config.schedule;
-          scenario.churn = config.churn;
-          scenario.topology = config.topology;
-          scenario.probe_every = kDynamicProbeEvery;
-          return majority_trial_fn(scenario);
-        });
+         "majority", 1024, 0.2, bsc, EnvironmentSchedule{}, join_churn}, true, true))),
+        majority);
   }
 
   registry.add(
@@ -252,9 +250,7 @@ void register_builtin(ScenarioRegistry& registry) {
        "Ablation vs broadcast_burst: n/2 flips spent adversarially on the "
        "earliest messages (reference Engine only)",
        "broadcast", 1024, 0.2, {std::string(kChannelAdversarial)}}, false, true),
-      [](const ScenarioConfig& config) {
-        return broadcast_trial_fn(broadcast_from(config));
-      });
+      broadcast);
 
   // --- sparse-topology scenarios (core/topology.hpp) --------------------
   // The paper's open empirical question: where do the broadcast/majority
@@ -265,87 +261,50 @@ void register_builtin(ScenarioRegistry& registry) {
   // shard count, bit for bit.
 
   registry.add(
-      topo(env({"broadcast_ring_k8",
+      batch_breathe(env({"broadcast_ring_k8",
        "Broadcast on the k = 8 ring: diameter n/8 dwarfs the O(log n) "
        "stage budgets (locality stress case)",
        "broadcast", 1024, 0.2, bsc}, true, true), "ring:8"),
-      [](const ScenarioConfig& config) {
-        return broadcast_trial_fn(broadcast_from(config));
-      });
+      broadcast);
 
   registry.add(
-      topo(env({"broadcast_grid_r2",
+      batch_breathe(env({"broadcast_grid_r2",
        "Broadcast on a 2-D torus, Chebyshev radius 2 (degree 24, diameter "
        "~sqrt(n)/4)",
        "broadcast", 1024, 0.2, bsc}, true, true), "grid:2"),
-      [](const ScenarioConfig& config) {
-        return broadcast_trial_fn(broadcast_from(config));
-      });
+      broadcast);
 
   registry.add(
-      topo(env({"broadcast_smallworld",
+      batch_breathe(env({"broadcast_smallworld",
        "Broadcast on a Watts-Strogatz small world (k = 8, rewire p = 0.1): "
        "shortcuts restore O(log n) diameter",
        "broadcast", 1024, 0.2, bsc}, true, true), "smallworld:8:0.1"),
-      [](const ScenarioConfig& config) {
-        return broadcast_trial_fn(broadcast_from(config));
-      });
+      broadcast);
 
   registry.add(
-      majority_floor(topo(env({"majority_smallworld",
+      majority_floor(batch_breathe(env({"majority_smallworld",
        "Majority-consensus on a Watts-Strogatz small world (k = 8, rewire "
        "p = 0.1)",
        "majority", 1024, 0.2, bsc}, true, true), "smallworld:8:0.1")),
-      [](const ScenarioConfig& config) {
-        MajorityScenario scenario;
-        scenario.n = config.n;
-        scenario.eps = config.eps;
-        scenario.initial_set = majority_initial_set(config.n);
-        scenario.majority_bias = 0.25;
-        scenario.engine = config.engine;
-        scenario.shards = config.shards;
-        scenario.schedule = config.schedule;
-        scenario.churn = config.churn;
-        scenario.topology = config.topology;
-        scenario.probe_every = kDynamicProbeEvery;
-        return majority_trial_fn(scenario);
-      });
+      majority);
 
   registry.add(
-      topo(env({"broadcast_dynamic_rewire",
+      batch_breathe(env({"broadcast_dynamic_rewire",
        "Broadcast on a per-round rewired k = 8 graph (p = 0.1 per edge per "
        "round): the graph itself churns",
        "broadcast", 1024, 0.2, bsc}, true, true), "dynamic:8:0.1"),
-      [](const ScenarioConfig& config) {
-        return broadcast_trial_fn(broadcast_from(config));
-      });
+      broadcast);
 
   registry.add(
-      majority_floor(topo(sur(env({"majority",
+      majority_floor(batch_breathe(env({"majority",
        "Corollary 2.18 majority-consensus: |A| = n/16, majority-bias 0.25",
-       "majority", 1024, 0.2, bsc}, true, true)))),
-      [](const ScenarioConfig& config) {
-        MajorityScenario scenario;
-        scenario.n = config.n;
-        scenario.eps = config.eps;
-        scenario.initial_set = majority_initial_set(config.n);
-        scenario.majority_bias = 0.25;
-        scenario.engine = config.engine;
-        scenario.shards = config.shards;
-        scenario.schedule = config.schedule;
-        scenario.churn = config.churn;
-        scenario.topology = config.topology;
-        if (scenario.schedule.enabled() || scenario.churn.enabled() ||
-            !scenario.topology.complete()) {
-          scenario.probe_every = kDynamicProbeEvery;
-        }
-        return majority_trial_fn(scenario);
-      });
+       "majority", 1024, 0.2, bsc}, true, true))),
+      majority);
 
   registry.add(
-      topo(sur({"boost",
+      batch_breathe({"boost",
        "Stage II in isolation (Lemma 2.14): bias 0.02 boosted to consensus",
-       "boost", 4096, 0.25, bsc})),
+       "boost", 4096, 0.25, bsc}),
       [](const ScenarioConfig& config) {
         BoostScenario scenario;
         scenario.n = config.n;
@@ -359,14 +318,7 @@ void register_builtin(ScenarioRegistry& registry) {
   registry.add(
       env({"desync", "Section 3 broadcast without a global clock, skew D = 8",
        "desync", 1024, 0.2, bsc}, true, false),
-      [](const ScenarioConfig& config) {
-        DesyncScenario scenario;
-        scenario.n = config.n;
-        scenario.eps = config.eps;
-        scenario.max_skew = 8;
-        scenario.schedule = config.schedule;
-        return desync_trial_fn(scenario);
-      });
+      desync);
 
   registry.add(
       env({"desync_clock_sync",
@@ -547,7 +499,7 @@ void ScenarioRegistry::add(ScenarioInfo info, ScenarioFactory factory) {
   }
   if ((info.default_schedule.enabled() && !info.supports_schedule) ||
       (info.default_churn.enabled() && !info.supports_churn) ||
-      (!info.default_topology.complete() && !info.supports_topology)) {
+      (!info.default_topology.complete() && !info.batch_breathe)) {
     throw std::invalid_argument("ScenarioRegistry::add: '" + info.name +
                                 "' registers a dynamic default it does not "
                                 "declare support for");
@@ -599,8 +551,7 @@ ScenarioConfig ScenarioRegistry::resolve(std::string_view name,
   config.channel = o.channel.value_or(entry.info.channels.front());
   config.engine = o.engine.value_or(EngineMode::kBatch);
   config.shards = o.shards.value_or(1);
-  if (config.engine == EngineMode::kSurrogate &&
-      !entry.info.supports_surrogate) {
+  if (config.engine == EngineMode::kSurrogate && !entry.info.batch_breathe) {
     throw std::invalid_argument(
         "scenario '" + entry.info.name +
         "' has no mean-field surrogate model (the surrogate engine covers "
@@ -618,8 +569,7 @@ ScenarioConfig ScenarioRegistry::resolve(std::string_view name,
     throw std::invalid_argument("scenario '" + entry.info.name +
                                 "' does not support agent churn");
   }
-  if (o.topology && !o.topology->complete() &&
-      !entry.info.supports_topology) {
+  if (o.topology && !o.topology->complete() && !entry.info.batch_breathe) {
     throw std::invalid_argument(
         "scenario '" + entry.info.name +
         "' does not support a topology override (the breathe families — "
@@ -649,7 +599,7 @@ ScenarioConfig ScenarioRegistry::resolve(std::string_view name,
                                 std::to_string(kMaxShards) + ", got " +
                                 std::to_string(config.shards));
   }
-  if (config.shards > 1 && !entry.info.supports_shards) {
+  if (config.shards > 1 && !entry.info.batch_breathe) {
     throw std::invalid_argument(
         "scenario '" + entry.info.name +
         "' runs on one substrate and does not support shards > 1 (the "

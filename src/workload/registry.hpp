@@ -6,9 +6,12 @@
 // scenario cannot be registered without being executable.
 //
 // This replaces "pick the right run_* function and hand-wire its struct"
-// with a uniform (name, n, eps, channel) interface. The scenario structs in
-// scenarios.hpp remain the typed API for code that needs every knob; the
-// registry exposes the grid dimensions sweeps actually vary.
+// with a uniform (name, n, eps, channel) interface, and it is the one place
+// a registered workload's parameters are derived from (n, eps): flipsim,
+// the daemon, model_explorer and the E9 table all run make(). The scenario
+// structs in scenarios.hpp remain the typed API for code that needs every
+// knob (the ablation and sweep benches); the registry exposes the grid
+// dimensions sweeps actually vary.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,22 +52,14 @@ struct ScenarioInfo {
   /// in the output params would mislabel the data.
   bool supports_schedule = false;
   bool supports_churn = false;
-  /// Whether the factory honors a non-complete topology override (the
-  /// breathe families — broadcast / majority / boost). Same rejection rule
-  /// as the schedule/churn flags.
-  bool supports_topology = false;
-  /// Whether EngineMode::kSurrogate can model this scenario (the mean-field
-  /// engine of sim/surrogate_engine.hpp covers the breathe families —
-  /// broadcast / majority / boost — under BSC, heterogeneous, schedule and
-  /// churn environments; the adversarial ablation, the desync scenarios,
-  /// and the baseline dynamics have no per-round rate model). resolve()
-  /// rejects `--engine surrogate` on unsupported entries.
-  bool supports_surrogate = false;
-  /// Whether the factory honors ScenarioConfig::shards > 1 (the batch
-  /// breathe families). desync, the adversarial ablation and the baseline
-  /// dynamics run one substrate, so resolve() rejects shards > 1 on them
-  /// rather than running unsharded under a sharded label.
-  bool supports_shards = false;
+  /// Whether the factory runs the breathe protocol through the engine
+  /// dispatch of workload/scenarios (broadcast / majority / boost): it then
+  /// honors a non-complete topology override (same rejection rule as the
+  /// schedule/churn flags) and ScenarioConfig::shards > 1. The desync
+  /// protocols, the adversarial ablation and the baseline dynamics run one
+  /// substrate, so resolve() rejects a sparse graph or shards > 1 on them
+  /// rather than running complete or unsharded under the override's label.
+  bool batch_breathe = false;
   /// The smallest n the factory accepts; resolve() rejects a smaller one
   /// naming the entry, so a sweep grid fails before its first cell. The
   /// default is the Params domain's n >= 4 (the breathe families and
@@ -76,6 +71,17 @@ struct ScenarioInfo {
   /// domain is open at 0.5: resolve() then rejects eps = 0.5. The
   /// baselines clear it and take the channels' closed domain.
   bool calibrates_params = true;
+
+  /// Whether EngineMode::kSurrogate runs this entry at its defaults. The
+  /// mean-field engine of sim/surrogate_engine.hpp models the breathe
+  /// families on the complete graph only (no sparse-graph rate model), and
+  /// nothing else: the adversarial ablation has a stateful channel, desync
+  /// per-agent clocks, and the baseline dynamics no per-round rate model.
+  /// resolve() rejects the surrogate on the others, naming the topology
+  /// when that is what is missing.
+  [[nodiscard]] bool supports_surrogate() const {
+    return batch_breathe && default_topology.complete();
+  }
 };
 
 /// One resolved grid point the factory builds a TrialFn for.
@@ -90,7 +96,7 @@ struct ScenarioConfig {
   /// Intra-trial shard count (batch breathe scenarios parallelize each
   /// round over this many partitions). Results are bit-identical for every
   /// value. resolve() validates 1..kMaxShards and rejects shards > 1 on
-  /// entries without supports_shards and on the classic and surrogate
+  /// entries without batch_breathe and on the classic and surrogate
   /// engines, which run unsharded.
   std::size_t shards = 1;
   /// Resolved dynamic environment: the override when one was given, the

@@ -601,7 +601,7 @@ TEST(BatchEngineTest, EveryRegistryEntryIdenticalOutcomes) {
     const TrialFn classic_fn = registry.make(info->name, classic_overrides);
     // Single-substrate entries reject a shard count rather than ignore it.
     TrialFn sharded_fn;
-    if (info->supports_shards) {
+    if (info->batch_breathe) {
       sharded_fn = registry.make(info->name, sharded_overrides);
     } else {
       EXPECT_THROW((void)registry.make(info->name, sharded_overrides),

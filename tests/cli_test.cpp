@@ -569,7 +569,7 @@ TEST(ValidateEngineTest, SurrogateAcceptedExactlyOnSupportedEntries) {
   const auto surrogate = [](SweepRequest& r) { r.engine = "surrogate"; };
   for (const ScenarioInfo* info : ScenarioRegistry::instance().list()) {
     const auto error = verdict(info->name, surrogate);
-    if (info->supports_surrogate) {
+    if (info->supports_surrogate()) {
       EXPECT_EQ(error, std::nullopt) << info->name;
     } else {
       ASSERT_TRUE(error.has_value()) << info->name;
@@ -609,7 +609,7 @@ TEST(ValidateTopologyTest, SparseAcceptedExactlyOnSupportingEntries) {
   const auto ring = [](SweepRequest& r) { r.topology = "ring:8"; };
   for (const ScenarioInfo* info : ScenarioRegistry::instance().list()) {
     const auto error = verdict(info->name, ring);
-    if (info->supports_topology) {
+    if (info->batch_breathe) {
       EXPECT_EQ(error, std::nullopt) << info->name;
     } else {
       ASSERT_TRUE(error.has_value()) << info->name;
@@ -639,16 +639,12 @@ TEST(ValidateTopologyTest, SurrogateRejectsAnyEffectiveSparseGraph) {
   const auto surrogate = [](SweepRequest& r) { r.engine = "surrogate"; };
   EXPECT_TRUE(verdict("broadcast_ring_k8", surrogate).has_value());
   // Overriding a sparse-default entry back to complete clears the graph
-  // rule; what still rejects it is that the entry has no surrogate model.
+  // rule: the entry is a breathe entry like any other, so it resolves.
   const auto complete = verdict("broadcast_ring_k8", [](SweepRequest& r) {
     r.engine = "surrogate";
     r.topology = "complete";
   });
-  ASSERT_TRUE(complete.has_value());
-  EXPECT_EQ(complete->find("ring(k=8)"), std::string::npos) << *complete;
-  EXPECT_NE(complete->find("no mean-field surrogate model"),
-            std::string::npos)
-      << *complete;
+  EXPECT_EQ(complete, std::nullopt) << *complete;
   EXPECT_EQ(verdict("broadcast", surrogate), std::nullopt);
 }
 

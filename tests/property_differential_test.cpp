@@ -158,7 +158,7 @@ ScenarioOverrides random_overrides(proptest::Gen& gen,
     overrides.churn = random_churn(gen);
   }
   TopologySpec effective = info.default_topology;
-  if (info.supports_topology && gen.chance(0.5)) {
+  if (info.batch_breathe && gen.chance(0.5)) {
     effective = random_topology(gen);
     overrides.topology = effective;
   }
@@ -206,7 +206,7 @@ TEST(PropertyDifferentialTest, RandomConfigSubstrateAndShardEquality) {
         expect_outcome_eq(classic, batch, what + " (classic vs batch)");
         // Single-substrate entries reject a shard count rather than ignore
         // it.
-        if (!info.supports_shards) {
+        if (!info.batch_breathe) {
           EXPECT_THROW((void)registry.make(info.name, sharded_overrides),
                        std::invalid_argument)
               << what;
@@ -393,7 +393,7 @@ TEST(PropertyDifferentialTest, SurrogateStaysWithinErrorBandOfBatch) {
   const ScenarioRegistry& registry = ScenarioRegistry::instance();
   std::vector<const ScenarioInfo*> supported;
   for (const ScenarioInfo* info : registry.list()) {
-    if (info->supports_surrogate) supported.push_back(info);
+    if (info->supports_surrogate()) supported.push_back(info);
   }
   ASSERT_FALSE(supported.empty());
   proptest::check(
@@ -441,7 +441,7 @@ TEST(PropertyDifferentialTest, SurrogateRegistryCoverageIsExact) {
   for (const ScenarioInfo* info : registry.list()) {
     ScenarioOverrides overrides;
     overrides.engine = EngineMode::kSurrogate;
-    if (!info->supports_surrogate) {
+    if (!info->supports_surrogate()) {
       EXPECT_THROW(registry.resolve(info->name, overrides),
                    std::invalid_argument)
           << info->name << " accepted the surrogate engine without a model";

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -256,7 +258,7 @@ TEST(RegistryTest, ShardsRejectedOnSingleSubstrateEntries) {
   };
   for (const ScenarioInfo* info : registry.list()) {
     const bool single = single_substrate.count(info->name) != 0;
-    EXPECT_EQ(info->supports_shards, !single) << info->name;
+    EXPECT_EQ(info->batch_breathe, !single) << info->name;
     if (single) {
       expect_rejected(info->name, ScenarioOverrides{}, "shards");
       continue;
@@ -268,7 +270,7 @@ TEST(RegistryTest, ShardsRejectedOnSingleSubstrateEntries) {
         << info->name;
     for (const EngineMode engine :
          {EngineMode::kClassic, EngineMode::kSurrogate}) {
-      if (engine == EngineMode::kSurrogate && !info->supports_surrogate) {
+      if (engine == EngineMode::kSurrogate && !info->supports_surrogate()) {
         continue;
       }
       ScenarioOverrides overrides;
@@ -371,7 +373,7 @@ TEST(RegistryTest, MajorityEntriesRejectNBelowTheirInitialSet) {
   const ScenarioRegistry& registry = ScenarioRegistry::instance();
   for (const char* name :
        {"majority", "majority_churn", "majority_smallworld"}) {
-    const bool surrogate = registry.find(name)->supports_surrogate;
+    const bool surrogate = registry.find(name)->supports_surrogate();
     for (const EngineMode engine :
          {EngineMode::kBatch, EngineMode::kSurrogate}) {
       if (engine == EngineMode::kSurrogate && !surrogate) continue;
@@ -387,6 +389,40 @@ TEST(RegistryTest, MajorityEntriesRejectNBelowTheirInitialSet) {
       EXPECT_NO_THROW((void)registry.make(name, overrides)(0x5eed, 0))
           << name << " " << engine_mode_name(engine);
     }
+  }
+}
+
+// supports_surrogate() is derived, not declared: a breathe entry whose
+// default graph is complete. A sparse preset is a breathe entry the
+// surrogate has no graph model for, so its rejection names the topology,
+// and with the graph overridden back to complete it is the entry it was
+// built from.
+TEST(RegistryTest, SurrogateRuleFollowsTheEffectiveTopology) {
+  const ScenarioRegistry& registry = ScenarioRegistry::instance();
+  EXPECT_FALSE(registry.find("broadcast_ring_k8")->supports_surrogate());
+  ScenarioOverrides overrides;
+  overrides.engine = EngineMode::kSurrogate;
+  overrides.n = 1024;
+  overrides.eps = 0.2;
+  EXPECT_EQ(resolve_error("broadcast_ring_k8", overrides),
+            "scenario 'broadcast_ring_k8': the mean-field surrogate engine "
+            "models the complete interaction graph only, not topology "
+            "'ring(k=8)'; use --engine batch or --engine classic");
+
+  overrides.topology = TopologySpec{};
+  const TrialFn ring = registry.make("broadcast_ring_k8", overrides);
+  const TrialFn broadcast = registry.make("broadcast", overrides);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t trial = 0; trial < 4; ++trial) {
+    const TrialOutcome a = ring(0x5eed, trial);
+    const TrialOutcome b = broadcast(0x5eed, trial);
+    EXPECT_EQ(a.success, b.success) << trial;
+    EXPECT_EQ(bits(a.rounds), bits(b.rounds)) << trial;
+    EXPECT_EQ(bits(a.messages), bits(b.messages)) << trial;
+    EXPECT_EQ(bits(a.correct_fraction), bits(b.correct_fraction)) << trial;
+    EXPECT_EQ(bits(a.convergence_round), bits(b.convergence_round)) << trial;
+    EXPECT_EQ(a.delivered, b.delivered) << trial;
+    EXPECT_EQ(a.flipped, b.flipped) << trial;
   }
 }
 

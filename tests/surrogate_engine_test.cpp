@@ -777,7 +777,7 @@ TEST(SurrogatePinnedTest, RegistryTrialFnsMatchTheTableBitForBit) {
   const ScenarioRegistry& registry = ScenarioRegistry::instance();
   std::vector<const ScenarioInfo*> entries;
   for (const ScenarioInfo* info : registry.list()) {
-    if (info->supports_surrogate) entries.push_back(info);
+    if (info->supports_surrogate()) entries.push_back(info);
   }
   ASSERT_EQ(std::size(kPinnedSurrogateTrials), entries.size())
       << "every surrogate entry needs one kPinnedSurrogateTrials row";

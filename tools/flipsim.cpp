@@ -23,11 +23,13 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "cli/args.hpp"
@@ -155,22 +157,34 @@ std::optional<std::uint16_t> parse_port(const std::string& text) {
   return static_cast<std::uint16_t>(value);
 }
 
+/// --serve and --validate-surrogate take only a few of the flags: any of
+/// `rejected` next to `mode` is an error naming it, not silently ignored.
+/// Returns false after printing that error.
+bool takes_only(const flip::cli::ArgParser& parser, std::string_view mode,
+                std::initializer_list<std::string_view> rejected,
+                std::string_view takes) {
+  for (const std::string_view flag : rejected) {
+    if (parser.given(flag)) {
+      std::cerr << "error: " << flag << " does not apply to " << mode
+                << " (it takes " << takes << ")\n";
+      return false;
+    }
+  }
+  return true;
+}
+
 /// --validate-surrogate: the surrogate-vs-batch harness runs each entry's
-/// registered grid point at the --n sizes. A sweep-only flag next to it is
-/// an error, not silently ignored.
+/// registered grid point at the --n sizes.
 int validate_surrogate(const flip::cli::ArgParser& parser,
                        const CliFlags& flags) {
-  for (const char* flag :
-       {"--eps", "--channel", "--shards", "--engine", "--schedule", "--churn",
-        "--topology", "--csv", "--jsonl", "--checkpoint", "--resume",
-        "--connect", "--ping", "--shutdown"}) {
-    if (parser.given(flag)) {
-      std::cerr << "error: " << flag
-                << " does not apply to --validate-surrogate (it takes "
-                   "--scenario, --n, --trials, --seed, --threads, --json "
-                   "and --quiet)\n";
-      return 2;
-    }
+  if (!takes_only(parser, "--validate-surrogate",
+                  {"--eps", "--channel", "--shards", "--engine", "--schedule",
+                   "--churn", "--topology", "--csv", "--jsonl",
+                   "--checkpoint", "--resume", "--connect", "--ping",
+                   "--shutdown"},
+                  "--scenario, --n, --trials, --seed, --threads, --json and "
+                  "--quiet")) {
+    return 2;
   }
   flip::cli::SurrogateValidationSpec vspec;
   if (!flags.scenario.empty()) vspec.scenarios.push_back(flags.scenario);
@@ -313,7 +327,8 @@ int main(int argc, char** argv) {
                             &flags.jsonl_path, &flags.jsonl);
   parser.add_optional_value("--serve", "port",
                             "run as a resident sweep daemon on 127.0.0.1 "
-                            "(no port: ephemeral, printed on stdout)",
+                            "(no port: ephemeral, printed on stdout; only "
+                            "--threads applies)",
                             &flags.serve_port, &flags.serve);
   parser.add_option("--connect", "port",
                     "submit this sweep to a daemon on 127.0.0.1:<port> and "
@@ -355,6 +370,15 @@ int main(int argc, char** argv) {
   // --serve: the daemon takes its sweeps from the wire, so none of the
   // sweep flags apply (only --threads, as the server-side worker default).
   if (flags.serve) {
+    if (!takes_only(parser, "--serve",
+                    {"--scenario", "--n", "--eps", "--channel", "--trials",
+                     "--seed", "--shards", "--engine", "--schedule",
+                     "--churn", "--topology", "--validate-surrogate",
+                     "--json", "--csv", "--jsonl", "--connect", "--ping",
+                     "--shutdown", "--checkpoint", "--resume", "--quiet"},
+                    "an optional port and --threads")) {
+      return 2;
+    }
     std::uint16_t port = 0;
     if (!flags.serve_port.empty()) {
       const auto parsed = parse_port(flags.serve_port);
