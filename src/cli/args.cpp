@@ -206,6 +206,14 @@ bool ArgParser::given(std::string_view name) const {
   });
 }
 
+std::vector<std::string> ArgParser::given_names() const {
+  std::vector<std::string> names;
+  for (const Spec& spec : specs_) {
+    if (spec.given) names.push_back(spec.name);
+  }
+  return names;
+}
+
 std::string ArgParser::usage() const {
   std::ostringstream os;
   os << "usage: " << program_ << " [options]\n";

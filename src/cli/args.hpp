@@ -52,6 +52,8 @@ class ArgParser {
   /// True when option `name` (with its leading "--") was on the parsed
   /// command line, whatever its value.
   [[nodiscard]] bool given(std::string_view name) const;
+  /// Every option on the parsed command line, in registration order.
+  [[nodiscard]] std::vector<std::string> given_names() const;
 
   [[nodiscard]] bool help_requested() const noexcept { return help_; }
   [[nodiscard]] const std::string& error() const noexcept { return error_; }

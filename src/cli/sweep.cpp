@@ -164,8 +164,9 @@ SurrogateValidationResult run_surrogate_validation(
   SurrogateValidationResult result;
   result.spec = spec;
   std::vector<ScenarioConfig> surrogate_configs;
+  const auto ns = axis_values(spec.ns);
   for (const std::string& name : scenarios) {
-    for (const std::size_t n : spec.ns) {
+    for (const auto& n : ns) {
       ScenarioOverrides overrides;
       overrides.n = n;
       overrides.engine = EngineMode::kSurrogate;

@@ -133,6 +133,8 @@ inline constexpr double kSurrogateDynamicTolerance = 0.16;
 /// supports_surrogate().
 struct SurrogateValidationSpec {
   std::vector<std::string> scenarios;
+  /// Sizes to validate at, deduplicated like a sweep grid's axes (so a
+  /// repeated n runs once; empty = each scenario's registered n).
   std::vector<std::size_t> ns = {1024};
   /// Monte-Carlo trials per cell (the expensive side).
   std::size_t trials = 32;

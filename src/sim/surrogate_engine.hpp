@@ -75,7 +75,9 @@
 namespace flip {
 
 /// One mean-field integration: the surrogate analogue of a resolved breathe
-/// scenario (broadcast, majority, or boost — the supported problems).
+/// scenario (broadcast, majority, or boost — the supported problems). The
+/// scenario layer (workload/scenarios.cpp) builds the exact engines' run
+/// from the same spec, so both engine families read one description.
 struct SurrogateSpec {
   std::size_t n = 1024;
   double eps = 0.2;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "net/channel.hpp"
 #include "sim/batch_engine.hpp"
@@ -31,85 +32,6 @@ ThreadPool* shard_pool(std::size_t shards) {
   return shards > 1 ? &ThreadPool::shared() : nullptr;
 }
 
-// Scenario -> SurrogateSpec derivations for EngineMode::kSurrogate. These
-// deliberately bypass the BreatheConfig builders: majority_config
-// materializes an O(n) seed vector, which at the surrogate's n = 1e9 would
-// cost more memory than the whole analysis — the spec carries counts only.
-
-/// The mean-field rate equations assume every sender reaches every
-/// recipient with probability 1/(n-1): a sparse interaction graph has no
-/// homogeneous per-round rate, so the surrogate refuses it rather than
-/// silently integrating the wrong dynamics.
-void reject_sparse_topology(const TopologySpec& topology, const char* what) {
-  if (!topology.complete()) {
-    throw std::invalid_argument(
-        std::string(what) + ": the mean-field surrogate engine models the "
-        "complete interaction graph only, not topology '" +
-        topology.describe() + "'; use --engine batch or --engine classic");
-  }
-}
-
-SurrogateSpec broadcast_surrogate_spec(const BroadcastScenario& scenario) {
-  if (scenario.adversarial_budget != 0) {
-    throw std::invalid_argument(
-        "broadcast: the adversarial channel is stateful and order-"
-        "dependent — no per-round rate exists for the surrogate engine; "
-        "use --engine batch or --engine classic");
-  }
-  reject_sparse_topology(scenario.topology, "broadcast");
-  SurrogateSpec spec;
-  spec.n = scenario.n;
-  spec.eps = scenario.eps;
-  spec.tuning = scenario.tuning;
-  spec.initial_set = 1;
-  spec.initial_correct = 1;
-  spec.stage1_only = scenario.stage1_only;
-  spec.heterogeneous = scenario.heterogeneous_noise;
-  spec.schedule = scenario.schedule;
-  spec.churn = scenario.churn;
-  spec.probe_every = scenario.probe_every;
-  // stage1_pick / stage2_subset need no mapping: uniform-vs-first message
-  // and uniform-vs-prefix subset have identical per-agent marginals, so
-  // the mean-field state evolution is the same for all four combinations.
-  return spec;
-}
-
-SurrogateSpec majority_surrogate_spec(const MajorityScenario& scenario) {
-  if (!(scenario.majority_bias > 0.0) || scenario.majority_bias > 0.5) {
-    throw std::invalid_argument("run_majority: majority_bias not in (0, 0.5]");
-  }
-  reject_sparse_topology(scenario.topology, "majority");
-  SurrogateSpec spec;
-  spec.n = scenario.n;
-  spec.eps = scenario.eps;
-  spec.tuning = scenario.tuning;
-  spec.initial_set = scenario.initial_set;
-  spec.initial_correct = static_cast<std::size_t>(
-      std::llround((0.5 + scenario.majority_bias) *
-                   static_cast<double>(scenario.initial_set)));
-  spec.auto_join_phase = true;
-  spec.schedule = scenario.schedule;
-  spec.churn = scenario.churn;
-  spec.probe_every = scenario.probe_every;
-  return spec;
-}
-
-SurrogateSpec boost_surrogate_spec(const BoostScenario& scenario) {
-  if (!(scenario.initial_bias > 0.0) || scenario.initial_bias > 0.5) {
-    throw std::invalid_argument("run_boost: initial_bias not in (0, 0.5]");
-  }
-  reject_sparse_topology(scenario.topology, "boost");
-  SurrogateSpec spec;
-  spec.n = scenario.n;
-  spec.eps = scenario.eps;
-  spec.tuning = scenario.tuning;
-  spec.initial_set = scenario.n;
-  spec.initial_correct = static_cast<std::size_t>(std::llround(
-      (0.5 + scenario.initial_bias) * static_cast<double>(scenario.n)));
-  spec.skip_stage1 = true;
-  return spec;
-}
-
 /// The convergence-round probe statistic: first stable crossing of 99%
 /// activation in the recorded series. NaN when no probes were recorded or
 /// the crossing never happens — reporting maps non-finite to null/"-".
@@ -120,132 +42,147 @@ double activation_convergence(const Metrics& metrics, std::size_t n) {
   return round ? static_cast<double>(*round) : kNoConvergence;
 }
 
-/// The environment one breathe execution runs in: at most one of
-/// heterogeneous / schedule / adversarial selects the channel; churn is
-/// orthogonal.
-struct BreatheEnvironment {
-  bool heterogeneous = false;
-  EnvironmentSchedule schedule{};
-  ChurnSpec churn{};
+/// One breathe run for every engine. Broadcast, majority (Corollary 2.18)
+/// and boost (Lemma 2.14) differ only in the initial set A and where they
+/// join, so `spec` states each in counts: all the surrogate reads, with no
+/// O(n) state at its n = 1e9. The other fields only the exact engines read.
+struct BreatheCell {
+  const char* problem = "";  ///< named by the surrogate's rejections
+  SurrogateSpec spec;
+  Opinion correct = Opinion::kOne;
+  /// Remarks 2.1 / 2.10. The surrogate needs neither: both variants have
+  /// the same per-agent marginals, so the same mean-field evolution.
+  Stage1Pick stage1_pick = Stage1Pick::kUniformMessage;
+  Stage2Subset stage2_subset = Stage2Subset::kUniformSubset;
   /// Interaction graph; orthogonal to the channel choice, like churn.
   TopologySpec topology{};
   std::uint64_t adversarial_budget = 0;
-};
-
-/// Everything a breathe scenario fixes before its first trial: the
-/// calibrated schedule, the protocol config (whose initial seed list is
-/// O(n) for boost), the environment, and the execution knobs. The run_*
-/// functions build one per call; the *_trial_fn adapters build one per
-/// cell and share it read-only across the harness's worker threads.
-struct BreatheCell {
-  Params params;
-  BreatheConfig config;
-  double eps = 0.0;
-  BreatheEnvironment env{};
   EngineMode engine = EngineMode::kBatch;
   std::size_t shards = 1;
-  /// Truncates the budget to Stage I; success then means "every agent
-  /// activated".
-  bool stage1_only = false;
-  Round probe_every = 0;
 };
 
-// Scenario -> BreatheCell derivations. A bad bias is rejected before
-// Params::calibrated checks (n, eps).
-
-BreatheCell broadcast_cell(const BroadcastScenario& scenario) {
-  BreatheCell cell{
-      Params::calibrated(scenario.n, scenario.eps, scenario.tuning),
-      broadcast_config(scenario.correct)};
-  cell.config.stage1_pick = scenario.stage1_pick;
-  cell.config.stage2_subset = scenario.stage2_subset;
-  cell.eps = scenario.eps;
-  cell.env.heterogeneous = scenario.heterogeneous_noise;
-  cell.env.schedule = scenario.schedule;
-  cell.env.churn = scenario.churn;
-  cell.env.topology = scenario.topology;
-  cell.env.adversarial_budget = scenario.adversarial_budget;
+/// The fields every breathe scenario shares. Each joins Stage I at
+/// join_phase_for_initial_set(|A|): 0 for a lone source; skip_stage1
+/// ignores it.
+template <typename Scenario>
+BreatheCell breathe_cell(const char* problem, const Scenario& scenario,
+                         std::size_t initial_set,
+                         std::size_t initial_correct) {
+  BreatheCell cell;
+  cell.problem = problem;
+  cell.spec.n = scenario.n;
+  cell.spec.eps = scenario.eps;
+  cell.spec.tuning = scenario.tuning;
+  cell.spec.initial_set = initial_set;
+  cell.spec.initial_correct = initial_correct;
+  cell.spec.auto_join_phase = true;
+  cell.correct = scenario.correct;
+  cell.topology = scenario.topology;
   cell.engine = scenario.engine;
   cell.shards = scenario.shards;
-  cell.stage1_only = scenario.stage1_only;
-  cell.probe_every = scenario.probe_every;
-  if (cell.env.heterogeneous && cell.env.schedule.enabled()) {
+  return cell;
+}
+
+/// majority-bias = (A_B - A_notB) / (2|A|)  =>  A_B = |A| (1/2 + bias). A
+/// bias outside (0, 1/2] throws, naming `what`, before (n, eps) is checked.
+std::size_t correct_count(double bias, std::size_t size, const char* what) {
+  if (!(bias > 0.0) || bias > 0.5) {
+    throw std::invalid_argument(std::string(what) + " not in (0, 0.5]");
+  }
+  return static_cast<std::size_t>(
+      std::llround((0.5 + bias) * static_cast<double>(size)));
+}
+
+BreatheCell scenario_cell(const BroadcastScenario& scenario) {
+  BreatheCell cell = breathe_cell("broadcast", scenario, 1, 1);
+  cell.spec.stage1_only = scenario.stage1_only;
+  cell.spec.heterogeneous = scenario.heterogeneous_noise;
+  cell.spec.schedule = scenario.schedule;
+  cell.spec.churn = scenario.churn;
+  cell.spec.probe_every = scenario.probe_every;
+  cell.stage1_pick = scenario.stage1_pick;
+  cell.stage2_subset = scenario.stage2_subset;
+  cell.adversarial_budget = scenario.adversarial_budget;
+  return cell;
+}
+
+BreatheCell scenario_cell(const MajorityScenario& scenario) {
+  BreatheCell cell = breathe_cell(
+      "majority", scenario, scenario.initial_set,
+      correct_count(scenario.majority_bias, scenario.initial_set,
+                    "run_majority: majority_bias"));
+  cell.spec.schedule = scenario.schedule;
+  cell.spec.churn = scenario.churn;
+  cell.spec.probe_every = scenario.probe_every;
+  return cell;
+}
+
+BreatheCell scenario_cell(const BoostScenario& scenario) {
+  BreatheCell cell = breathe_cell(
+      "boost", scenario, scenario.n,
+      correct_count(scenario.initial_bias, scenario.n,
+                    "run_boost: initial_bias"));
+  cell.spec.skip_stage1 = true;
+  return cell;
+}
+
+/// What the exact engines fix before a cell's first trial: the calibrated
+/// schedule and the protocol config (whose seed list is O(n) for boost).
+/// The run_* functions build one per call; breathe_trial_fn one per cell,
+/// shared read-only across the harness's worker threads.
+struct ExactCell : BreatheCell {
+  Params params;
+  BreatheConfig config;
+};
+
+/// At |A| = 1, majority_config is broadcast_config (one source, phase 0).
+ExactCell exact_cell(const BreatheCell& cell) {
+  const SurrogateSpec& spec = cell.spec;
+  const Params params = Params::calibrated(spec.n, spec.eps, spec.tuning);
+  ExactCell exact{cell, params,
+                  majority_config(params, spec.initial_set,
+                                  spec.initial_correct, cell.correct)};
+  exact.config.skip_stage1 = spec.skip_stage1;
+  exact.config.stage1_pick = cell.stage1_pick;
+  exact.config.stage2_subset = cell.stage2_subset;
+  if (spec.heterogeneous && spec.schedule.enabled()) {
     throw std::invalid_argument(
         "breathe scenario: heterogeneous noise and an eps schedule are "
         "mutually exclusive");
   }
-  if (cell.env.adversarial_budget != 0 &&
-      (cell.env.heterogeneous || cell.env.schedule.enabled())) {
+  if (cell.adversarial_budget != 0 &&
+      (spec.heterogeneous || spec.schedule.enabled())) {
     throw std::invalid_argument(
         "breathe scenario: the adversarial channel excludes heterogeneous "
         "noise and eps schedules");
   }
-  return cell;
+  return exact;
 }
 
-BreatheCell majority_cell(const MajorityScenario& scenario) {
-  if (!(scenario.majority_bias > 0.0) || scenario.majority_bias > 0.5) {
-    throw std::invalid_argument("run_majority: majority_bias not in (0, 0.5]");
-  }
-  const Params params =
-      Params::calibrated(scenario.n, scenario.eps, scenario.tuning);
-  // majority-bias = (A_B - A_notB) / (2|A|)  =>  A_B = |A| (1/2 + bias).
-  const auto correct_count = static_cast<std::size_t>(
-      std::llround((0.5 + scenario.majority_bias) *
-                   static_cast<double>(scenario.initial_set)));
-  BreatheCell cell{params, majority_config(params, scenario.initial_set,
-                                           correct_count, scenario.correct)};
-  cell.eps = scenario.eps;
-  cell.env.schedule = scenario.schedule;
-  cell.env.churn = scenario.churn;
-  cell.env.topology = scenario.topology;
-  cell.engine = scenario.engine;
-  cell.shards = scenario.shards;
-  cell.probe_every = scenario.probe_every;
-  return cell;
-}
-
-BreatheCell boost_cell(const BoostScenario& scenario) {
-  if (!(scenario.initial_bias > 0.0) || scenario.initial_bias > 0.5) {
-    throw std::invalid_argument("run_boost: initial_bias not in (0, 0.5]");
-  }
-  const Params params =
-      Params::calibrated(scenario.n, scenario.eps, scenario.tuning);
-  const auto correct_count = static_cast<std::size_t>(
-      std::llround((0.5 + scenario.initial_bias) *
-                   static_cast<double>(scenario.n)));
-  BreatheCell cell{params, majority_config(params, scenario.n, correct_count,
-                                           scenario.correct)};
-  cell.config.skip_stage1 = true;
-  cell.eps = scenario.eps;
-  cell.env.topology = scenario.topology;
-  cell.engine = scenario.engine;
-  cell.shards = scenario.shards;
-  return cell;
-}
-
-/// One breathe execution — the single substrate dispatch behind every
-/// run_broadcast / run_majority / run_boost call and every breathe trial
-/// fn. Builds the channel `cell.env` selects, runs it on the batch fast
-/// path unless the engine is classic, the channel is adversarial, or the
-/// schedule cannot be packed (breathe_fast_supported), and otherwise on
-/// the oracle Engine + BreatheProtocol. Either way it fills the leased
-/// arena's result; both substrates draw from the same keys, so the result
-/// is the same bits.
-const BreatheFastResult& run_breathe_trial(const BreatheCell& cell,
+/// One exact breathe execution — the single substrate dispatch behind
+/// every run_broadcast / run_majority / run_boost call and every exact
+/// breathe trial fn. Builds the channel the cell selects (at most one of
+/// adversarial / schedule / heterogeneous; churn and topology are
+/// orthogonal), runs it on the batch fast path unless the engine is
+/// classic, the channel is adversarial, or the schedule cannot be packed
+/// (breathe_fast_supported), and otherwise on the oracle Engine +
+/// BreatheProtocol. Either way it fills the leased arena's result; both
+/// substrates draw from the same keys, so the result is the same bits.
+const BreatheFastResult& run_breathe_trial(const ExactCell& cell,
                                            std::uint64_t seed,
                                            std::size_t trial,
                                            TrialArena& arena) {
+  const SurrogateSpec& spec = cell.spec;
   const StreamKey key = trial_stream_key(seed, trial);
   BreatheRunOptions options;
-  options.engine.probe_every = cell.probe_every;
-  options.engine.churn = cell.env.churn;
-  options.engine.topology = cell.env.topology;
+  options.engine.probe_every = spec.probe_every;
+  options.engine.churn = spec.churn;
+  options.engine.topology = cell.topology;
   options.shards = cell.shards;
   options.pool = shard_pool(cell.shards);
   const Round budget =
       breathe_schedule(cell.params, cell.config.start_phase,
-                       cell.config.skip_stage1, cell.stage1_only)
+                       cell.config.skip_stage1, spec.stage1_only)
           .budget;
   BreatheFastResult& result = arena.result;
 
@@ -257,7 +194,7 @@ const BreatheFastResult& run_breathe_trial(const BreatheCell& cell,
       if (cell.engine == EngineMode::kBatch &&
           breathe_fast_supported(cell.params)) {
         arena.engine.run_breathe(cell.params, cell.config, channel, key,
-                                 cell.stage1_only, options, result);
+                                 spec.stage1_only, options, result);
         return;
       }
     }
@@ -274,24 +211,23 @@ const BreatheFastResult& run_breathe_trial(const BreatheCell& cell,
     result.stage1 = protocol.stage1_stats();
     result.stage2 = protocol.stage2_stats();
   };
-  if (cell.env.adversarial_budget != 0) {
-    AdversarialChannel channel(cell.env.adversarial_budget);
+  if (cell.adversarial_budget != 0) {
+    AdversarialChannel channel(cell.adversarial_budget);
     run(channel);
-  } else if (cell.env.schedule.enabled()) {
+  } else if (spec.schedule.enabled()) {
     // Anchor open-ended schedule segments ("ramp over the whole run") to
     // the rounds this execution will actually run.
-    CorrelatedBurstChannel channel(
-        cell.env.schedule.resolved(cell.eps, budget));
+    CorrelatedBurstChannel channel(spec.schedule.resolved(spec.eps, budget));
     run(channel);
-  } else if (cell.env.heterogeneous) {
-    HeterogeneousChannel channel(cell.eps);
+  } else if (spec.heterogeneous) {
+    HeterogeneousChannel channel(spec.eps);
     run(channel);
   } else {
-    BinarySymmetricChannel channel(cell.eps);
+    BinarySymmetricChannel channel(spec.eps);
     run(channel);
   }
 
-  if (cell.stage1_only) {
+  if (spec.stage1_only) {
     // Stage-I-only success = every agent activated, counted from the
     // Stage I stats (identical on both substrates).
     const std::uint64_t activated =
@@ -304,17 +240,17 @@ const BreatheFastResult& run_breathe_trial(const BreatheCell& cell,
 /// The RunDetail of one breathe execution (the public run_* functions).
 RunDetail breathe_detail(const BreatheCell& cell, std::uint64_t seed,
                          std::size_t trial) {
+  const ExactCell exact = exact_cell(cell);
   if (cell.engine == EngineMode::kSurrogate) {
     // The surrogate yields analytic moments, not one execution's samples:
-    // there is no RunDetail to return. The *_trial_fn adapters intercept
-    // kSurrogate before a cell is built.
+    // there is no RunDetail to return.
     throw std::invalid_argument(
         "breathe scenario: the surrogate engine has no per-execution "
         "RunDetail; use the trial-fn adapters");
   }
   TrialArenaLease arena;
   const BreatheFastResult& result =
-      run_breathe_trial(cell, seed, trial, *arena);
+      run_breathe_trial(exact, seed, trial, *arena);
   RunDetail detail;
   detail.metrics = result.metrics;
   detail.success = result.success;
@@ -324,33 +260,45 @@ RunDetail breathe_detail(const BreatheCell& cell, std::uint64_t seed,
   detail.stage1 = result.stage1;
   detail.stage2 = result.stage2;
   detail.convergence_round =
-      activation_convergence(result.metrics, cell.params.n());
+      activation_convergence(result.metrics, exact.params.n());
   return detail;
 }
 
-/// The TrialOutcome of one breathe execution (the Monte-Carlo path). Only
-/// scalars leave the arena, so after one warm-up trial per cell shape a
-/// batch trial with a static channel and inline shard phases allocates
-/// nothing (tests/trial_arena_test.cpp); CorrelatedBurstChannel still
-/// materializes its resolved schedule per trial.
-TrialOutcome breathe_outcome(const BreatheCell& cell, std::uint64_t seed,
-                             std::size_t trial) {
-  TrialArenaLease arena;
-  const BreatheFastResult& result =
-      run_breathe_trial(cell, seed, trial, *arena);
-  TrialOutcome outcome = metrics_outcome(result.metrics);
-  outcome.success = result.success;
-  outcome.correct_fraction = result.correct_fraction;
-  outcome.convergence_round =
-      activation_convergence(result.metrics, cell.params.n());
-  return outcome;
-}
-
-/// The Monte-Carlo adapter over one prepared cell: everything that depends
-/// only on the scenario is hoisted out of the per-trial closure.
-TrialFn breathe_trial_fn(BreatheCell cell) {
-  return [cell = std::move(cell)](std::uint64_t seed, std::size_t trial) {
-    return breathe_outcome(cell, seed, trial);
+/// The Monte-Carlo adapter over one cell. The surrogate's rate equations
+/// need a stateless channel and a 1/(n-1) chance for every sender to reach
+/// every recipient, so it refuses the adversarial channel and a sparse
+/// graph rather than integrate the wrong dynamics. The exact closure holds
+/// the prepared cell, and only scalars leave the arena, so after one
+/// warm-up trial per cell shape a batch trial with a static channel and
+/// inline shard phases allocates nothing (tests/trial_arena_test.cpp).
+TrialFn breathe_trial_fn(const BreatheCell& cell) {
+  if (cell.engine == EngineMode::kSurrogate) {
+    if (cell.adversarial_budget != 0) {
+      throw std::invalid_argument(
+          std::string(cell.problem) +
+          ": the adversarial channel is stateful and order-dependent — no "
+          "per-round rate exists for the surrogate engine; use --engine "
+          "batch or --engine classic");
+    }
+    if (!cell.topology.complete()) {
+      throw std::invalid_argument(
+          std::string(cell.problem) + ": the mean-field surrogate engine "
+          "models the complete interaction graph only, not topology '" +
+          cell.topology.describe() +
+          "'; use --engine batch or --engine classic");
+    }
+    return surrogate_trial_fn(cell.spec);
+  }
+  return [exact = exact_cell(cell)](std::uint64_t seed, std::size_t trial) {
+    TrialArenaLease arena;
+    const BreatheFastResult& result =
+        run_breathe_trial(exact, seed, trial, *arena);
+    TrialOutcome outcome = metrics_outcome(result.metrics);
+    outcome.success = result.success;
+    outcome.correct_fraction = result.correct_fraction;
+    outcome.convergence_round =
+        activation_convergence(result.metrics, exact.params.n());
+    return outcome;
   };
 }
 
@@ -377,17 +325,17 @@ TrialOutcome to_outcome(const RunDetail& detail) {
 
 RunDetail run_broadcast(const BroadcastScenario& scenario, std::uint64_t seed,
                         std::size_t trial) {
-  return breathe_detail(broadcast_cell(scenario), seed, trial);
+  return breathe_detail(scenario_cell(scenario), seed, trial);
 }
 
 RunDetail run_majority(const MajorityScenario& scenario, std::uint64_t seed,
                        std::size_t trial) {
-  return breathe_detail(majority_cell(scenario), seed, trial);
+  return breathe_detail(scenario_cell(scenario), seed, trial);
 }
 
 RunDetail run_boost(const BoostScenario& scenario, std::uint64_t seed,
                     std::size_t trial) {
-  return breathe_detail(boost_cell(scenario), seed, trial);
+  return breathe_detail(scenario_cell(scenario), seed, trial);
 }
 
 RunDetail run_desync(const DesyncScenario& scenario, std::uint64_t seed,
@@ -448,24 +396,15 @@ RunDetail run_desync(const DesyncScenario& scenario, std::uint64_t seed,
 }
 
 TrialFn broadcast_trial_fn(BroadcastScenario scenario) {
-  if (scenario.engine == EngineMode::kSurrogate) {
-    return surrogate_trial_fn(broadcast_surrogate_spec(scenario));
-  }
-  return breathe_trial_fn(broadcast_cell(scenario));
+  return breathe_trial_fn(scenario_cell(scenario));
 }
 
 TrialFn majority_trial_fn(MajorityScenario scenario) {
-  if (scenario.engine == EngineMode::kSurrogate) {
-    return surrogate_trial_fn(majority_surrogate_spec(scenario));
-  }
-  return breathe_trial_fn(majority_cell(scenario));
+  return breathe_trial_fn(scenario_cell(scenario));
 }
 
 TrialFn boost_trial_fn(BoostScenario scenario) {
-  if (scenario.engine == EngineMode::kSurrogate) {
-    return surrogate_trial_fn(boost_surrogate_spec(scenario));
-  }
-  return breathe_trial_fn(boost_cell(scenario));
+  return breathe_trial_fn(scenario_cell(scenario));
 }
 
 TrialFn desync_trial_fn(DesyncScenario scenario) {

@@ -129,6 +129,20 @@ TEST(ArgParserTest, GivenReportsOnlyOptionsOnTheCommandLine) {
   EXPECT_FALSE(parser.given("--nope"));
 }
 
+TEST(ArgParserTest, GivenNamesFollowRegistrationOrder) {
+  bool verbose = false;
+  bool quiet = false;
+  std::string value;
+  ArgParser parser("prog", "");
+  parser.add_flag("--verbose", "", &verbose);
+  parser.add_option("--engine", "mode", "", &value);
+  parser.add_flag("--quiet", "", &quiet);
+  const char* argv[] = {"prog", "--quiet", "--engine", "batch"};
+  ASSERT_TRUE(parser.parse(4, argv));
+  EXPECT_EQ(parser.given_names(),
+            (std::vector<std::string>{"--engine", "--quiet"}));
+}
+
 TEST(ArgParserTest, ListParsing) {
   std::string error;
   const auto sizes = parse_size_list("1024,2048,4096", error);
@@ -234,6 +248,19 @@ TEST(SweepTest, RunSweepValidatesBeforeRunning) {
   bad_channel.scenario = "majority";
   bad_channel.channels = {std::string(kChannelHeterogeneous)};
   EXPECT_THROW(run_sweep(bad_channel), std::invalid_argument);
+}
+
+TEST(SweepTest, SurrogateValidationRunsARepeatedSizeOnce) {
+  // The harness dedups its sizes like a sweep grid's axes: a repeated n
+  // does not pay its Monte Carlo twice.
+  SurrogateValidationSpec spec;
+  spec.scenarios = {"broadcast_small"};
+  spec.ns = {64, 64};
+  spec.trials = 2;
+  const SurrogateValidationResult result = run_surrogate_validation(spec);
+  ASSERT_EQ(result.cells.size(), 1u);
+  EXPECT_EQ(result.cells[0].scenario, "broadcast_small");
+  EXPECT_EQ(result.cells[0].config.n, 64u);
 }
 
 TEST(SweepTest, ShardsOnAnUnshardedEngineFailBeforeTheFirstCell) {

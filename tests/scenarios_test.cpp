@@ -182,6 +182,85 @@ TEST(ScenariosTest, TrialFnAdapterMatchesDirectRun) {
   expect_adapter_matches("boost", boost, boost_trial_fn, run_boost);
 }
 
+/// The std::invalid_argument text `make` throws; empty when it throws none.
+template <typename Make>
+std::string rejection(Make make) {
+  try {
+    (void)make();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ScenariosTest, ExactEnginesRejectChannelsThatDoNotCompose) {
+  BroadcastScenario heterogeneous;
+  heterogeneous.n = 256;
+  heterogeneous.heterogeneous_noise = true;
+  heterogeneous.schedule = EnvironmentSchedule::parse("ramp:0.4:0.15");
+  BroadcastScenario adversarial = heterogeneous;
+  adversarial.heterogeneous_noise = false;
+  adversarial.adversarial_budget = 128;
+  for (BroadcastScenario scenario : {heterogeneous, adversarial}) {
+    for (const EngineMode engine : {EngineMode::kBatch, EngineMode::kClassic}) {
+      scenario.engine = engine;
+      EXPECT_THROW(run_broadcast(scenario, 1, 0), std::invalid_argument);
+      EXPECT_THROW(broadcast_trial_fn(scenario), std::invalid_argument);
+    }
+  }
+}
+
+TEST(ScenariosTest, SurrogateRejectionsNameTheScenario) {
+  BroadcastScenario adversarial;
+  adversarial.engine = EngineMode::kSurrogate;
+  adversarial.adversarial_budget = 128;
+  const std::string adversary =
+      rejection([&] { return broadcast_trial_fn(adversarial); });
+  EXPECT_TRUE(adversary.starts_with("broadcast: ")) << adversary;
+  EXPECT_NE(adversary.find("adversarial"), std::string::npos) << adversary;
+
+  const TopologySpec ring = TopologySpec::parse("ring:8");
+  BroadcastScenario broadcast;
+  broadcast.engine = EngineMode::kSurrogate;
+  broadcast.topology = ring;
+  MajorityScenario majority;
+  majority.engine = EngineMode::kSurrogate;
+  majority.topology = ring;
+  BoostScenario boost;
+  boost.engine = EngineMode::kSurrogate;
+  boost.topology = ring;
+  for (const auto& [name, message] :
+       {std::pair{"broadcast",
+                  rejection([&] { return broadcast_trial_fn(broadcast); })},
+        std::pair{"majority",
+                  rejection([&] { return majority_trial_fn(majority); })},
+        std::pair{"boost", rejection([&] { return boost_trial_fn(boost); })}}) {
+    EXPECT_TRUE(message.starts_with(std::string(name) + ": ")) << message;
+    EXPECT_NE(message.find("ring"), std::string::npos) << message;
+  }
+}
+
+TEST(ScenariosTest, BiasOutsideItsDomainThrowsOnEveryEngine) {
+  for (const double bias : {0.0, 0.6}) {
+    BoostScenario boost;
+    boost.initial_bias = bias;
+    EXPECT_THROW(run_boost(boost, 1, 0), std::invalid_argument);
+    for (const EngineMode engine :
+         {EngineMode::kBatch, EngineMode::kSurrogate}) {
+      boost.engine = engine;
+      const std::string message =
+          rejection([&] { return boost_trial_fn(boost); });
+      EXPECT_NE(message.find("initial_bias"), std::string::npos) << message;
+    }
+  }
+  MajorityScenario majority;
+  majority.majority_bias = 0.0;
+  majority.engine = EngineMode::kSurrogate;
+  const std::string message =
+      rejection([&] { return majority_trial_fn(majority); });
+  EXPECT_NE(message.find("majority_bias"), std::string::npos) << message;
+}
+
 TEST(ScenariosTest, TrialHarnessIntegration) {
   BroadcastScenario scenario;
   scenario.n = 256;

@@ -157,18 +157,23 @@ std::optional<std::uint16_t> parse_port(const std::string& text) {
   return static_cast<std::uint16_t>(value);
 }
 
-/// --serve and --validate-surrogate take only a few of the flags: any of
-/// `rejected` next to `mode` is an error naming it, not silently ignored.
-/// Returns false after printing that error.
+/// Each non-sweep mode takes only `mode` itself and the flags in `takes`:
+/// any other flag next to it is an error naming that flag, printed before
+/// any work or connection, not silently ignored. Returns false after
+/// printing it.
 bool takes_only(const flip::cli::ArgParser& parser, std::string_view mode,
-                std::initializer_list<std::string_view> rejected,
-                std::string_view takes) {
-  for (const std::string_view flag : rejected) {
-    if (parser.given(flag)) {
-      std::cerr << "error: " << flag << " does not apply to " << mode
-                << " (it takes " << takes << ")\n";
-      return false;
+                std::initializer_list<std::string_view> takes) {
+  for (const std::string& flag : parser.given_names()) {
+    if (flag == mode ||
+        std::find(takes.begin(), takes.end(), flag) != takes.end()) {
+      continue;
     }
+    std::cerr << "error: " << flag << " does not apply to " << mode
+              << " (it takes";
+    if (takes.size() == 0) std::cerr << " no other flag";
+    for (const std::string_view other : takes) std::cerr << ' ' << other;
+    std::cerr << ")\n";
+    return false;
   }
   return true;
 }
@@ -178,12 +183,8 @@ bool takes_only(const flip::cli::ArgParser& parser, std::string_view mode,
 int validate_surrogate(const flip::cli::ArgParser& parser,
                        const CliFlags& flags) {
   if (!takes_only(parser, "--validate-surrogate",
-                  {"--eps", "--channel", "--shards", "--engine", "--schedule",
-                   "--churn", "--topology", "--csv", "--jsonl",
-                   "--checkpoint", "--resume", "--connect", "--ping",
-                   "--shutdown"},
-                  "--scenario, --n, --trials, --seed, --threads, --json and "
-                  "--quiet")) {
+                  {"--scenario", "--n", "--trials", "--seed", "--threads",
+                   "--json", "--quiet"})) {
     return 2;
   }
   flip::cli::SurrogateValidationSpec vspec;
@@ -364,21 +365,19 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (flags.list) return list_scenarios();
-  if (!flags.describe.empty()) return describe_scenario(flags.describe);
+  if (flags.list) {
+    return takes_only(parser, "--list", {}) ? list_scenarios() : 2;
+  }
+  if (parser.given("--describe")) {
+    return takes_only(parser, "--describe", {})
+               ? describe_scenario(flags.describe)
+               : 2;
+  }
 
   // --serve: the daemon takes its sweeps from the wire, so none of the
   // sweep flags apply (only --threads, as the server-side worker default).
   if (flags.serve) {
-    if (!takes_only(parser, "--serve",
-                    {"--scenario", "--n", "--eps", "--channel", "--trials",
-                     "--seed", "--shards", "--engine", "--schedule",
-                     "--churn", "--topology", "--validate-surrogate",
-                     "--json", "--csv", "--jsonl", "--connect", "--ping",
-                     "--shutdown", "--checkpoint", "--resume", "--quiet"},
-                    "an optional port and --threads")) {
-      return 2;
-    }
+    if (!takes_only(parser, "--serve", {"--threads"})) return 2;
     std::uint16_t port = 0;
     if (!flags.serve_port.empty()) {
       const auto parsed = parse_port(flags.serve_port);
@@ -430,6 +429,10 @@ int main(int argc, char** argv) {
     }
     connect_port = *parsed;
     if (flags.ping || flags.shutdown) {
+      if (!takes_only(parser, flags.ping ? "--ping" : "--shutdown",
+                      {"--connect"})) {
+        return 2;
+      }
       flip::net::SweepClient client(connect_port);
       std::string error;
       const bool ok = flags.ping ? client.ping(error)
