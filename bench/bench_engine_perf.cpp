@@ -68,38 +68,24 @@ int main(int argc, char** argv) {
   std::optional<std::size_t> trials;
   std::optional<std::size_t> threads;
   std::optional<std::uint64_t> seed;
-  flip::cli::BenchOptions options;
-
-  flip::cli::ArgParser parser(
-      "bench_engine_perf",
+  const auto options = flip::cli::parse_bench_args(
+      argc, argv,
       "E13: classic vs batched engine throughput on the broadcast workload.\n"
-      "Identical per-trial results; only the substrate differs.");
-  parser.add_option("--n", "list", "comma-separated population sizes",
-                    &n_list);
-  parser.add_size("--trials", "trials per (n, engine) cell (default 8)",
-                  &trials);
-  parser.add_size("--threads", "worker threads (default: hardware)",
-                  &threads);
-  parser.add_uint64("--seed", "master seed (default 0x5eed)", &seed);
-  parser.add_flag("--csv", "emit table rows as CSV instead of rendering",
-                  &options.csv);
-  parser.add_option("--json", "path",
-                    "also write the flip-bench-v1 JSON report to <path>",
-                    &options.json_path);
-  if (!parser.parse(argc, argv)) {
-    if (parser.help_requested()) {
-      std::cout << parser.usage();
-      return 0;
-    }
-    std::cerr << "error: " << parser.error() << "\n\n" << parser.usage();
-    return 2;
-  }
+      "Identical per-trial results; only the substrate differs.",
+      [&](flip::cli::ArgParser& parser) {
+        parser.add_option("--n", "list", "comma-separated population sizes",
+                          &n_list);
+        parser.add_size("--trials", "trials per (n, engine) cell (default 8)",
+                        &trials);
+        parser.add_size("--threads", "worker threads (default: hardware)",
+                        &threads);
+        parser.add_uint64("--seed", "master seed (default 0x5eed)", &seed);
+      });
 
   std::string error;
   const auto ns = flip::cli::parse_size_list(n_list, error);
-  if (!ns || ns->empty()) {
-    std::cerr << "error: --n: " << (error.empty() ? "empty list" : error)
-              << "\n";
+  if (!ns) {
+    std::cerr << "error: --n: " << error << "\n";
     return 2;
   }
 

@@ -57,36 +57,26 @@ int main(int argc, char** argv) {
   std::optional<std::size_t> cold_runs;
   std::optional<std::size_t> n;
   std::optional<std::size_t> trials;
-  flip::cli::BenchOptions options;
-
-  flip::cli::ArgParser parser(
-      "bench_service",
+  const auto options = flip::cli::parse_bench_args(
+      argc, argv,
       "E21: warm resident-daemon request latency vs cold one-shot CLI\n"
       "latency on a tiny sweep (fixed costs dominate). The warm path must\n"
-      "stay >= 5x below the cold CLI.");
-  parser.add_option("--flipsim", "path",
-                    "flipsim binary for the cold runs (default: the sibling "
-                    "build/tools/flipsim)",
-                    &flipsim_path);
-  parser.add_size("--requests", "warm requests to time (default 16)",
-                  &requests);
-  parser.add_size("--cold-runs", "cold CLI invocations to time (default 5)",
-                  &cold_runs);
-  parser.add_size("--n", "population size per request (default 16)", &n);
-  parser.add_size("--trials", "trials per request (default 1)", &trials);
-  parser.add_flag("--csv", "emit table rows as CSV instead of rendering",
-                  &options.csv);
-  parser.add_option("--json", "path",
-                    "also write the flip-bench-v1 JSON report to <path>",
-                    &options.json_path);
-  if (!parser.parse(argc, argv)) {
-    if (parser.help_requested()) {
-      std::cout << parser.usage();
-      return 0;
-    }
-    std::cerr << "error: " << parser.error() << "\n\n" << parser.usage();
-    return 2;
-  }
+      "stay >= 5x below the cold CLI.",
+      [&](flip::cli::ArgParser& parser) {
+        parser.add_option("--flipsim", "path",
+                          "flipsim binary for the cold runs (default: the "
+                          "sibling build/tools/flipsim)",
+                          &flipsim_path);
+        parser.add_size("--requests", "warm requests to time (default 16)",
+                        &requests);
+        parser.add_size("--cold-runs",
+                        "cold CLI invocations to time (default 5)",
+                        &cold_runs);
+        parser.add_size("--n", "population size per request (default 16)",
+                        &n);
+        parser.add_size("--trials", "trials per request (default 1)",
+                        &trials);
+      });
   if (flipsim_path.empty()) flipsim_path = default_flipsim_path(argv[0]);
 
   flip::cli::bench_banner(

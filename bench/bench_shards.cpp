@@ -46,45 +46,30 @@ int main(int argc, char** argv) {
   std::string shard_list = "1,2,4,8";
   std::optional<std::size_t> trials;
   std::optional<std::uint64_t> seed;
-  flip::cli::BenchOptions options;
-
-  flip::cli::ArgParser parser(
-      "bench_shards",
+  const auto options = flip::cli::parse_bench_args(
+      argc, argv,
       "E17: single-trial broadcast wall-clock vs intra-trial shard count.\n"
       "Bit-identical results per (seed, trial) for every shard count; only\n"
-      "the round-phase partitioning differs.");
-  parser.add_option("--n", "list", "comma-separated population sizes",
-                    &n_list);
-  parser.add_option("--shards", "list", "comma-separated shard counts",
-                    &shard_list);
-  parser.add_size("--trials", "trials per (n, shards) cell (default 1)",
-                  &trials);
-  parser.add_uint64("--seed", "master seed (default 0x5eed)", &seed);
-  parser.add_flag("--csv", "emit table rows as CSV instead of rendering",
-                  &options.csv);
-  parser.add_option("--json", "path",
-                    "also write the flip-bench-v1 JSON report to <path>",
-                    &options.json_path);
-  if (!parser.parse(argc, argv)) {
-    if (parser.help_requested()) {
-      std::cout << parser.usage();
-      return 0;
-    }
-    std::cerr << "error: " << parser.error() << "\n\n" << parser.usage();
-    return 2;
-  }
+      "the round-phase partitioning differs.",
+      [&](flip::cli::ArgParser& parser) {
+        parser.add_option("--n", "list", "comma-separated population sizes",
+                          &n_list);
+        parser.add_option("--shards", "list", "comma-separated shard counts",
+                          &shard_list);
+        parser.add_size("--trials", "trials per (n, shards) cell (default 1)",
+                        &trials);
+        parser.add_uint64("--seed", "master seed (default 0x5eed)", &seed);
+      });
 
   std::string error;
   const auto ns = flip::cli::parse_size_list(n_list, error);
-  if (!ns || ns->empty()) {
-    std::cerr << "error: --n: " << (error.empty() ? "empty list" : error)
-              << "\n";
+  if (!ns) {
+    std::cerr << "error: --n: " << error << "\n";
     return 2;
   }
   const auto shard_counts = flip::cli::parse_size_list(shard_list, error);
-  if (!shard_counts || shard_counts->empty()) {
-    std::cerr << "error: --shards: "
-              << (error.empty() ? "empty list" : error) << "\n";
+  if (!shard_counts) {
+    std::cerr << "error: --shards: " << error << "\n";
     return 2;
   }
 

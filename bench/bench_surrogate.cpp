@@ -56,37 +56,23 @@ struct EnvCase {
 int main(int argc, char** argv) {
   std::string n_list = "1000000,10000000,100000000,1000000000";
   std::optional<std::size_t> evals;
-  flip::cli::BenchOptions options;
-
-  flip::cli::ArgParser parser(
-      "bench_surrogate",
+  const auto options = flip::cli::parse_bench_args(
+      argc, argv,
       "E19: mean-field surrogate wall-clock per closed-form evaluation vs\n"
       "population size. Cost tracks the round budget (log n), not n; the\n"
-      "n = 10^9 static cell is the committed sub-100-ms trajectory point.");
-  parser.add_option("--n", "list", "comma-separated population sizes",
-                    &n_list);
-  parser.add_size("--evals", "evaluations per cell (default 8, timed "
-                  "together and averaged)",
-                  &evals);
-  parser.add_flag("--csv", "emit table rows as CSV instead of rendering",
-                  &options.csv);
-  parser.add_option("--json", "path",
-                    "also write the flip-bench-v1 JSON report to <path>",
-                    &options.json_path);
-  if (!parser.parse(argc, argv)) {
-    if (parser.help_requested()) {
-      std::cout << parser.usage();
-      return 0;
-    }
-    std::cerr << "error: " << parser.error() << "\n\n" << parser.usage();
-    return 2;
-  }
+      "n = 10^9 static cell is the committed sub-100-ms trajectory point.",
+      [&](flip::cli::ArgParser& parser) {
+        parser.add_option("--n", "list", "comma-separated population sizes",
+                          &n_list);
+        parser.add_size("--evals", "evaluations per cell (default 8, timed "
+                        "together and averaged)",
+                        &evals);
+      });
 
   std::string error;
   const auto ns = flip::cli::parse_size_list(n_list, error);
-  if (!ns || ns->empty()) {
-    std::cerr << "error: --n: " << (error.empty() ? "empty list" : error)
-              << "\n";
+  if (!ns) {
+    std::cerr << "error: --n: " << error << "\n";
     return 2;
   }
 

@@ -44,59 +44,41 @@ int main(int argc, char** argv) {
   std::string topology_list = "complete,ring:8,grid:2,smallworld:8:0.1,dynamic:8:0.1";
   std::optional<std::size_t> trials;
   std::optional<std::uint64_t> seed;
-  flip::cli::BenchOptions options;
-
-  flip::cli::ArgParser parser(
-      "bench_topology",
+  const auto options = flip::cli::parse_bench_args(
+      argc, argv,
       "E20: broadcast wall-clock and outcome across interaction-graph\n"
       "families at fixed n. The complete graph is the identity fast path;\n"
-      "sparse families route through the scalar GraphRecipient.");
-  parser.add_option("--n", "list", "comma-separated population sizes",
-                    &n_list);
-  parser.add_option("--topologies", "list",
-                    "comma-separated topology specs (see flipsim --topology)",
-                    &topology_list);
-  parser.add_size("--trials", "trials per (n, topology) cell (default 4)",
-                  &trials);
-  parser.add_uint64("--seed", "master seed (default 0x5eed)", &seed);
-  parser.add_flag("--csv", "emit table rows as CSV instead of rendering",
-                  &options.csv);
-  parser.add_option("--json", "path",
-                    "also write the flip-bench-v1 JSON report to <path>",
-                    &options.json_path);
-  if (!parser.parse(argc, argv)) {
-    if (parser.help_requested()) {
-      std::cout << parser.usage();
-      return 0;
-    }
-    std::cerr << "error: " << parser.error() << "\n\n" << parser.usage();
-    return 2;
-  }
+      "sparse families route through the scalar GraphRecipient.",
+      [&](flip::cli::ArgParser& parser) {
+        parser.add_option("--n", "list", "comma-separated population sizes",
+                          &n_list);
+        parser.add_option(
+            "--topologies", "list",
+            "comma-separated topology specs (see flipsim --topology)",
+            &topology_list);
+        parser.add_size("--trials",
+                        "trials per (n, topology) cell (default 4)", &trials);
+        parser.add_uint64("--seed", "master seed (default 0x5eed)", &seed);
+      });
 
   std::string error;
   const auto ns = flip::cli::parse_size_list(n_list, error);
-  if (!ns || ns->empty()) {
-    std::cerr << "error: --n: " << (error.empty() ? "empty list" : error)
-              << "\n";
+  if (!ns) {
+    std::cerr << "error: --n: " << error << "\n";
     return 2;
   }
   std::vector<flip::TopologySpec> topologies;
-  {
-    std::size_t start = 0;
-    while (start <= topology_list.size()) {
-      const std::size_t comma = topology_list.find(',', start);
-      const std::string piece = topology_list.substr(
-          start, comma == std::string::npos ? std::string::npos
-                                            : comma - start);
-      try {
-        topologies.push_back(flip::TopologySpec::parse(piece));
-      } catch (const std::invalid_argument& e) {
-        std::cerr << "error: --topologies: " << e.what() << "\n";
-        return 2;
-      }
-      if (comma == std::string::npos) break;
-      start = comma + 1;
+  for (const std::string& piece : flip::cli::split_list(topology_list)) {
+    try {
+      topologies.push_back(flip::TopologySpec::parse(piece));
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "error: --topologies: " << e.what() << "\n";
+      return 2;
     }
+  }
+  if (topologies.empty()) {
+    std::cerr << "error: --topologies: empty list\n";
+    return 2;
   }
 
   flip::cli::bench_banner(

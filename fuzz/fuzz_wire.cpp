@@ -1,4 +1,5 @@
-// Fuzz target: flipsvc/1 request text (src/cli/wire.cpp).
+// Fuzz target: flipsvc/1 request text and checkpoint files, which are
+// the same text (src/cli/wire.cpp).
 //
 // parse_sweep_request must survive arbitrary text, and on acceptance the
 // encoding must be a canonical fixpoint:
@@ -14,8 +15,11 @@
 // surface a hostile daemon client reaches, and it must reject or resolve
 // without crashing (scenario lookups, list parsing, expand_grid's cell
 // limit, and its per-point ScenarioRegistry::resolve, topology factoring
-// included).
+// included). read_checkpoint, against the request the text itself parses
+// to, accepts exactly the texts that end in a newline and name a resume
+// position, and returns that position.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -41,6 +45,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       flip::cli::parse_sweep_request(wire, error2);
   FUZZ_ASSERT(reparsed.has_value());
   FUZZ_ASSERT(flip::cli::encode_sweep_request(*reparsed) == wire);
+
+  std::string checkpoint_error;
+  const std::optional<std::size_t> next_cell =
+      flip::cli::read_checkpoint(text, *request, checkpoint_error);
+  FUZZ_ASSERT(next_cell.has_value() ==
+              (text.ends_with('\n') && request->resume_from >= 1));
+  FUZZ_ASSERT(next_cell ? *next_cell == request->resume_from
+                        : !checkpoint_error.empty());
 
   flip::cli::SweepSpec spec;
   std::optional<std::string> resolve_error =

@@ -87,8 +87,9 @@ class ArgParser {
 
 /// Parses the whole of `text` as a uint64, decimal or 0x hex (seeds are
 /// conventionally hex in this repo: 0xE1, 0x5eed). False on anything else,
-/// overflow and the empty string included. --seed and the flipsvc/1 and
-/// flipchk/1 number fields share this grammar.
+/// overflow and the empty string included. --seed, the --serve/--connect
+/// ports, the flipsvc/1 number fields and the cell index of a `point`
+/// frame share this grammar.
 bool parse_uint64(std::string_view text, std::uint64_t& out);
 
 /// Splits "1024,2048,4096" into size_t values; returns nullopt (with

@@ -9,10 +9,12 @@
 
 namespace flip::cli {
 
-BenchOptions parse_bench_args(int argc, const char* const* argv) {
+BenchOptions parse_bench_args(
+    int argc, const char* const* argv, const std::string& description,
+    const std::function<void(ArgParser&)>& add_flags) {
   BenchOptions options;
-  ArgParser parser(argc > 0 ? argv[0] : "bench",
-                   "flip experiment harness binary (see docs/BENCHMARKS.md)");
+  ArgParser parser(argc > 0 ? argv[0] : "bench", description);
+  if (add_flags) add_flags(parser);
   parser.add_flag("--csv", "emit table rows as CSV instead of rendering",
                   &options.csv);
   parser.add_option("--json", "path",

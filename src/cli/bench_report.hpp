@@ -1,13 +1,14 @@
 #pragma once
 // Shared option handling and output for the bench/ experiment binaries,
-// which call it directly: parse_bench_args (or their own ArgParser over a
-// BenchOptions, for benches with extra flags), bench_banner and bench_emit.
+// which call it directly: parse_bench_args (a bench with flags of its own
+// registers them through its callback), bench_banner and bench_emit.
 // Every binary thus accepts the same flags: --csv (machine rows to
 // stdout), --json <path> (the "flip-bench-v1" document), and a generated
 // --help. The report accumulates every emitted table, and the JSON file is
 // rewritten after each emit so partial output exists even if a later
 // experiment aborts.
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "util/table.hpp"
 
 namespace flip::cli {
+
+class ArgParser;
 
 /// Everything a bench binary printed so far, in emit order.
 struct BenchReport {
@@ -37,11 +40,15 @@ struct BenchOptions {
   std::shared_ptr<BenchReport> report = std::make_shared<BenchReport>();
 };
 
-/// Parses the shared bench flags. On --help prints usage and exits 0; on a
-/// parse error prints the error plus usage to stderr and exits 2 — bench
-/// main()s stay one-liners.
-[[nodiscard]] BenchOptions parse_bench_args(int argc,
-                                            const char* const* argv);
+/// Parses the shared bench flags after the binary's own, which `add_flags`
+/// (when given) registers; `description` heads --help. On --help prints
+/// usage and exits 0; on a parse error prints the error plus usage to
+/// stderr and exits 2 — bench main()s stay one-liners.
+[[nodiscard]] BenchOptions parse_bench_args(
+    int argc, const char* const* argv,
+    const std::string& description =
+        "flip experiment harness binary (see docs/BENCHMARKS.md)",
+    const std::function<void(ArgParser&)>& add_flags = {});
 
 /// Prints the experiment banner (suppressed under --csv) and records
 /// id/claim for the JSON document.

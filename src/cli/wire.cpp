@@ -67,6 +67,8 @@ std::string encode_sweep_request(const SweepRequest& request) {
   if (!request.topology.empty()) {
     append_field(out, "topology", request.topology);
   }
+  // Written last, so no proper prefix of a checkpoint file that ends in a
+  // newline carries it (see read_checkpoint).
   if (request.resume_from != 0) {
     append_field(out, "resume_from", std::to_string(request.resume_from));
   }
@@ -228,70 +230,29 @@ std::optional<std::string> resolve_sweep_request(const SweepRequest& request,
   return std::nullopt;
 }
 
-std::string encode_checkpoint(const SweepRequest& request,
-                              std::size_t next_cell, std::size_t grid_cells) {
-  std::string out(kCheckpointProto);
-  out += " next_cell=" + std::to_string(next_cell) +
-         " grid=" + std::to_string(grid_cells) + "\n";
-  // The request rides along verbatim (resume_from excluded: a checkpoint's
-  // position IS next_cell), so --resume can verify the sweep on the
-  // command line is the sweep the file belongs to.
-  SweepRequest canonical = request;
-  canonical.resume_from = 0;
-  out += encode_sweep_request(canonical);
-  return out;
-}
-
-std::optional<Checkpoint> parse_checkpoint(std::string_view text,
+std::optional<std::size_t> read_checkpoint(std::string_view text,
+                                           const SweepRequest& request,
                                            std::string& error) {
-  std::size_t eol = text.find('\n');
-  if (eol == std::string_view::npos) eol = text.size();
-  const std::string_view head = text.substr(0, eol);
-  std::size_t space = head.find(' ');
-  const std::string_view proto = head.substr(0, space);
-  if (proto != kCheckpointProto) {
-    error = "not a checkpoint file (expected leading '" +
-            std::string(kCheckpointProto) + "')";
+  if (!text.ends_with('\n')) {
+    error = "torn checkpoint (no final newline)";
     return std::nullopt;
   }
-  Checkpoint checkpoint;
-  bool have_next = false;
-  while (space != std::string_view::npos) {
-    const std::size_t start = space + 1;
-    space = head.find(' ', start);
-    const std::string_view token =
-        head.substr(start, space == std::string_view::npos ? std::string_view::npos
-                                                           : space - start);
-    const std::size_t eq = token.find('=');
-    if (eq == std::string_view::npos) continue;
-    const std::string_view key = token.substr(0, eq);
-    std::uint64_t number = 0;
-    if (!parse_uint64(token.substr(eq + 1), number)) {
-      error = "bad checkpoint header token '" + std::string(token) + "'";
-      return std::nullopt;
-    }
-    if (key == "next_cell") {
-      checkpoint.next_cell = static_cast<std::size_t>(number);
-      have_next = true;
-    } else if (key == "grid") {
-      checkpoint.grid_cells = static_cast<std::size_t>(number);
-    } else {
-      error = "unknown checkpoint header key '" + std::string(key) + "'";
-      return std::nullopt;
-    }
-  }
-  if (!have_next) {
-    error = "checkpoint header has no next_cell";
+  auto recorded = parse_sweep_request(text, error);
+  if (!recorded) return std::nullopt;
+  const std::size_t next_cell = recorded->resume_from;
+  if (next_cell == 0) {
+    error = "torn checkpoint (no resume_from >= 1)";
     return std::nullopt;
   }
-  const auto request = parse_sweep_request(
-      eol < text.size() ? text.substr(eol + 1) : std::string_view{}, error);
-  if (!request) {
-    error = "checkpoint request: " + error;
+  SweepRequest flags = request;
+  flags.resume_from = 0;
+  recorded->resume_from = 0;
+  if (encode_sweep_request(*recorded) != encode_sweep_request(flags)) {
+    error = "records a different sweep than these flags; refusing to mix "
+            "results";
     return std::nullopt;
   }
-  checkpoint.request = *request;
-  return checkpoint;
+  return next_cell;
 }
 
 }  // namespace flip::cli

@@ -1,6 +1,7 @@
 #pragma once
 // Request (de)serialization for the sweep service and the checkpoint
-// files — the text the flipsvc/1 frames and flipchk/1 files carry.
+// files — the flipsvc/1 text both carry. A checkpoint file is the
+// request's own text at its next cell (resume_from = cells completed).
 //
 // A SweepRequest is the raw form of a sweep: the comma-lists and spec
 // strings exactly as they appear on the flipsim command line.
@@ -28,8 +29,6 @@ namespace flip::cli {
 
 /// Protocol identifier of the request/checkpoint text grammar.
 inline constexpr std::string_view kWireProto = "flipsvc/1";
-/// First-line identifier of checkpoint files.
-inline constexpr std::string_view kCheckpointProto = "flipchk/1";
 
 /// What a request frame asks the server to do.
 enum class WireCommand { kSweep, kPing, kShutdown };
@@ -54,9 +53,9 @@ struct SweepRequest {
 };
 
 /// Renders the request as wire text (first line + key=value lines,
-/// defaulted fields omitted). encode/parse round-trip exactly, so two
-/// requests are equivalent iff their encodings are byte-equal — the
-/// checkpoint spec-match rule.
+/// defaulted fields omitted, resume_from last). encode/parse round-trip
+/// exactly, so two requests are equivalent iff their encodings are
+/// byte-equal — the checkpoint spec-match rule.
 [[nodiscard]] std::string encode_sweep_request(const SweepRequest& request);
 
 /// Parses wire text back into a SweepRequest. Returns the error text
@@ -76,24 +75,14 @@ struct SweepRequest {
 [[nodiscard]] std::optional<std::string> resolve_sweep_request(
     const SweepRequest& request, SweepSpec& spec);
 
-// --- checkpoint files (flipchk/1) -----------------------------------------
-
-/// A parsed checkpoint: the encoded request it belongs to and the next
-/// grid cell to run (== number of cells already completed).
-struct Checkpoint {
-  SweepRequest request;
-  std::size_t next_cell = 0;
-  std::size_t grid_cells = 0;  ///< full grid size when written
-};
-
-/// Renders a checkpoint file: "flipchk/1 next_cell=<k> grid=<total>" then
-/// the request's wire text.
-[[nodiscard]] std::string encode_checkpoint(const SweepRequest& request,
-                                            std::size_t next_cell,
-                                            std::size_t grid_cells);
-
-/// Parses a checkpoint file; error text + nullopt on malformed input.
-[[nodiscard]] std::optional<Checkpoint> parse_checkpoint(
-    std::string_view text, std::string& error);
+/// Reads a checkpoint file, which is the request's wire text with
+/// resume_from at its next cell, against the `request` the flags give.
+/// Returns that cell only for a whole checkpoint of the same sweep: the
+/// text parses, ends in a newline, names resume_from >= 1 (always its last
+/// line, so every proper prefix of a written file is refused), and encodes
+/// like `request` once resume_from is cleared on both sides (so a resumed
+/// sweep still matches its file). Error text + nullopt otherwise.
+[[nodiscard]] std::optional<std::size_t> read_checkpoint(
+    std::string_view text, const SweepRequest& request, std::string& error);
 
 }  // namespace flip::cli

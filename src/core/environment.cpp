@@ -1,17 +1,17 @@
 #include "core/environment.hpp"
 
-#include <charconv>
 #include <sstream>
 #include <stdexcept>
+
+#include "core/colon_spec.hpp"
 
 namespace flip {
 
 namespace {
 
-[[noreturn]] void bad_spec(std::string_view what, std::string_view spec) {
-  throw std::invalid_argument(std::string(what) + ": '" + std::string(spec) +
-                              "'");
-}
+using colon_spec::bad_spec;
+using colon_spec::parse_number;
+using colon_spec::split_colon;
 
 void check_eps(double eps, const char* what) {
   if (!(eps > 0.0) || eps > 0.5) {
@@ -29,40 +29,8 @@ void check_prob(double p, const char* what) {
   }
 }
 
-/// Splits "a:b:c" into pieces (empty pieces preserved, unlike the CLI's
-/// comma splitter — a missing field should be an error, not silence).
-std::vector<std::string_view> split_colon(std::string_view text) {
-  std::vector<std::string_view> pieces;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t colon = text.find(':', start);
-    if (colon == std::string_view::npos) {
-      pieces.push_back(text.substr(start));
-      return pieces;
-    }
-    pieces.push_back(text.substr(start, colon - start));
-    start = colon + 1;
-  }
-}
-
-double parse_number(std::string_view text, std::string_view spec) {
-  double value = 0.0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || end != text.data() + text.size()) {
-    bad_spec("not a number", text.empty() ? spec : text);
-  }
-  return value;
-}
-
 Round parse_round(std::string_view text, std::string_view spec) {
-  Round value = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || end != text.data() + text.size()) {
-    bad_spec("not a round number", text.empty() ? spec : text);
-  }
-  return value;
+  return colon_spec::parse_field<Round>(text, spec, "not a round number");
 }
 
 }  // namespace

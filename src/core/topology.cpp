@@ -1,57 +1,24 @@
 #include "core/topology.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "core/colon_spec.hpp"
+
 namespace flip {
 
 namespace {
 
-[[noreturn]] void bad_spec(std::string_view what, std::string_view spec) {
-  throw std::invalid_argument(std::string(what) + ": '" + std::string(spec) +
-                              "'");
-}
-
-double parse_number(std::string_view text, std::string_view spec) {
-  double value = 0.0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || end != text.data() + text.size()) {
-    bad_spec("not a number", text.empty() ? spec : text);
-  }
-  return value;
-}
+using colon_spec::bad_spec;
+using colon_spec::parse_number;
+using colon_spec::split_colon;
 
 std::size_t parse_count(std::string_view text, std::string_view spec) {
-  std::size_t value = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || end != text.data() + text.size()) {
-    bad_spec("not a count", text.empty() ? spec : text);
-  }
-  return value;
-}
-
-/// Splits "a:b:c" into pieces (empty pieces preserved, like the
-/// environment-spec parser — a missing field should be an error, not
-/// silence).
-std::vector<std::string_view> split_colon(std::string_view text) {
-  std::vector<std::string_view> pieces;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t colon = text.find(':', start);
-    if (colon == std::string_view::npos) {
-      pieces.push_back(text.substr(start));
-      return pieces;
-    }
-    pieces.push_back(text.substr(start, colon - start));
-    start = colon + 1;
-  }
+  return colon_spec::parse_field<std::size_t>(text, spec, "not a count");
 }
 
 void check_degree(std::size_t k, std::string_view kind) {

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <utility>
 
+#include "cli/args.hpp"
 #include "cli/report.hpp"
 #include "net/frame.hpp"
 #include "util/json_writer.hpp"
@@ -238,12 +239,15 @@ std::string SweepClient::run_sweep(const cli::SweepRequest& request,
       const std::string& payload = frame.payload;
       if (payload.rfind("point ", 0) == 0) {
         const std::size_t space = payload.find(' ', 6);
-        if (space == std::string::npos) {
+        std::uint64_t cell = 0;
+        if (space == std::string::npos ||
+            !cli::parse_uint64(
+                std::string_view(payload).substr(6, space - 6), cell)) {
           throw std::runtime_error("flipsvc: malformed point frame");
         }
-        const std::size_t cell = static_cast<std::size_t>(
-            std::stoull(payload.substr(6, space - 6)));
-        if (on_line) on_line(cell, payload.substr(space + 1));
+        if (on_line) {
+          on_line(static_cast<std::size_t>(cell), payload.substr(space + 1));
+        }
         continue;
       }
       if (payload.rfind("done ", 0) == 0) {

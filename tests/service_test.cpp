@@ -1,8 +1,8 @@
 // The sweep service stack (docs/SERVICE.md), bottom up: the flipsvc/1
 // request text round-trips through encode/parse; resolve_sweep_request
-// rejects with the exact messages the flipsim CLI prints; flipchk/1
-// checkpoints round-trip and exclude the resume position from the
-// spec-match identity; the ring buffer and the length-prefixed framing
+// rejects with the exact messages the flipsim CLI prints; a checkpoint
+// file (that text at the sweep's next cell) is read back only whole and
+// only for its own sweep; the ring buffer and the length-prefixed framing
 // hold their small contracts; and a real server over loopback answers
 // ping, streams sweeps, propagates validation errors, and shuts down
 // cleanly.
@@ -40,7 +40,6 @@
 namespace flip {
 namespace {
 
-using cli::Checkpoint;
 using cli::SweepRequest;
 using cli::SweepSpec;
 using cli::WireCommand;
@@ -272,37 +271,74 @@ TEST(WireTest, ResolveFillsTheSpec) {
 
 // --- checkpoints ----------------------------------------------------------
 
-TEST(CheckpointTest, RoundTripsAndExcludesResumePosition) {
+/// The sweep whose checkpoint files these tests read: three cells.
+SweepRequest three_cell_sweep() {
   SweepRequest request;
   request.scenario = "broadcast_small";
   request.ns = "128,256,512";
   request.trials = 2;
-  const std::string text = cli::encode_checkpoint(request, 2, 3);
-  std::string error;
-  const auto checkpoint = cli::parse_checkpoint(text, error);
-  ASSERT_TRUE(checkpoint.has_value()) << error;
-  EXPECT_EQ(checkpoint->next_cell, 2u);
-  EXPECT_EQ(checkpoint->grid_cells, 3u);
-  EXPECT_EQ(cli::encode_sweep_request(checkpoint->request),
-            cli::encode_sweep_request(request));
-
-  // The resume position is the checkpoint's own state, not part of the
-  // sweep's identity: a request already carrying resume_from writes the
-  // same file, so resuming twice still matches.
-  SweepRequest resumed = request;
-  resumed.resume_from = 2;
-  EXPECT_EQ(cli::encode_checkpoint(resumed, 2, 3), text);
+  return request;
 }
 
-TEST(CheckpointTest, RejectsGarbage) {
+/// The file flipsim writes after `completed` cells of `request`.
+std::string checkpoint_after(SweepRequest request, std::size_t completed) {
+  request.resume_from = completed;
+  return cli::encode_sweep_request(request);
+}
+
+TEST(CheckpointTest, ReadsTheNextCellOfItsOwnSweep) {
+  const SweepRequest request = three_cell_sweep();
+  const std::string text = checkpoint_after(request, 2);
   std::string error;
-  EXPECT_FALSE(cli::parse_checkpoint("not a checkpoint", error).has_value());
-  EXPECT_FALSE(
-      cli::parse_checkpoint("flipchk/1 grid=3\nflipsvc/1 sweep\n", error)
-          .has_value());
-  EXPECT_NE(error.find("next_cell"), std::string::npos);
-  EXPECT_FALSE(
-      cli::parse_checkpoint("flipchk/1 next_cell=x\n", error).has_value());
+  const auto next_cell = cli::read_checkpoint(text, request, error);
+  ASSERT_TRUE(next_cell.has_value()) << error;
+  EXPECT_EQ(*next_cell, 2u);
+
+  // The resume position is the file's state, not the sweep's identity: a
+  // sweep already resumed from position 1 still matches the file it wrote
+  // after its next cell, so resuming twice works.
+  SweepRequest resumed = request;
+  resumed.resume_from = 1;
+  const auto again = cli::read_checkpoint(text, resumed, error);
+  ASSERT_TRUE(again.has_value()) << error;
+  EXPECT_EQ(*again, 2u);
+}
+
+TEST(CheckpointTest, RefusesEveryProperPrefix) {
+  // A torn file ends mid-line (no final newline) or at a line end before
+  // resume_from, which encode_sweep_request writes last.
+  SweepRequest request = three_cell_sweep();
+  request.epss = "0.1,0.2";
+  request.seed = 7;
+  const std::string text = checkpoint_after(request, 5);
+  for (std::size_t size = 0; size < text.size(); ++size) {
+    std::string error;
+    EXPECT_FALSE(
+        cli::read_checkpoint(text.substr(0, size), request, error).has_value())
+        << "prefix of " << size << " bytes";
+    EXPECT_FALSE(error.empty()) << "prefix of " << size << " bytes";
+  }
+}
+
+TEST(CheckpointTest, RefusesADifferentSweep) {
+  const std::string text = checkpoint_after(three_cell_sweep(), 1);
+  SweepRequest other = three_cell_sweep();
+  other.ns = "128,256";
+  std::string error;
+  EXPECT_FALSE(cli::read_checkpoint(text, other, error).has_value());
+  EXPECT_NE(error.find("records a different sweep"), std::string::npos)
+      << error;
+}
+
+TEST(CheckpointTest, RefusesAnOldFlipchkFile) {
+  // A file in the older flipchk/1 format: a header line holding the
+  // position, then the request.
+  const SweepRequest request = three_cell_sweep();
+  const std::string old =
+      "flipchk/1 next_cell=2 grid=3\n" + cli::encode_sweep_request(request);
+  std::string error;
+  EXPECT_FALSE(cli::read_checkpoint(old, request, error).has_value());
+  EXPECT_NE(error.find("flipchk/1"), std::string::npos) << error;
 }
 
 // --- ring buffer ----------------------------------------------------------
@@ -477,29 +513,6 @@ TEST(WireTest, HostileRequestTextIsRejectedWithoutCrashing) {
   EXPECT_EQ(parsed->scenario.size(), 8u);  // "bad\0name", NUL preserved
   SweepSpec spec;
   EXPECT_TRUE(cli::resolve_sweep_request(*parsed, spec).has_value());
-}
-
-TEST(CheckpointTest, TruncatedCheckpointIsRejected) {
-  std::string error;
-  // Header only, request body missing (the classic torn write).
-  EXPECT_FALSE(
-      cli::parse_checkpoint("flipchk/1 next_cell=3 grid=9\n", error)
-          .has_value());
-  EXPECT_NE(error.find("checkpoint request"), std::string::npos);
-  // Header without even the trailing newline.
-  EXPECT_FALSE(cli::parse_checkpoint("flipchk/1 next_cell=3 grid=9", error)
-                   .has_value());
-  // Request body cut mid-line: the torn line has no '=', so the request
-  // parser inside the checkpoint parser rejects it.
-  EXPECT_FALSE(cli::parse_checkpoint(
-                   "flipchk/1 next_cell=3 grid=9\nflipsvc/1 sweep\nscenar",
-                   error)
-                   .has_value());
-  // Unknown header keys are a version skew signal, not ignorable noise.
-  EXPECT_FALSE(cli::parse_checkpoint(
-                   "flipchk/1 next_cell=3 bogus=1\nflipsvc/1 sweep\n", error)
-                   .has_value());
-  EXPECT_NE(error.find("unknown checkpoint header key"), std::string::npos);
 }
 
 // --- the server over loopback ---------------------------------------------
@@ -792,6 +805,37 @@ TEST_F(ServiceTest, ResumeFromSkipsCompletedCells) {
   ASSERT_EQ(resumed.size(), 1u);
   EXPECT_EQ(cells, (std::vector<std::size_t>{1}));
   EXPECT_EQ(strip_timing(resumed[0]), strip_timing(full[1]));
+}
+
+// The cell index of a point frame is a whole number: a server answering
+// "point x {}" or "point 3abc {}" breaks the protocol, and the client
+// says so instead of throwing a library error or reading cell 3.
+TEST_F(ServiceTest, ClientRefusesAMalformedPointFrame) {
+  std::string error;
+  const int listener = net::listen_local(0, error);
+  ASSERT_GE(listener, 0) << error;
+  const auto port = net::local_port(listener);
+  ASSERT_TRUE(port.has_value());
+  for (const std::string reply : {"point x {}", "point 3abc {}"}) {
+    std::thread peer([&] {
+      const int fd = ::accept(listener, nullptr, nullptr);
+      (void)net::read_frame(fd);
+      (void)net::write_frame(fd, reply);
+      (void)net::write_frame(fd, "done {}");
+      net::close_fd(fd);
+    });
+    net::SweepClient client(*port);
+    std::string thrown = "(nothing thrown)";
+    try {
+      client.run_sweep(three_cell_sweep());
+    } catch (const std::exception& e) {
+      thrown = e.what();
+    }
+    peer.join();
+    EXPECT_NE(thrown.find("malformed point frame"), std::string::npos)
+        << reply << ": " << thrown;
+  }
+  net::close_fd(listener);
 }
 
 TEST_F(ServiceTest, ShutdownCommandStopsTheServer) {

@@ -14,6 +14,11 @@
 #    an exact and a surrogate client sweep whose lines are valid JSON and
 #    identical (timing fields cut) to the one-shot CLI's --jsonl output,
 #    and exits cleanly on the wire shutdown command (docs/SERVICE.md).
+# 3. Checkpoint/resume: a 3-cell --jsonl sweep with --checkpoint leaves
+#    the request's flipsvc/1 text at resume_from=3; set back to 1 with
+#    the JSONL cut to its first line, --resume writes the uninterrupted
+#    run's lines (timing fields cut), one-shot and through the daemon.
+#    --resume with another --n list exits 2.
 set -eu
 
 if [ "$#" -ne 1 ]; then
@@ -107,6 +112,47 @@ for served_path, oneshot_path in zip(sys.argv[1::2], sys.argv[2::2]):
         served_path + ": served sweep diverged from the one-shot CLI"
     print("flipsim service smoke ok:", served_path, len(served), "line(s)")
 EOF
+
+CHK="$BUILD_DIR/flipsim_resume.chk"
+printf 'flipsvc/1 sweep\nscenario=broadcast_small\nn=64,128,256\ntrials=2\nresume_from=3\n' \
+  > "$BUILD_DIR/flipsim_resume_expected.chk"
+for MODE in oneshot connect; do
+  CONNECT=""
+  if [ "$MODE" = connect ]; then CONNECT="--connect $PORT"; fi
+  FULL="$BUILD_DIR/flipsim_resume_full_$MODE.jsonl"
+  RESUMED="$BUILD_DIR/flipsim_resume_$MODE.jsonl"
+  rm -f "$CHK"
+  # $CONNECT is unquoted on purpose: empty, or two words.
+  "$FLIPSIM" $CONNECT --scenario broadcast_small --n 64,128,256 --trials 2 \
+    --jsonl "$FULL" --checkpoint "$CHK" --quiet
+  cmp "$CHK" "$BUILD_DIR/flipsim_resume_expected.chk"
+  sed 's/^resume_from=3$/resume_from=1/' "$CHK" > "$CHK.edit"
+  mv "$CHK.edit" "$CHK"
+  head -n 1 "$FULL" > "$RESUMED"
+  "$FLIPSIM" $CONNECT --scenario broadcast_small --n 64,128,256 --trials 2 \
+    --jsonl "$RESUMED" --checkpoint "$CHK" --resume --quiet
+  cmp "$CHK" "$BUILD_DIR/flipsim_resume_expected.chk"
+  python3 - "$FULL" "$RESUMED" <<'EOF'
+import sys
+strip = lambda path: [l.split('"trial_seconds"')[0]
+                      for l in open(path).read().splitlines()]
+full, resumed = sys.argv[1:]
+assert len(strip(full)) == 3, full
+assert strip(resumed) == strip(full), resumed + ": resumed sweep diverged"
+print("flipsim resume smoke ok:", resumed)
+EOF
+done
+CODE=0
+"$FLIPSIM" --scenario broadcast_small --n 64,128 --trials 2 --quiet \
+  --checkpoint "$CHK" --resume 2> "$BUILD_DIR/flipsim_resume.err" || CODE=$?
+if [ "$CODE" -ne 2 ] || \
+   ! grep -q "records a different sweep" "$BUILD_DIR/flipsim_resume.err"; then
+  echo "flipsim --resume with another --n list: exit $CODE" >&2
+  cat "$BUILD_DIR/flipsim_resume.err" >&2
+  exit 1
+fi
+echo "flipsim resume smoke ok: a different sweep is refused"
+
 "$FLIPSIM" --connect "$PORT" --shutdown
 wait "$SERVE_PID"
 trap - EXIT

@@ -71,7 +71,7 @@ struct CliFlags {
   std::string connect_port;
   bool ping = false;
   bool shutdown = false;
-  // Checkpoint/resume (flipchk/1 files).
+  // Checkpoint/resume (the request's flipsvc/1 text at its next cell).
   std::string checkpoint_path;
   bool resume = false;
 };
@@ -130,30 +130,28 @@ bool write_file(const std::string& path, const std::string& content) {
   return true;
 }
 
-/// Atomic checkpoint rewrite: the file always holds a complete flipchk/1
-/// document, even if the process dies mid-write (write the sibling .tmp,
-/// then rename over).
-bool write_checkpoint(const std::string& path, const std::string& content) {
+/// After a completed cell, with --checkpoint: rewrites `path` with the
+/// request's wire text at `next_cell`. Atomic (write the sibling .tmp,
+/// then rename over), so the file always holds a whole checkpoint even if
+/// the process dies mid-write. Throws when it cannot.
+void save_checkpoint(const std::string& path,
+                     flip::cli::SweepRequest request, std::size_t next_cell) {
+  if (path.empty()) return;
+  request.resume_from = next_cell;
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) return false;
-    out << content;
-    if (!out) return false;
+  std::ofstream out(tmp);
+  out << flip::cli::encode_sweep_request(request);
+  out.close();
+  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    throw std::runtime_error("cannot write checkpoint " + path);
   }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 std::optional<std::uint16_t> parse_port(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  std::size_t used = 0;
-  unsigned long value = 0;
-  try {
-    value = std::stoul(text, &used);
-  } catch (const std::exception&) {
+  std::uint64_t value = 0;
+  if (!flip::cli::parse_uint64(text, value) || value > 65535) {
     return std::nullopt;
   }
-  if (used != text.size() || value > 65535) return std::nullopt;
   return static_cast<std::uint16_t>(value);
 }
 
@@ -340,8 +338,9 @@ int main(int argc, char** argv) {
   parser.add_flag("--shutdown", "with --connect: ask the daemon to exit",
                   &flags.shutdown);
   parser.add_option("--checkpoint", "file",
-                    "rewrite <file> (flipchk/1) after each grid cell; "
-                    "--resume continues from it",
+                    "rewrite <file> after each grid cell with this sweep's "
+                    "flipsvc/1 request at its next cell; --resume "
+                    "continues from it",
                     &flags.checkpoint_path);
   parser.add_flag("--resume",
                   "continue the sweep recorded in --checkpoint (fresh start "
@@ -510,39 +509,27 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  try {
-    // Checkpoint/resume. The grid size is fixed by the spec, so it can be
-    // recorded up front; --resume verifies the flags on THIS command line
-    // encode to the same request the file was written for (byte-equal
-    // canonical encodings — see cli/wire.hpp) before trusting next_cell.
-    std::size_t grid_cells = 0;
-    if (!flags.checkpoint_path.empty()) {
-      grid_cells = flip::cli::expand_grid(spec).size();
-      if (flags.resume) {
-        std::ifstream in(flags.checkpoint_path);
-        if (in) {
-          std::ostringstream buffer;
-          buffer << in.rdbuf();
-          std::string error;
-          const auto checkpoint =
-              flip::cli::parse_checkpoint(buffer.str(), error);
-          if (!checkpoint) {
-            std::cerr << "error: --resume: " << flags.checkpoint_path << ": "
-                      << error << "\n";
-            return 2;
-          }
-          if (flip::cli::encode_sweep_request(checkpoint->request) !=
-              flip::cli::encode_sweep_request(request)) {
-            std::cerr << "error: --resume: " << flags.checkpoint_path
-                      << " records a different sweep than these flags; "
-                         "refusing to mix results\n";
-            return 2;
-          }
-          spec.first_cell = checkpoint->next_cell;
-          request.resume_from = checkpoint->next_cell;
-        }
+  // --resume trusts the file's next cell only when it records the sweep
+  // on THIS command line (cli::read_checkpoint states the whole rule).
+  if (flags.resume) {
+    std::ifstream in(flags.checkpoint_path);
+    if (in) {
+      std::ostringstream buffer;
+      buffer << in.rdbuf();
+      std::string error;
+      const auto next_cell =
+          flip::cli::read_checkpoint(buffer.str(), request, error);
+      if (!next_cell) {
+        std::cerr << "error: --resume: " << flags.checkpoint_path << ": "
+                  << error << "\n";
+        return 2;
       }
+      spec.first_cell = *next_cell;
+      request.resume_from = *next_cell;
     }
+  }
+
+  try {
     const bool resuming = spec.first_cell > 0;
 
     // --connect: the daemon runs the sweep; this process streams the
@@ -560,13 +547,7 @@ int main(int argc, char** argv) {
             *jsonl_out << line << '\n';
             jsonl_out->flush();
             ++cells_done;
-            if (!flags.checkpoint_path.empty() &&
-                !write_checkpoint(flags.checkpoint_path,
-                                  flip::cli::encode_checkpoint(
-                                      request, cell + 1, grid_cells))) {
-              throw std::runtime_error("cannot write checkpoint " +
-                                       flags.checkpoint_path);
-            }
+            save_checkpoint(flags.checkpoint_path, request, cell + 1);
           });
       if (!flags.quiet && !flags.jsonl_path.empty()) {
         std::cout << "flipsim: served sweep, " << cells_done
@@ -613,13 +594,7 @@ int main(int argc, char** argv) {
           *jsonl_out << flip::cli::sweep_point_line(point) << '\n';
           jsonl_out->flush();
         }
-        if (!flags.checkpoint_path.empty() &&
-            !write_checkpoint(flags.checkpoint_path,
-                              flip::cli::encode_checkpoint(request, cell + 1,
-                                                           grid_cells))) {
-          throw std::runtime_error("cannot write checkpoint " +
-                                   flags.checkpoint_path);
-        }
+        save_checkpoint(flags.checkpoint_path, request, cell + 1);
       };
     }
 
