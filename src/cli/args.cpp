@@ -1,27 +1,12 @@
 #include "cli/args.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
+#include "util/parse_whole.hpp"
+
 namespace flip::cli {
-
-namespace {
-
-bool parse_size_value(std::string_view text, std::size_t& out) {
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && end == text.data() + text.size();
-}
-
-bool parse_double_value(std::string_view text, double& out) {
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && end == text.data() + text.size();
-}
-
-}  // namespace
 
 bool parse_uint64(std::string_view text, std::uint64_t& out) {
   int base = 10;
@@ -29,9 +14,7 @@ bool parse_uint64(std::string_view text, std::uint64_t& out) {
     text.remove_prefix(2);
     base = 16;
   }
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out, base);
-  return ec == std::errc{} && end == text.data() + text.size();
+  return parse_whole(text, out, base);
 }
 
 ArgParser::ArgParser(std::string program, std::string description)
@@ -82,7 +65,7 @@ void ArgParser::add_size(std::string name, std::string help,
   Spec spec{std::move(name), "N", std::move(help), Kind::kValue,
             [out, flag](std::string_view value, std::string& error) {
               std::size_t parsed = 0;
-              if (!parse_size_value(value, parsed)) {
+              if (!parse_whole(value, parsed)) {
                 error = flag + ": not a non-negative integer: '" +
                         std::string(value) + "'";
                 return false;
@@ -100,7 +83,7 @@ void ArgParser::add_double(std::string name, std::string help,
   Spec spec{std::move(name), "X", std::move(help), Kind::kValue,
             [out, flag](std::string_view value, std::string& error) {
               double parsed = 0.0;
-              if (!parse_double_value(value, parsed)) {
+              if (!parse_whole(value, parsed)) {
                 error =
                     flag + ": not a number: '" + std::string(value) + "'";
                 return false;
@@ -262,7 +245,7 @@ std::optional<std::vector<std::size_t>> parse_size_list(std::string_view text,
   std::vector<std::size_t> values;
   for (const std::string& piece : split_list(text)) {
     std::size_t value = 0;
-    if (!parse_size_value(piece, value)) {
+    if (!parse_whole(piece, value)) {
       error = "not a non-negative integer: '" + piece + "'";
       return std::nullopt;
     }
@@ -280,7 +263,7 @@ std::optional<std::vector<double>> parse_double_list(std::string_view text,
   std::vector<double> values;
   for (const std::string& piece : split_list(text)) {
     double value = 0.0;
-    if (!parse_double_value(piece, value)) {
+    if (!parse_whole(piece, value)) {
       error = "not a number: '" + piece + "'";
       return std::nullopt;
     }

@@ -244,10 +244,17 @@ std::optional<std::size_t> read_checkpoint(std::string_view text,
     error = "torn checkpoint (no resume_from >= 1)";
     return std::nullopt;
   }
-  SweepRequest flags = request;
-  flags.resume_from = 0;
-  recorded->resume_from = 0;
-  if (encode_sweep_request(*recorded) != encode_sweep_request(flags)) {
+  // A sweep's identity leaves out its position and the fields no output
+  // bit depends on: results are the same at every thread and shard count,
+  // so a sweep may resume on a host with fewer cores.
+  const auto identity = [](SweepRequest r) {
+    const SweepRequest defaults;
+    r.resume_from = defaults.resume_from;
+    r.threads = defaults.threads;
+    r.shards = defaults.shards;
+    return encode_sweep_request(r);
+  };
+  if (identity(*recorded) != identity(request)) {
     error = "records a different sweep than these flags; refusing to mix "
             "results";
     return std::nullopt;

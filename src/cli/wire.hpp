@@ -80,8 +80,10 @@ struct SweepRequest {
 /// Returns that cell only for a whole checkpoint of the same sweep: the
 /// text parses, ends in a newline, names resume_from >= 1 (always its last
 /// line, so every proper prefix of a written file is refused), and encodes
-/// like `request` once resume_from is cleared on both sides (so a resumed
-/// sweep still matches its file). Error text + nullopt otherwise.
+/// like `request` once resume_from, threads and shards are cleared on both
+/// sides (so a resumed sweep still matches its file, and a sweep may resume
+/// at another thread or shard count: no output bit depends on either).
+/// Error text + nullopt otherwise.
 [[nodiscard]] std::optional<std::size_t> read_checkpoint(
     std::string_view text, const SweepRequest& request, std::string& error);
 

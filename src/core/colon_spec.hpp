@@ -3,12 +3,12 @@
 // --churn (core/environment.cpp) and --topology (core/topology.cpp).
 // Every failure throws std::invalid_argument as "<what>: '<text>'".
 
-#include <charconv>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
+
+#include "util/parse_whole.hpp"
 
 namespace flip::colon_spec {
 
@@ -41,11 +41,7 @@ template <typename T>
 T parse_field(std::string_view text, std::string_view spec,
               std::string_view what) {
   T value{};
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || end != text.data() + text.size()) {
-    bad_spec(what, text.empty() ? spec : text);
-  }
+  if (!parse_whole(text, value)) bad_spec(what, text.empty() ? spec : text);
   return value;
 }
 

@@ -140,9 +140,10 @@ void BatchEngine::finalize_stage2(std::uint64_t phase,
   const bool prefix_subset =
       config.stage2_subset == Stage2Subset::kPrefixSubset;
   // Each successful agent's majority-subset draw is O(threshold) words from
-  // its own (phase, agent, kSubset) stream, so the scan parallelizes over
-  // shards: per-shard counter deltas are merged (exact integer sums) after
-  // the barrier, in shard order.
+  // its own (phase, agent, kSubset) stream (none when its counts decide the
+  // majority), so the scan parallelizes over shards: per-shard counter
+  // deltas are merged (exact integer sums) after the barrier, in shard
+  // order.
   const StreamKey subset_key =
       round_stream_key(trial_key_, RngPurpose::kSubset, phase);
   const std::size_t n = pop_.size();
@@ -158,18 +159,18 @@ void BatchEngine::finalize_stage2(std::uint64_t phase,
       const std::uint64_t recv = w & detail::kFieldMask;
       if (recv >= threshold) {
         // Successful agent: majority over a subset of exactly `threshold`
-        // samples, uniform (hypergeometric draw) or the arrival-order
-        // prefix.
+        // samples, uniform (hypergeometric draw, skipped when the counts
+        // decide it) or the arrival-order prefix.
         ++sh.successful;
-        std::uint64_t ones = (w >> detail::kPrefixShift) & detail::kFieldMask;
-        if (!prefix_subset) {
-          CounterRng rng(subset_key, a);
-          ones = hypergeometric_ones(
-              rng, recv, (w >> detail::kOnesShift) & detail::kFieldMask,
-              threshold);
-        }
-        const Opinion verdict =
-            2 * ones > threshold ? Opinion::kOne : Opinion::kZero;
+        CounterRng rng(subset_key, a);
+        const bool one =
+            prefix_subset
+                ? 2 * ((w >> detail::kPrefixShift) & detail::kFieldMask) >
+                      threshold
+                : hypergeometric_majority(
+                      rng, recv, (w >> detail::kOnesShift) & detail::kFieldMask,
+                      threshold);
+        const Opinion verdict = one ? Opinion::kOne : Opinion::kZero;
         if (!pop_.has_opinion(a)) sh.opinionated.push_back(a);
         pop_.set_opinion_counted(a, verdict, sh.delta);
       }

@@ -196,7 +196,9 @@ inline constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
 // Per-agent counter layouts. Stage I accumulator: recv count in bits
 // 0..62, kept bit in bit 63. Stage II accumulator: recv | ones |
 // prefix-ones as three 21-bit fields (phase lengths are bounded by
-// breathe_fast_supported).
+// breathe_fast_supported); deliver_stage2 writes the prefix-ones field
+// only under the prefix-subset rule, its one reader, so under the uniform
+// rule it stays 0.
 inline constexpr int kKeptShift = 63;
 inline constexpr std::uint64_t kS1RecvMask =
     (std::uint64_t{1} << kKeptShift) - 1;
@@ -364,11 +366,13 @@ template <bool kChurn, bool kRanked = true, typename RecipientFn>
 
 /// Delivers one Stage II round for one shard's touched recipients: clears
 /// each meta slot, applies the recipient-keyed channel flip, and bumps the
-/// packed recv/ones/prefix counters. Under kChurn an asleep recipient's
-/// accepted message is discarded (no draw, no counter bump) and counted as
-/// an asleep drop. The counter bump is arithmetic on the 0/1 received bit:
-/// the channel coin decides it, so a branch on it would mispredict.
-template <bool kChurn, typename FlipFn>
+/// packed recv/ones counters, plus the prefix-ones field under kPrefix (the
+/// prefix-subset rule, the only reader of that field). Under kChurn an
+/// asleep recipient's accepted message is discarded (no draw, no counter
+/// bump) and counted as an asleep drop. The counter bump is arithmetic on
+/// the 0/1 received bit: the channel coin decides it, so a branch on it
+/// would mispredict.
+template <bool kChurn, bool kPrefix = false, typename FlipFn>
 [[gnu::noinline]] inline DeliverPartial deliver_stage2(
     const AgentId* __restrict__ tdata, std::size_t tsize,
     const StreamKey ckey, std::uint64_t threshold,
@@ -396,9 +400,12 @@ template <bool kChurn, typename FlipFn>
     partial.flipped += flip;
     std::uint64_t w = acc[to] + 1;  // ++recv
     const auto one = static_cast<std::uint64_t>(sent_one ^ flip);
-    const auto in_prefix =
-        static_cast<std::uint64_t>((w & kFieldMask) <= threshold);
-    w += (one << kOnesShift) + ((one & in_prefix) << kPrefixShift);
+    w += one << kOnesShift;
+    if constexpr (kPrefix) {
+      const auto in_prefix =
+          static_cast<std::uint64_t>((w & kFieldMask) <= threshold);
+      w += (one & in_prefix) << kPrefixShift;
+    }
     acc[to] = w;
   }
   return partial;
@@ -498,6 +505,8 @@ class BatchEngine {
     const std::uint64_t draw_bound = topo.draw_bound();
     const bool uniform_pick =
         config.stage1_pick == Stage1Pick::kUniformMessage;
+    const bool prefix_subset =
+        config.stage2_subset == Stage2Subset::kPrefixSubset;
     auto flips = detail::make_flip(channel);
     const std::size_t shards = shards_;
     const ChurnSpec& churn = options.engine.churn;
@@ -639,21 +648,29 @@ class BatchEngine {
           sh.touched_count = tsize;
         }
 
-        const auto deliver = [&](auto churn_c) -> detail::DeliverPartial {
+        // The bool_constants pick the churn-filtered loop and, in Stage
+        // II, whether the prefix-ones field is kept at all.
+        const auto deliver = [&](auto churn_c,
+                                 auto prefix_c) -> detail::DeliverPartial {
           constexpr bool kChurn = decltype(churn_c)::value;
+          constexpr bool kPrefix = decltype(prefix_c)::value;
           return in_s1 ? detail::deliver_stage1<kChurn>(
                              sh.touched.data(), sh.touched_count,
                              channel_key, protocol_key, uniform_pick,
                              pop_.has_opinion_data(), awake, slot, acc,
                              sh.activation, flips)
-                       : detail::deliver_stage2<kChurn>(
+                       : detail::deliver_stage2<kChurn, kPrefix>(
                              sh.touched.data(), sh.touched_count,
                              channel_key, threshold, awake, slot, acc,
                              flips);
         };
-        const detail::DeliverPartial partial = churn_on
-                                                   ? deliver(std::true_type{})
-                                                   : deliver(std::false_type{});
+        const auto deliver_prefix = [&](auto churn_c) {
+          return prefix_subset ? deliver(churn_c, std::true_type{})
+                               : deliver(churn_c, std::false_type{});
+        };
+        const detail::DeliverPartial partial =
+            churn_on ? deliver_prefix(std::true_type{})
+                     : deliver_prefix(std::false_type{});
         sh.flipped = partial.flipped;
         sh.asleep_drops = partial.asleep_drops;
       });

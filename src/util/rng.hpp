@@ -206,4 +206,21 @@ inline std::uint64_t hypergeometric_ones(CounterRng& rng,
   return picked;
 }
 
+/// Whether a uniform `take`-subset of `total` items, `ones` of them marked,
+/// holds a strict majority of marked items: 2 * hypergeometric_ones(rng,
+/// total, ones, take) > take, but without drawing when the counts already
+/// decide. Every subset holds at most `ones` marked items, so 2 * ones <=
+/// take rules a majority out; it holds at most total - ones unmarked ones,
+/// so 2 * (total - ones) < take forces one. Otherwise both verdicts are
+/// possible and it draws exactly as hypergeometric_ones does. A skipped
+/// draw leaves `rng` untouched, which shifts nothing as long as the stream
+/// belongs to this one decision (the Stage II (phase, agent) kSubset
+/// stream does). Preconditions: ones <= total, take <= total.
+inline bool hypergeometric_majority(CounterRng& rng, std::uint64_t total,
+                                    std::uint64_t ones, std::uint64_t take) {
+  if (2 * ones <= take) return false;
+  if (2 * (total - ones) < take) return true;
+  return 2 * hypergeometric_ones(rng, total, ones, take) > take;
+}
+
 }  // namespace flip

@@ -624,6 +624,35 @@ TEST(BatchEngineTest, EveryRegistryEntryIdenticalOutcomes) {
   }
 }
 
+/// The prefix-subset rule under churn, held to the classic engine and to 8
+/// shards: with the entries above, all four deliver_stage2<kChurn, kPrefix>
+/// loops now run under a differential test.
+TEST(BatchEngineTest, VariantRulesUnderChurnIdenticalAcrossSubstrates) {
+  const ScenarioRegistry& registry = ScenarioRegistry::instance();
+  ScenarioOverrides batch_overrides;
+  batch_overrides.n = 256;
+  batch_overrides.engine = EngineMode::kBatch;
+  batch_overrides.churn = ChurnSpec::parse("0.005:0.1");
+  ScenarioOverrides classic_overrides = batch_overrides;
+  classic_overrides.engine = EngineMode::kClassic;
+  ScenarioOverrides sharded_overrides = batch_overrides;
+  sharded_overrides.shards = 8;
+  const TrialFn batch_fn =
+      registry.make("broadcast_variant_rules", batch_overrides);
+  const TrialFn classic_fn =
+      registry.make("broadcast_variant_rules", classic_overrides);
+  const TrialFn sharded_fn =
+      registry.make("broadcast_variant_rules", sharded_overrides);
+  for (std::size_t trial = 0; trial < 2; ++trial) {
+    const std::string what = "trial " + std::to_string(trial);
+    const TrialOutcome batch = batch_fn(0x5eed, trial);
+    expect_outcome_eq(classic_fn(0x5eed, trial), batch,
+                      what + " (classic vs batch)");
+    expect_outcome_eq(batch, sharded_fn(0x5eed, trial),
+                      what + " (batch vs 8 shards)");
+  }
+}
+
 /// The entries the repository benchmark runs at n = 1024 (sweep_mc and
 /// daemon_mix cells), pinned at that size: batch engine, trials 0 and 1 of
 /// seed 0x5eed. kPinnedOutcomes stops at n = 256, where the per-round

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -175,6 +176,40 @@ TEST(HypergeometricTest, MeanMatchesTakeTimesFraction) {
   }
   // E[X] = take * ones / total = 51 * 60 / 101.
   EXPECT_NEAR(sum / kDraws, 51.0 * 60.0 / 101.0, 0.05);
+}
+
+// The support of the draw is [max(0, take - (total - ones)), min(ones,
+// take)]: the counts decide the majority exactly when both ends give the
+// same verdict. Where they do, hypergeometric_majority must not touch the
+// stream (its next word is the stream's first); elsewhere it must consume
+// exactly the words hypergeometric_ones does.
+TEST(HypergeometricTest, MajorityDrawsOnlyWhenTheCountsDoNotDecide) {
+  const StreamKey subset_key =
+      round_stream_key(trial_stream_key(12, 0), RngPurpose::kSubset, 3);
+  for (std::uint64_t agent = 0; agent < 8; ++agent) {
+    for (std::uint64_t total = 1; total <= 24; ++total) {
+      for (std::uint64_t ones = 0; ones <= total; ++ones) {
+        for (std::uint64_t take = 1; take <= total; ++take) {
+          const std::uint64_t zeros = total - ones;
+          const std::uint64_t least = take > zeros ? take - zeros : 0;
+          const std::uint64_t most = std::min(ones, take);
+          const bool decided = (2 * least > take) == (2 * most > take);
+
+          CounterRng drawn(subset_key, agent);
+          const bool majority =
+              2 * hypergeometric_ones(drawn, total, ones, take) > take;
+          CounterRng rng(subset_key, agent);
+          ASSERT_EQ(hypergeometric_majority(rng, total, ones, take), majority)
+              << "agent " << agent << " total " << total << " ones " << ones
+              << " take " << take;
+          CounterRng fresh(subset_key, agent);
+          ASSERT_EQ(rng(), decided ? fresh() : drawn())
+              << "agent " << agent << " total " << total << " ones " << ones
+              << " take " << take << (decided ? " drew" : " skipped");
+        }
+      }
+    }
+  }
 }
 
 // --- Counter-based streams: the repo-wide determinism contract ----------

@@ -330,6 +330,26 @@ TEST(CheckpointTest, RefusesADifferentSweep) {
       << error;
 }
 
+TEST(CheckpointTest, ResumesAtAnotherThreadAndShardCount) {
+  // No output bit depends on --threads or --shards, so a sweep written on
+  // a larger host resumes on a smaller one; the grid still has to match.
+  SweepRequest written = three_cell_sweep();
+  written.threads = 2;
+  const std::string text = checkpoint_after(written, 2);
+  SweepRequest smaller = three_cell_sweep();
+  smaller.threads = 1;
+  smaller.shards = 4;
+  std::string error;
+  const auto next_cell = cli::read_checkpoint(text, smaller, error);
+  ASSERT_TRUE(next_cell.has_value()) << error;
+  EXPECT_EQ(*next_cell, 2u);
+
+  smaller.ns = "128,256";
+  EXPECT_FALSE(cli::read_checkpoint(text, smaller, error).has_value());
+  EXPECT_NE(error.find("records a different sweep"), std::string::npos)
+      << error;
+}
+
 TEST(CheckpointTest, RefusesAnOldFlipchkFile) {
   // A file in the older flipchk/1 format: a header line holding the
   // position, then the request.

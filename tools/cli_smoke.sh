@@ -17,8 +17,10 @@
 # 3. Checkpoint/resume: a 3-cell --jsonl sweep with --checkpoint leaves
 #    the request's flipsvc/1 text at resume_from=3; set back to 1 with
 #    the JSONL cut to its first line, --resume writes the uninterrupted
-#    run's lines (timing fields cut), one-shot and through the daemon.
-#    --resume with another --n list exits 2.
+#    run's lines (timing fields cut), one-shot and through the daemon,
+#    and one-shot at another --threads and --shards. --resume with
+#    another --n list exits 2, and so does a resumed --json (its document
+#    would hold only the resumed cells).
 set -eu
 
 if [ "$#" -ne 1 ]; then
@@ -116,22 +118,39 @@ EOF
 CHK="$BUILD_DIR/flipsim_resume.chk"
 printf 'flipsvc/1 sweep\nscenario=broadcast_small\nn=64,128,256\ntrials=2\nresume_from=3\n' \
   > "$BUILD_DIR/flipsim_resume_expected.chk"
-for MODE in oneshot connect; do
+printf 'flipsvc/1 sweep\nscenario=broadcast_small\nn=64,128,256\ntrials=2\nshards=2\nresume_from=3\n' \
+  > "$BUILD_DIR/flipsim_resume_expected_threads.chk"
+printf 'flipsvc/1 sweep\nscenario=broadcast_small\nn=64,128,256\ntrials=2\nthreads=1\nresume_from=3\n' \
+  > "$BUILD_DIR/flipsim_resume_resumed_threads.chk"
+# threads: written at the default thread count on 2 shards, resumed on one
+# thread and one shard (no output bit depends on either).
+for MODE in oneshot connect threads; do
   CONNECT=""
+  WRITE_AT=""
+  RESUME_AT=""
+  EXPECTED="$BUILD_DIR/flipsim_resume_expected.chk"
+  RESUMED_CHK="$EXPECTED"
   if [ "$MODE" = connect ]; then CONNECT="--connect $PORT"; fi
+  if [ "$MODE" = threads ]; then
+    WRITE_AT="--shards 2"
+    RESUME_AT="--threads 1"
+    EXPECTED="$BUILD_DIR/flipsim_resume_expected_threads.chk"
+    RESUMED_CHK="$BUILD_DIR/flipsim_resume_resumed_threads.chk"
+  fi
   FULL="$BUILD_DIR/flipsim_resume_full_$MODE.jsonl"
   RESUMED="$BUILD_DIR/flipsim_resume_$MODE.jsonl"
   rm -f "$CHK"
-  # $CONNECT is unquoted on purpose: empty, or two words.
+  # $CONNECT, $WRITE_AT and $RESUME_AT are unquoted on purpose: empty, or
+  # two words.
   "$FLIPSIM" $CONNECT --scenario broadcast_small --n 64,128,256 --trials 2 \
-    --jsonl "$FULL" --checkpoint "$CHK" --quiet
-  cmp "$CHK" "$BUILD_DIR/flipsim_resume_expected.chk"
+    $WRITE_AT --jsonl "$FULL" --checkpoint "$CHK" --quiet
+  cmp "$CHK" "$EXPECTED"
   sed 's/^resume_from=3$/resume_from=1/' "$CHK" > "$CHK.edit"
   mv "$CHK.edit" "$CHK"
   head -n 1 "$FULL" > "$RESUMED"
   "$FLIPSIM" $CONNECT --scenario broadcast_small --n 64,128,256 --trials 2 \
-    --jsonl "$RESUMED" --checkpoint "$CHK" --resume --quiet
-  cmp "$CHK" "$BUILD_DIR/flipsim_resume_expected.chk"
+    $RESUME_AT --jsonl "$RESUMED" --checkpoint "$CHK" --resume --quiet
+  cmp "$CHK" "$RESUMED_CHK"
   python3 - "$FULL" "$RESUMED" <<'EOF'
 import sys
 strip = lambda path: [l.split('"trial_seconds"')[0]
@@ -152,6 +171,17 @@ if [ "$CODE" -ne 2 ] || \
   exit 1
 fi
 echo "flipsim resume smoke ok: a different sweep is refused"
+CODE=0
+"$FLIPSIM" --scenario broadcast_small --n 64,128,256 --trials 2 --threads 1 \
+  --json "$BUILD_DIR/flipsim_resume.json" --checkpoint "$CHK" --resume \
+  2> "$BUILD_DIR/flipsim_resume.err" || CODE=$?
+if [ "$CODE" -ne 2 ] || ! grep -q -- "--jsonl" "$BUILD_DIR/flipsim_resume.err"
+then
+  echo "flipsim --resume --json: exit $CODE" >&2
+  cat "$BUILD_DIR/flipsim_resume.err" >&2
+  exit 1
+fi
+echo "flipsim resume smoke ok: a resumed --json is refused"
 
 "$FLIPSIM" --connect "$PORT" --shutdown
 wait "$SERVE_PID"

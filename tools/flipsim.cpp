@@ -344,7 +344,8 @@ int main(int argc, char** argv) {
                     &flags.checkpoint_path);
   parser.add_flag("--resume",
                   "continue the sweep recorded in --checkpoint (fresh start "
-                  "if the file does not exist yet)",
+                  "if the file does not exist yet); --csv and --jsonl "
+                  "append, --json is refused past cell 0",
                   &flags.resume);
   parser.add_flag("--quiet", "suppress the human-readable table",
                   &flags.quiet);
@@ -524,6 +525,16 @@ int main(int argc, char** argv) {
                   << error << "\n";
         return 2;
       }
+      // --csv and --jsonl append to the lines the earlier cells wrote; a
+      // --json document would hold only the cells this run adds.
+      if (flags.json) {
+        std::cerr << "error: --resume: --json would hold only the cells "
+                     "from cell "
+                  << *next_cell
+                  << " on; a resumed sweep appends whole to --jsonl or "
+                     "--csv\n";
+        return 2;
+      }
       spec.first_cell = *next_cell;
       request.resume_from = *next_cell;
     }
@@ -606,7 +617,9 @@ int main(int argc, char** argv) {
       std::cout << "flipsim: " << spec.scenario << ", "
                 << result.points.size() << " grid point(s) x " << spec.trials
                 << " trial(s), " << flip::format_fixed(result.wall_seconds, 2)
-                << " s\n\n"
+                << " s";
+      if (resuming) std::cout << ", resumed at cell " << spec.first_cell;
+      std::cout << "\n\n"
                 << flip::cli::sweep_table(result);
     }
     if (flags.json) {

@@ -9,12 +9,13 @@ For every entry of `flipsim --list`, runs both binaries in each mode:
     classic    --engine classic --trials 4
     shards8    --engine batch --shards 8 --trials 4
     surrogate  --engine surrogate --n 1000000,1000000000 --eps 0.1,0.2,0.4
+    churn      --engine batch --churn 0.005:0.1 --trials 4
 
 each with `--scenario <entry> --jsonl --quiet`. Where both exit 0, every
 JSONL line is cut at "trial_seconds" (the rest is wall-clock timing) and
 the two outputs must match byte for byte. Where both exit non-zero (an
-entry that rejects shards or the surrogate engine), their exit codes and
-stderr must match. Prints one row per (entry, mode); exit 1 on any
+entry that rejects shards, the surrogate engine or churn), their exit
+codes and stderr must match. Prints one row per (entry, mode); exit 1 on any
 difference, 2 on a usage error.
 """
 
@@ -27,6 +28,7 @@ MODES = {
     "shards8": ["--engine", "batch", "--shards", "8", "--trials", "4"],
     "surrogate": ["--engine", "surrogate", "--n", "1000000,1000000000",
                   "--eps", "0.1,0.2,0.4"],
+    "churn": ["--engine", "batch", "--churn", "0.005:0.1", "--trials", "4"],
 }
 TIMING_KEY = '"trial_seconds"'
 
