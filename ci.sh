@@ -106,8 +106,9 @@ fi
 
 # ThreadSanitizer pass over the sharded engine: the intra-trial shard
 # phases (route/deliver AND the churn liveness phase with its per-shard
-# delta merge) and the helping ThreadPool wait are the only cross-thread
-# code in the repo; race-check them under a dedicated instrumented build.
+# delta merge) and the ThreadPool's one-call-at-a-time fork-join are the
+# only cross-thread code in the repo; race-check them under a dedicated
+# instrumented build.
 # The filter includes the churn-enabled sharded tests, the
 # dynamic-scenario AND sparse-topology sweep matrices (per-round graph
 # rewiring + the locality-partitioned sharded route run under
@@ -115,10 +116,10 @@ fi
 # complete-graph trials drive the same route_scatter and deliver loops
 # every build ships. The service layer runs here too: the sweep
 # daemon's ingest/runner threads, the ring-buffer handoff, the framing
-# helpers, and the thread-local TrialArena lease stack
-# (ServiceTest/RingBufferTest/FrameTest/TrialArenaTest — none need the
-# flipsim binary, so FLIP_BUILD_TOOLS=OFF is fine). Skip with
-# FLIP_SKIP_TSAN=1 (e.g. toolchains without tsan runtimes).
+# helpers, and the per-thread TrialArena leases with warm sharded trials
+# on a real pool (ServiceTest/RingBufferTest/FrameTest/TrialArenaTest —
+# none need the flipsim binary, so FLIP_BUILD_TOOLS=OFF is fine). Skip
+# with FLIP_SKIP_TSAN=1 (e.g. toolchains without tsan runtimes).
 if [ "${FLIP_SKIP_TSAN:-0}" != "1" ]; then
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -133,7 +134,7 @@ fi
 
 # AddressSanitizer + UndefinedBehaviorSanitizer pass: the FULL ctest suite
 # (the 21-second suite is cheap even instrumented; the build dominates) —
-# the packed SoA paths and the arena lease stack are exactly where a
+# the packed SoA paths and the per-thread arenas are exactly where a
 # one-past-the-end write hides from the uninstrumented build — plus the
 # fuzz harnesses' corpus smoke and tools/cli_smoke.sh (the flipsim sweeps
 # and the live daemon smoke, served streams checked against the one-shot

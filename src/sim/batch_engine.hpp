@@ -43,8 +43,8 @@
 // One BatchEngine is meant to live per worker thread and run a whole block
 // of K trials of a scenario cell back to back (it lives in the thread's
 // TrialArena, sim/trial_arena.hpp); every buffer is sized once and
-// recycled, so trials after the first are allocation-free when the shard
-// phases run inline.
+// recycled, so trials after the first are allocation-free, with the shard
+// phases inline or on a ThreadPool.
 
 #include <algorithm>
 #include <cstdint>
@@ -523,9 +523,8 @@ class BatchEngine {
     // flip-lint: noalloc — the warm-trial round loop. Everything here must
     // run out of the scratch prepare_breathe() sized: tests/
     // trial_arena_test.cpp proves warm trials allocation-free at shards
-    // 1/8, churn on/off with a counting global allocator — with the shard
-    // phases inline (pool == nullptr); a real pool's parallel_for still
-    // allocates per call. The lint region keeps explicit allocations from
+    // 1/4/8, churn on/off, inline and on a real ThreadPool, with a counting
+    // global allocator. The lint region keeps explicit allocations from
     // creeping in on the paths that test doesn't execute. push_back into
     // capacity-kept vectors is the sanctioned idiom (capacity survives
     // across trials via reset()).

@@ -11,16 +11,14 @@
 //
 // After one warm-up trial of a cell shape, every further trial through the
 // arena performs zero heap allocations on the batch fast path with a
-// static channel, provided the shard phases run inline (one shard, or
-// pool == nullptr); tests/trial_arena_test.cpp holds this with a counting
-// global allocator. On the shared ThreadPool a sharded trial still
-// allocates in every parallel_for call (perfbench reports it as
-// sim.trial_arena.allocs_per_trial_s4).
+// static channel, with its shard phases inline or on a ThreadPool;
+// tests/trial_arena_test.cpp holds this with a counting global allocator.
 //
-// Arenas are leased, not referenced: ThreadPool's helping wait can make a
-// thread pick up ANOTHER trial while its own arena is mid-run (sharded
-// trials nested in parallel sweeps), so the thread keeps a stack of
-// arenas and a lease hands out the first idle one.
+// Each thread has one arena. A thread runs one trial at a time: a
+// ThreadPool worker only ever runs indices of the one call it joined, and
+// a sharded trial's own parallel_for runs shard bodies, never another
+// trial. A second lease on a thread whose arena is leased is a bug, and
+// throws std::logic_error.
 
 #include "sim/batch_engine.hpp"
 
@@ -33,21 +31,14 @@ struct TrialArena {
   BreatheFastResult result;
 };
 
-namespace detail {
-/// The calling thread's arena stack (thread_local). acquire pushes a
-/// lease — growing the stack only the first time a depth is reached —
-/// and release pops it. Strict LIFO: leases are scoped objects.
-[[nodiscard]] TrialArena* acquire_arena();
-void release_arena() noexcept;
-}  // namespace detail
-
 /// RAII lease on the calling thread's persistent TrialArena. Worker
 /// threads of the sized/shared ThreadPools live for the whole process, so
 /// every sweep cell of every request recycles the same per-worker scratch.
 class TrialArenaLease {
  public:
-  TrialArenaLease() : arena_(detail::acquire_arena()) {}
-  ~TrialArenaLease() { detail::release_arena(); }
+  /// Throws std::logic_error when this thread's arena is already leased.
+  TrialArenaLease();
+  ~TrialArenaLease();
   TrialArenaLease(const TrialArenaLease&) = delete;
   TrialArenaLease& operator=(const TrialArenaLease&) = delete;
 

@@ -1,9 +1,6 @@
 #include "util/thread_pool.hpp"
 
-#include <atomic>
-#include <chrono>
-#include <exception>
-#include <memory>
+#include <algorithm>
 
 namespace flip {
 
@@ -22,100 +19,69 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(mutex_);
     stopping_ = true;
   }
-  cv_.notify_all();
+  opened_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
 void ThreadPool::worker_loop() {
+  std::unique_lock lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (stopping_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    task();
+    opened_.wait(lock, [this] { return stopping_ || openings_ > 0; });
+    if (stopping_) return;
+    --openings_;
+    joined_.fetch_add(1, std::memory_order_relaxed);
+    lock.unlock();
+    drain();
+    // Only the last worker out wakes the caller; the rest just go back to
+    // waiting for the next call's openings.
+    const bool last = joined_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+    lock.lock();
+    if (last) left_.notify_one();
   }
 }
 
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& body) {
-  if (count == 0) return;
-  if (count == 1 || workers_.size() == 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
+void ThreadPool::drain() {
+  for (;;) {
+    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= count_) return;
+    try {
+      thunk_(body_, i);
+    } catch (...) {
+      std::lock_guard lock(mutex_);
+      if (!error_) error_ = std::current_exception();
+      next_.store(count_, std::memory_order_relaxed);  // start no more
+      return;
+    }
+  }
+}
+
+void ThreadPool::run(std::size_t count, void* body, Thunk thunk) {
+  const std::size_t openings = std::min(count, workers_.size());
+  if (openings <= 1 || busy_.exchange(true, std::memory_order_acquire)) {
+    for (std::size_t i = 0; i < count; ++i) thunk(body, i);
     return;
   }
-
-  struct Shared {
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done_chunks{0};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-  };
-  auto shared_state = std::make_shared<Shared>();
-  const std::size_t chunks = std::min(count, workers_.size());
-
-  auto chunk_task = [shared_state, count, &body, chunks] {
-    for (;;) {
-      const std::size_t i =
-          shared_state->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard lock(shared_state->error_mutex);
-        if (!shared_state->error) {
-          shared_state->error = std::current_exception();
-        }
-        // Drain remaining indices so everyone exits promptly.
-        shared_state->next.store(count, std::memory_order_relaxed);
-        break;
-      }
-    }
-    if (shared_state->done_chunks.fetch_add(1) + 1 == chunks) {
-      std::lock_guard lock(shared_state->done_mutex);
-      shared_state->done_cv.notify_all();
-    }
-  };
-
   {
     std::lock_guard lock(mutex_);
-    // One fewer queued chunk than workers: the calling thread runs one too.
-    for (std::size_t c = 0; c + 1 < chunks; ++c) tasks_.push(chunk_task);
+    body_ = body;
+    thunk_ = thunk;
+    count_ = count;
+    next_.store(0, std::memory_order_relaxed);
+    openings_ = openings - 1;
   }
-  cv_.notify_all();
-  chunk_task();  // participate instead of idling
-
-  // Helping wait: our remaining chunks may sit queued behind other tasks —
-  // including other callers' parallel_for chunks whose callers are in this
-  // same loop. Draining the queue while we wait guarantees global progress
-  // (if every thread is here, whoever finds the queue non-empty runs a
-  // task; an empty queue means all chunks are already running), so nested
-  // parallel_for calls cannot deadlock. The timed wait covers the window
-  // where our last chunk is mid-flight on another thread.
-  while (shared_state->done_chunks.load() != chunks) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      if (!tasks_.empty()) {
-        task = std::move(tasks_.front());
-        tasks_.pop();
-      }
-    }
-    if (task) {
-      task();
-      continue;
-    }
-    std::unique_lock lock(shared_state->done_mutex);
-    shared_state->done_cv.wait_for(lock, std::chrono::microseconds(200), [&] {
-      return shared_state->done_chunks.load() == chunks;
+  opened_.notify_all();
+  drain();
+  std::exception_ptr error;
+  {
+    std::unique_lock lock(mutex_);
+    openings_ = 0;
+    left_.wait(lock, [this] {
+      return joined_.load(std::memory_order_acquire) == 0;
     });
+    error.swap(error_);
   }
-  if (shared_state->error) std::rethrow_exception(shared_state->error);
+  busy_.store(false, std::memory_order_release);
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& ThreadPool::shared() {

@@ -1,14 +1,17 @@
 #pragma once
 // Minimal fixed-size thread pool used to run independent Monte-Carlo trials
-// in parallel. Tasks are type-erased thunks; parallel_for is the only
-// pattern the library actually needs, so that is the primary API.
+// and the shards of one trial in parallel. parallel_for is its one pattern:
+// one call at a time is in flight, the body is borrowed (a pointer and a
+// thunk, never copied), and nothing is allocated per call.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
+#include <exception>
+#include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace flip {
@@ -24,18 +27,24 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Runs body(i) for i in [0, count), distributing indices across workers,
-  /// and blocks until all iterations finish. body must be safe to call
-  /// concurrently for distinct i. Exceptions from body propagate (the first
-  /// one captured) after all iterations complete or are abandoned.
+  /// Runs body(i) for i in [0, count) and blocks until all iterations
+  /// finish. body must be safe to call concurrently for distinct i. The
+  /// first exception body throws propagates after the started iterations
+  /// finish; the rest are not started.
   ///
-  /// Re-entrant: body may itself call parallel_for on the same pool (the
-  /// sharded BatchEngine does, from inside a parallel trial). While waiting
-  /// for its own chunks, a caller HELPS — it drains other queued tasks
-  /// instead of sleeping — so nested calls cannot deadlock even when every
-  /// worker is blocked inside an outer parallel_for.
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& body);
+  /// The caller publishes min(count, size()) - 1 openings, runs indices
+  /// alongside the workers that take one, then closes the openings and
+  /// waits only for the workers that joined. A call made while another is
+  /// in flight — from inside a body (a sharded trial in a parallel sweep)
+  /// or from a second thread — runs every index on its own calling thread,
+  /// so nesting cannot deadlock and no thread is handed the indices of a
+  /// call it neither made nor joined.
+  template <typename Body>
+  void parallel_for(std::size_t count, Body&& body) {
+    using Fn = std::remove_reference_t<Body>;
+    run(count, const_cast<void*>(static_cast<const void*>(std::addressof(body))),
+        [](void* fn, std::size_t i) { (*static_cast<Fn*>(fn))(i); });
+  }
 
   /// Process-wide shared pool for callers that don't manage their own.
   static ThreadPool& shared();
@@ -48,13 +57,28 @@ class ThreadPool {
   static ThreadPool& sized(std::size_t threads);
 
  private:
+  using Thunk = void (*)(void*, std::size_t);
+
+  void run(std::size_t count, void* body, Thunk thunk);
+  /// Runs indices of the call in flight until none is left.
+  void drain();
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
-  std::condition_variable cv_;
+  std::condition_variable opened_;  ///< workers: an opening or stopping_
+  std::condition_variable left_;    ///< caller: the last joined worker left
   bool stopping_ = false;
+  std::atomic<bool> busy_{false};   ///< a call is in flight
+
+  // The call in flight, published under mutex_ before its openings.
+  void* body_ = nullptr;
+  Thunk thunk_ = nullptr;
+  std::size_t count_ = 0;
+  std::atomic<std::size_t> next_{0};
+  std::size_t openings_ = 0;           ///< guarded by mutex_
+  std::atomic<std::size_t> joined_{0};  ///< workers inside drain()
+  std::exception_ptr error_;           ///< guarded by mutex_
 };
 
 }  // namespace flip

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace flip {
@@ -74,11 +76,10 @@ TEST(ThreadPoolTest, MoreTasksThanWorkers) {
   EXPECT_EQ(count.load(), 64);
 }
 
-// parallel_for is re-entrant (waiters help drain the queue): N outer
-// tasks each fanning out M inner tasks on the SAME pool must complete
-// even when every worker is simultaneously blocked inside an outer wait —
-// the deadlock shape the sharded BatchEngine creates inside parallel
-// sweeps.
+// parallel_for is re-entrant (a call made while another is in flight runs
+// on its caller): N outer tasks each fanning out M inner tasks on the SAME
+// pool must complete even when every worker is inside an outer body — the
+// deadlock shape the sharded BatchEngine creates inside parallel sweeps.
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   ThreadPool pool(4);
   std::atomic<int> inner_runs{0};
@@ -102,6 +103,65 @@ TEST(ThreadPoolTest, NestedParallelForPropagatesInnerException) {
                           });
                         }),
       std::runtime_error);
+}
+
+// A nested call finds the pool's one call in flight, so the thread that
+// makes it runs every inner index itself: a worker inside a sweep's trial
+// never picks up another trial, and a trial's shards stay on its thread.
+// The outer call leaves one worker without an opening, and each inner
+// index sleeps, so a pool that handed inner indices to any free thread
+// would be caught.
+TEST(ThreadPoolTest, NestedCallRunsOnItsCaller) {
+  ThreadPool pool(4);
+  std::atomic<int> foreign{0};
+  std::atomic<int> inner_runs{0};
+  pool.parallel_for(8, [&](std::size_t) {
+    const std::thread::id outer = std::this_thread::get_id();
+    pool.parallel_for(8, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      if (std::this_thread::get_id() != outer) ++foreign;
+      ++inner_runs;
+    });
+  });
+  EXPECT_EQ(inner_runs.load(), 64);
+  EXPECT_EQ(foreign.load(), 0);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachSeeEveryIndexOnce) {
+  ThreadPool pool(4);
+  constexpr std::size_t kCount = 200;
+  for (int pass = 0; pass < 50; ++pass) {
+    std::vector<std::atomic<int>> a(kCount);
+    std::vector<std::atomic<int>> b(kCount);
+    std::thread other([&] {
+      pool.parallel_for(kCount, [&](std::size_t i) { ++b[i]; });
+    });
+    pool.parallel_for(kCount, [&](std::size_t i) { ++a[i]; });
+    other.join();
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(a[i].load(), 1) << "pass " << pass << " index " << i;
+      ASSERT_EQ(b[i].load(), 1) << "pass " << pass << " index " << i;
+    }
+  }
+}
+
+// Each of four indices waits until all four have started, so the call
+// completes only if the caller and three workers really run at once. A pool
+// that ran everything on its caller would fail the 10 s cap.
+TEST(ThreadPoolTest, FourIndicesRendezvousOnFourThreads) {
+  ThreadPool pool(4);
+  std::atomic<int> started{0};
+  std::atomic<int> met{0};
+  pool.parallel_for(4, [&](std::size_t) {
+    ++started;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (started.load() == 4) ++met;
+  });
+  EXPECT_EQ(met.load(), 4);
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
 // The TrialArena pooling contract (sim/trial_arena.hpp): once a worker
 // thread's arena is warm, running another trial through the pooled
 // BatchEngine path performs ZERO heap allocations — proven here with a
-// counting global operator new, not argued from reading the code. The
-// shard phases run inline here (pool == nullptr); a sharded trial on the
-// shared ThreadPool still allocates per parallel_for call. The lease-stack
-// semantics (same arena back on re-acquire, distinct arenas under nesting)
-// are pinned too, because the helping-wait reentrancy in the thread pool
-// depends on them.
+// counting global operator new, not argued from reading the code — with
+// the shard phases inline (pool == nullptr) and on a real ThreadPool. The
+// lease semantics (the same arena back on re-acquire, a nested lease
+// refused) are pinned too.
 //
 // This TU replaces the global operator new/delete for the whole test
 // binary with a counting passthrough. That is safe binary-wide (every
@@ -21,30 +19,42 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 
 #include "core/breathe.hpp"
 #include "core/environment.hpp"
 #include "core/params.hpp"
 #include "net/channel.hpp"
 #include "sim/batch_engine.hpp"
+#include "sim/trial.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::size_t> g_largest{0};  ///< largest request since reset
 
 std::uint64_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
-void* counted_alloc(std::size_t size) {
+void count_allocation(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest.load(std::memory_order_relaxed);
+  while (size > largest &&
+         !g_largest.compare_exchange_weak(largest, size,
+                                          std::memory_order_relaxed)) {
+  }
+}
+
+void* counted_alloc(std::size_t size) {
+  count_allocation(size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align),
                      size == 0 ? 1 : size) != 0) {
@@ -92,12 +102,14 @@ void run_pooled_trial(const Params& params, const BreatheConfig& config,
                             /*stage1_only=*/false, options, arena->result);
 }
 
-void expect_zero_alloc_warm_trials(std::size_t shards, bool churn) {
+void expect_zero_alloc_warm_trials(std::size_t shards, bool churn,
+                                   ThreadPool* pool = nullptr) {
   const Params params = Params::calibrated(256, 0.3);
   ASSERT_TRUE(breathe_fast_supported(params));
   const BreatheConfig config = broadcast_config();
   BreatheRunOptions options;
-  options.shards = shards;  // pool == nullptr: shard phases run inline
+  options.shards = shards;
+  options.pool = pool;  // nullptr: the shard phases run inline
   options.engine.probe_every = 16;  // the probe series must pool too
   if (churn) {
     options.engine.churn.sleep_prob = 0.01;
@@ -113,7 +125,7 @@ void expect_zero_alloc_warm_trials(std::size_t shards, bool churn) {
   }
   EXPECT_EQ(allocation_count(), before)
       << "warm pooled trials must not touch the heap (shards=" << shards
-      << ", churn=" << churn << ")";
+      << ", churn=" << churn << ", pool=" << (pool != nullptr) << ")";
 }
 
 TEST(TrialArenaTest, WarmTrialMakesNoHeapAllocationsUnsharded) {
@@ -129,6 +141,12 @@ TEST(TrialArenaTest, WarmTrialMakesNoHeapAllocationsUnderChurn) {
   expect_zero_alloc_warm_trials(/*shards=*/8, /*churn=*/true);
 }
 
+TEST(TrialArenaTest, WarmShardedTrialsOnARealPoolMakeNoHeapAllocations) {
+  ThreadPool pool(4);
+  expect_zero_alloc_warm_trials(/*shards=*/4, /*churn=*/false, &pool);
+  expect_zero_alloc_warm_trials(/*shards=*/8, /*churn=*/true, &pool);
+}
+
 TEST(TrialArenaTest, LeaseReturnsTheSameArenaAfterRelease) {
   TrialArena* first = nullptr;
   {
@@ -137,15 +155,31 @@ TEST(TrialArenaTest, LeaseReturnsTheSameArenaAfterRelease) {
   }
   TrialArenaLease again;
   EXPECT_EQ(&*again, first)
-      << "re-acquiring at the same depth must reuse the warm arena";
+      << "re-acquiring must reuse the thread's warm arena";
 }
 
-TEST(TrialArenaTest, NestedLeasesGetDistinctArenas) {
-  TrialArenaLease outer;
-  TrialArenaLease inner;
-  EXPECT_NE(&*outer, &*inner)
-      << "helping-wait reentrancy: a nested lease may not alias the arena "
-         "of the trial it interrupted";
+TEST(TrialArenaTest, NestedLeaseThrows) {
+  TrialArena* first = nullptr;
+  {
+    TrialArenaLease outer;
+    first = &*outer;
+    EXPECT_THROW(TrialArenaLease{}, std::logic_error)
+        << "a thread runs one trial at a time: a second lease is a bug";
+  }
+  TrialArenaLease again;
+  EXPECT_EQ(&*again, first) << "the refused lease must not release the arena";
+}
+
+// run_trials works in fixed blocks, so the trial count sizes no single
+// allocation: a million outcomes in one piece would be 72 MB.
+TEST(TrialArenaTest, TrialCountSizesNoAllocation) {
+  TrialOptions options;
+  options.trials = 1'000'000;
+  g_largest.store(0, std::memory_order_relaxed);
+  const TrialSummary summary = run_trials(
+      [](std::uint64_t, std::size_t) { return TrialOutcome{}; }, options);
+  EXPECT_EQ(summary.trials, options.trials);
+  EXPECT_LE(g_largest.load(std::memory_order_relaxed), std::size_t{1} << 20);
 }
 
 TEST(TrialArenaTest, PooledResultKeepsVectorStorageAcrossTrials) {

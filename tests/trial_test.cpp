@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -82,6 +83,68 @@ TEST(TrialTest, DeterministicAggregation) {
   const TrialSummary b = run_trials(fn, options);
   EXPECT_EQ(a.successes, b.successes);
   EXPECT_DOUBLE_EQ(a.rounds.mean(), b.rounds.mean());
+}
+
+// 10,000 trials run as three blocks on a 4-worker pool; the summary must
+// equal the fold of the same outcomes in index order on this thread, bit
+// for bit, whatever the block boundaries and the thread that ran a trial.
+TEST(TrialTest, BlockedSummaryEqualsInOrderAggregation) {
+  auto fn = [](std::uint64_t seed, std::size_t i) {
+    CounterRng rng(trial_stream_key(seed, i));
+    TrialOutcome o;
+    o.success = uniform_index(rng, 3) != 0;
+    o.rounds = static_cast<double>(uniform_index(rng, 1000)) / 7.0;
+    o.messages = static_cast<double>(uniform_index(rng, 1u << 20)) / 3.0;
+    o.correct_fraction = static_cast<double>(uniform_index(rng, 997)) / 997.0;
+    if (uniform_index(rng, 2) == 0) {
+      o.convergence_round = static_cast<double>(uniform_index(rng, 500)) / 9.0;
+    }
+    return o;
+  };
+  ThreadPool pool(4);
+  TrialOptions options;
+  options.trials = 10'000;
+  options.master_seed = 0xb10cULL;
+  options.pool = &pool;
+  const TrialSummary summary = run_trials(fn, options);
+
+  std::size_t successes = 0;
+  std::size_t converged = 0;
+  RunningStats rounds, messages, correct_fraction, convergence_rounds;
+  for (std::size_t i = 0; i < options.trials; ++i) {
+    const TrialOutcome o = fn(options.master_seed, i);
+    if (o.success) ++successes;
+    rounds.add(o.rounds);
+    messages.add(o.messages);
+    correct_fraction.add(o.correct_fraction);
+    if (std::isfinite(o.convergence_round)) {
+      ++converged;
+      convergence_rounds.add(o.convergence_round);
+    }
+  }
+  const auto expect_same = [](const RunningStats& got,
+                              const RunningStats& want, const char* field) {
+    EXPECT_EQ(got.count(), want.count()) << field;
+    EXPECT_EQ(got.mean(), want.mean()) << field;
+    EXPECT_EQ(got.variance(), want.variance()) << field;
+    EXPECT_EQ(got.min(), want.min()) << field;
+    EXPECT_EQ(got.max(), want.max()) << field;
+  };
+  EXPECT_EQ(summary.trials, options.trials);
+  EXPECT_EQ(summary.successes, successes);
+  EXPECT_EQ(summary.converged, converged);
+  ASSERT_GT(converged, 0u);
+  ASSERT_LT(converged, options.trials);
+  expect_same(summary.rounds, rounds, "rounds");
+  expect_same(summary.messages, messages, "messages");
+  expect_same(summary.correct_fraction, correct_fraction, "correct_fraction");
+  expect_same(summary.convergence_rounds, convergence_rounds,
+              "convergence_rounds");
+  const ProportionCI ci = wilson_interval(successes, options.trials);
+  EXPECT_EQ(summary.success.estimate, ci.estimate);
+  EXPECT_EQ(summary.success.low, ci.low);
+  EXPECT_EQ(summary.success.high, ci.high);
+  EXPECT_EQ(summary.trial_seconds.count(), options.trials);
 }
 
 TEST(TrialTest, UsesProvidedPool) {
