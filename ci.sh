@@ -106,8 +106,8 @@ fi
 
 # ThreadSanitizer pass over the sharded engine: the intra-trial shard
 # phases (route/deliver AND the churn liveness phase with its per-shard
-# delta merge) and the ThreadPool's one-call-at-a-time fork-join are the
-# only cross-thread code in the repo; race-check them under a dedicated
+# delta merge) and the ThreadPool's queue-free fork-join are the only
+# cross-thread code in the repo; race-check them under a dedicated
 # instrumented build.
 # The filter includes the churn-enabled sharded tests, the
 # dynamic-scenario AND sparse-topology sweep matrices (per-round graph

@@ -15,10 +15,10 @@
 // tests/trial_arena_test.cpp holds this with a counting global allocator.
 //
 // Each thread has one arena. A thread runs one trial at a time: a
-// ThreadPool worker only ever runs indices of the one call it joined, and
-// a sharded trial's own parallel_for runs shard bodies, never another
-// trial. A second lease on a thread whose arena is leased is a bug, and
-// throws std::logic_error.
+// ThreadPool worker joins a call only when it is idle, and a caller
+// waiting on its own parallel_for (a sharded trial's shard phases) runs
+// nothing else. A second lease on a thread whose arena is leased is a bug,
+// and throws std::logic_error.
 
 #include "sim/batch_engine.hpp"
 

@@ -26,30 +26,35 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::worker_loop() {
   std::unique_lock lock(mutex_);
   for (;;) {
-    opened_.wait(lock, [this] { return stopping_ || openings_ > 0; });
+    opened_.wait(lock, [this] { return stopping_ || may_join(); });
     if (stopping_) return;
-    --openings_;
-    joined_.fetch_add(1, std::memory_order_relaxed);
+    Call& call = *open_;
+    if (--call.openings == 0) open_ = call.below;
+    ++call.joined;
+    ++joined_;
     lock.unlock();
-    drain();
-    // Only the last worker out wakes the caller; the rest just go back to
-    // waiting for the next call's openings.
-    const bool last = joined_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+    drain(call);
+    // Leave before retaking the mutex, so the next call finds this worker
+    // gone at once (it re-checks for a call to join below). Only the last
+    // one out wakes the callers; nothing here touches the call after the
+    // decrement, as its caller may return as soon as joined is 0.
+    --joined_;
+    const bool last = --call.joined == 0;
     lock.lock();
-    if (last) left_.notify_one();
+    if (last) left_.notify_all();
   }
 }
 
-void ThreadPool::drain() {
+void ThreadPool::drain(Call& call) {
   for (;;) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= count_) return;
+    const std::size_t i = call.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= call.count) return;
     try {
-      thunk_(body_, i);
+      call.thunk(call.body, i);
     } catch (...) {
       std::lock_guard lock(mutex_);
-      if (!error_) error_ = std::current_exception();
-      next_.store(count_, std::memory_order_relaxed);  // start no more
+      if (!call.error) call.error = std::current_exception();
+      call.next.store(call.count, std::memory_order_relaxed);  // start no more
       return;
     }
   }
@@ -57,31 +62,28 @@ void ThreadPool::drain() {
 
 void ThreadPool::run(std::size_t count, void* body, Thunk thunk) {
   const std::size_t openings = std::min(count, workers_.size());
-  if (openings <= 1 || busy_.exchange(true, std::memory_order_acquire)) {
+  if (openings <= 1) {
     for (std::size_t i = 0; i < count; ++i) thunk(body, i);
     return;
   }
-  {
-    std::lock_guard lock(mutex_);
-    body_ = body;
-    thunk_ = thunk;
-    count_ = count;
-    next_.store(0, std::memory_order_relaxed);
-    openings_ = openings - 1;
+  Call call{body, thunk, count};
+  std::unique_lock lock(mutex_);
+  call.openings = openings - 1;
+  call.below = open_;
+  open_ = &call;
+  const bool wake = may_join();
+  lock.unlock();
+  if (wake) opened_.notify_all();
+  drain(call);
+  lock.lock();
+  if (call.openings > 0) {  // still listed: close the openings left
+    Call** link = &open_;
+    while (*link != &call) link = &(*link)->below;
+    *link = call.below;
   }
-  opened_.notify_all();
-  drain();
-  std::exception_ptr error;
-  {
-    std::unique_lock lock(mutex_);
-    openings_ = 0;
-    left_.wait(lock, [this] {
-      return joined_.load(std::memory_order_acquire) == 0;
-    });
-    error.swap(error_);
-  }
-  busy_.store(false, std::memory_order_release);
-  if (error) std::rethrow_exception(error);
+  left_.wait(lock, [&call] { return call.joined == 0; });
+  lock.unlock();
+  if (call.error) std::rethrow_exception(call.error);
 }
 
 ThreadPool& ThreadPool::shared() {

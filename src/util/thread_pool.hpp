@@ -1,8 +1,8 @@
 #pragma once
 // Minimal fixed-size thread pool used to run independent Monte-Carlo trials
 // and the shards of one trial in parallel. parallel_for is its one pattern:
-// one call at a time is in flight, the body is borrowed (a pointer and a
-// thunk, never copied), and nothing is allocated per call.
+// the body is borrowed (a pointer and a thunk, never copied), each call
+// lives on its caller's stack, and nothing is allocated per call.
 
 #include <atomic>
 #include <condition_variable>
@@ -33,12 +33,12 @@ class ThreadPool {
   /// finish; the rest are not started.
   ///
   /// The caller publishes min(count, size()) - 1 openings, runs indices
-  /// alongside the workers that take one, then closes the openings and
-  /// waits only for the workers that joined. A call made while another is
-  /// in flight — from inside a body (a sharded trial in a parallel sweep)
-  /// or from a second thread — runs every index on its own calling thread,
-  /// so nesting cannot deadlock and no thread is handed the indices of a
-  /// call it neither made nor joined.
+  /// with the idle workers that take one, closes the openings and waits
+  /// for the workers that joined. Calls may overlap (nested in a body, or
+  /// from a second thread). A worker joins only while idle and while fewer
+  /// than size() - 1 workers run indices, leaving a core to the outermost
+  /// caller; a waiting caller runs nothing else. So no thread inside a body
+  /// gets another call's indices, and nesting cannot deadlock.
   template <typename Body>
   void parallel_for(std::size_t count, Body&& body) {
     using Fn = std::remove_reference_t<Body>;
@@ -59,26 +59,38 @@ class ThreadPool {
  private:
   using Thunk = void (*)(void*, std::size_t);
 
+  /// One parallel_for in flight, on its caller's stack. While it has
+  /// openings it is on the pool's list of open calls.
+  struct Call {
+    void* body;
+    Thunk thunk;
+    std::size_t count;
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> joined{0};  ///< workers inside drain()
+    // Guarded by mutex_:
+    std::size_t openings = 0;
+    Call* below = nullptr;  ///< the next open call
+    std::exception_ptr error{};
+  };
+
   void run(std::size_t count, void* body, Thunk thunk);
-  /// Runs indices of the call in flight until none is left.
-  void drain();
+  /// Whether an idle worker may join a call now; call with mutex_ held.
+  bool may_join() const {
+    return open_ != nullptr && joined_ + 1 < workers_.size();
+  }
+  /// Runs indices of `call` until none is left.
+  void drain(Call& call);
   void worker_loop();
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;
-  std::condition_variable opened_;  ///< workers: an opening or stopping_
-  std::condition_variable left_;    ///< caller: the last joined worker left
-  bool stopping_ = false;
-  std::atomic<bool> busy_{false};   ///< a call is in flight
-
-  // The call in flight, published under mutex_ before its openings.
-  void* body_ = nullptr;
-  Thunk thunk_ = nullptr;
-  std::size_t count_ = 0;
-  std::atomic<std::size_t> next_{0};
-  std::size_t openings_ = 0;           ///< guarded by mutex_
-  std::atomic<std::size_t> joined_{0};  ///< workers inside drain()
-  std::exception_ptr error_;           ///< guarded by mutex_
+  std::condition_variable opened_;  ///< workers: a call to join or stopping_
+  std::condition_variable left_;    ///< callers: a call's last joiner left
+  bool stopping_ = false;  ///< guarded by mutex_
+  Call* open_ = nullptr;   ///< the newest call with openings; mutex_
+  /// Workers inside drain(). A worker leaves it without the mutex, then
+  /// re-checks may_join() itself.
+  std::atomic<std::size_t> joined_{0};
 };
 
 }  // namespace flip

@@ -269,8 +269,9 @@ RunDetail breathe_detail(const BreatheCell& cell, std::uint64_t seed,
 /// every recipient, so it refuses the adversarial channel and a sparse
 /// graph rather than integrate the wrong dynamics. The exact closure holds
 /// the prepared cell, and only scalars leave the arena, so after one
-/// warm-up trial per cell shape a batch trial with a static channel and
-/// inline shard phases allocates nothing (tests/trial_arena_test.cpp).
+/// warm-up trial per cell shape a batch trial with a static channel, its
+/// shard phases inline or on a ThreadPool, allocates nothing
+/// (tests/trial_arena_test.cpp).
 TrialFn breathe_trial_fn(const BreatheCell& cell) {
   if (cell.engine == EngineMode::kSurrogate) {
     if (cell.adversarial_budget != 0) {

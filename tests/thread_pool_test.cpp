@@ -12,6 +12,19 @@
 namespace flip {
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+// Counts the calling thread in and waits until `n` threads have, or until
+// `deadline`; returns whether all `n` did. A pool that runs fewer than `n`
+// of the waiting bodies at once fails by the deadline instead of hanging.
+bool meet(std::atomic<int>& count, int n, Clock::time_point deadline) {
+  ++count;
+  while (count.load() < n && Clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  return count.load() >= n;
+}
+
 TEST(ThreadPoolTest, DefaultHasAtLeastOneWorker) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
@@ -76,10 +89,10 @@ TEST(ThreadPoolTest, MoreTasksThanWorkers) {
   EXPECT_EQ(count.load(), 64);
 }
 
-// parallel_for is re-entrant (a call made while another is in flight runs
-// on its caller): N outer tasks each fanning out M inner tasks on the SAME
-// pool must complete even when every worker is inside an outer body — the
-// deadlock shape the sharded BatchEngine creates inside parallel sweeps.
+// parallel_for is re-entrant (a nested call's caller runs every index no
+// idle worker takes): N outer tasks each fanning out M inner tasks on the
+// SAME pool must complete even when every worker is inside an outer body —
+// the deadlock shape the sharded BatchEngine creates inside parallel sweeps.
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   ThreadPool pool(4);
   std::atomic<int> inner_runs{0};
@@ -105,23 +118,72 @@ TEST(ThreadPoolTest, NestedParallelForPropagatesInnerException) {
       std::runtime_error);
 }
 
-// A nested call finds the pool's one call in flight, so the thread that
-// makes it runs every inner index itself: a worker inside a sweep's trial
-// never picks up another trial, and a trial's shards stay on its thread.
-// The outer call leaves one worker without an opening, and each inner
-// index sleeps, so a pool that handed inner indices to any free thread
-// would be caught.
-TEST(ThreadPoolTest, NestedCallRunsOnItsCaller) {
+// A nested call hands its indices to the workers left idle, so a sweep
+// with fewer trials than workers still spreads each trial's shards. Outer
+// index 1 returns at once; the inner call of outer index 0 completes only
+// if its caller and two idle workers really run at once, whichever thread
+// runs it (three workers at most run indices, a core left to the caller).
+TEST(ThreadPoolTest, NestedCallUsesIdleWorkers) {
   ThreadPool pool(4);
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  std::atomic<int> started{0};
+  std::atomic<int> met{0};
+  pool.parallel_for(2, [&](std::size_t outer) {
+    if (outer != 0) return;
+    pool.parallel_for(3, [&](std::size_t) {
+      if (meet(started, 3, deadline)) ++met;
+    });
+  });
+  EXPECT_EQ(met.load(), 3);
+}
+
+// While every worker runs an outer index, a nested call finds no thread
+// to spare and runs on its caller: a sweep with a trial on every worker
+// keeps each trial's shards on its own thread instead of waking more
+// threads than the pool has. Outer bodies meet before and after their
+// inner calls, so all four stay busy while any inner call runs.
+TEST(ThreadPoolTest, SaturatedPoolRunsNestedCallsOnTheirCallers) {
+  ThreadPool pool(4);
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  std::atomic<int> before{0};
+  std::atomic<int> after{0};
+  std::atomic<int> met{0};
   std::atomic<int> foreign{0};
   std::atomic<int> inner_runs{0};
-  pool.parallel_for(8, [&](std::size_t) {
-    const std::thread::id outer = std::this_thread::get_id();
+  pool.parallel_for(4, [&](std::size_t) {
+    if (meet(before, 4, deadline)) ++met;
+    const std::thread::id caller = std::this_thread::get_id();
     pool.parallel_for(8, [&](std::size_t) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
-      if (std::this_thread::get_id() != outer) ++foreign;
+      if (std::this_thread::get_id() != caller) ++foreign;
       ++inner_runs;
     });
+    meet(after, 4, deadline);
+  });
+  EXPECT_EQ(met.load(), 4);
+  EXPECT_EQ(inner_runs.load(), 32);
+  EXPECT_EQ(foreign.load(), 0);
+}
+
+// A thread inside a body never runs another call's indices: only idle
+// workers join, and a caller waiting on its own call runs nothing else. A
+// sweep's worker therefore runs one trial at a time, which is what lets
+// TrialArena keep one arena per thread.
+TEST(ThreadPoolTest, NoThreadInsideABodyRunsAnotherCall) {
+  ThreadPool pool(4);
+  constexpr std::size_t kNone = ~std::size_t{0};
+  thread_local std::size_t inside = kNone;  // outer index this thread runs
+  std::atomic<int> foreign{0};
+  std::atomic<int> inner_runs{0};
+  pool.parallel_for(8, [&](std::size_t outer) {
+    if (inside != kNone) ++foreign;
+    inside = outer;
+    pool.parallel_for(8, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      if (inside != kNone && inside != outer) ++foreign;
+      ++inner_runs;
+    });
+    inside = kNone;
   });
   EXPECT_EQ(inner_runs.load(), 64);
   EXPECT_EQ(foreign.load(), 0);
@@ -150,16 +212,11 @@ TEST(ThreadPoolTest, ConcurrentCallersEachSeeEveryIndexOnce) {
 // that ran everything on its caller would fail the 10 s cap.
 TEST(ThreadPoolTest, FourIndicesRendezvousOnFourThreads) {
   ThreadPool pool(4);
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
   std::atomic<int> started{0};
   std::atomic<int> met{0};
   pool.parallel_for(4, [&](std::size_t) {
-    ++started;
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (started.load() < 4 && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
-    }
-    if (started.load() == 4) ++met;
+    if (meet(started, 4, deadline)) ++met;
   });
   EXPECT_EQ(met.load(), 4);
 }
