@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
                           &n_list);
         parser.add_size("--trials", "trials per (n, engine) cell (default 8)",
                         &trials);
-        parser.add_size("--threads", "worker threads (default: hardware)",
+        parser.add_size("--threads", "threads running the trials "
+                        "(default: hardware)",
                         &threads);
         parser.add_uint64("--seed", "master seed (default 0x5eed)", &seed);
       });

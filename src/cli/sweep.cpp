@@ -117,8 +117,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepPointSink& on_point) {
   // process, so the per-worker TrialArena scratch (thread_local) survives
   // across cells and repeated run_sweep calls instead of being torn down
   // and re-allocated with a per-sweep pool.
-  ThreadPool* pool =
-      spec.threads != 0 ? &ThreadPool::sized(spec.threads) : nullptr;
+  ThreadPool& pool = ThreadPool::sized(spec.threads);
 
   SweepResult result;
   result.spec = spec;
@@ -130,7 +129,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepPointSink& on_point) {
     TrialOptions options;
     options.trials = spec.trials;
     options.master_seed = spec.seed;
-    options.pool = pool;
+    options.pool = &pool;
     SweepPoint point;
     point.config = grid[cell];
     point.summary =
@@ -180,15 +179,14 @@ SurrogateValidationResult run_surrogate_validation(
     }
   }
 
-  ThreadPool* pool =
-      spec.threads != 0 ? &ThreadPool::sized(spec.threads) : nullptr;
+  ThreadPool& pool = ThreadPool::sized(spec.threads);
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     SurrogateValidationCell& cell = result.cells[i];
     TrialOptions mc_options;
     mc_options.trials = spec.trials;
     mc_options.master_seed = spec.seed;
-    mc_options.pool = pool;
+    mc_options.pool = &pool;
     const TrialSummary mc =
         run_trials(registry.make(cell.scenario, cell.config), mc_options);
 

@@ -27,14 +27,13 @@ struct SweepSpec {
   std::vector<std::string> channels;
   std::size_t trials = 32;
   std::uint64_t seed = 0x5eedULL;
-  /// 0 = the shared pool (hardware concurrency).
+  /// Threads, shard phases included. 0 = the shared pool (hardware).
   std::size_t threads = 0;
   /// Substrate every grid point runs on. Identical results either way;
   /// kClassic is the reference Engine for A/B timing.
   EngineMode engine = EngineMode::kBatch;
-  /// Intra-trial shards per execution (batch breathe scenarios). Results
-  /// are bit-identical for every value — sharding buys wall-clock on big
-  /// single trials, threads buy throughput across trials.
+  /// Intra-trial shards per execution (batch breathe scenarios), run on
+  /// the sweep's threads. Results are bit-identical for every value.
   std::size_t shards = 1;
   /// Dynamic-environment overrides (flipsim --schedule / --churn). Unset
   /// means "use the scenario's registered default" — which is the static

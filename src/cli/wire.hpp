@@ -43,7 +43,7 @@ struct SweepRequest {
   std::string channels;  ///< comma list, empty = scenario default
   std::size_t trials = 32;
   std::uint64_t seed = 0x5eedULL;
-  std::size_t threads = 0;  ///< 0 = the server/process shared pool
+  std::size_t threads = 0;  ///< shard phases included; 0 = default pool
   std::size_t shards = 1;
   std::string engine = "batch";
   std::string schedule;  ///< raw --schedule spec, empty = unset

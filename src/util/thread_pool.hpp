@@ -2,7 +2,8 @@
 // Minimal fixed-size thread pool used to run independent Monte-Carlo trials
 // and the shards of one trial in parallel. parallel_for is its one pattern:
 // the body is borrowed (a pointer and a thunk, never copied), each call
-// lives on its caller's stack, and nothing is allocated per call.
+// lives on its caller's stack, and nothing is allocated per call. A pool of
+// k threads is the thread that calls it plus k - 1 workers.
 
 #include <atomic>
 #include <condition_variable>
@@ -18,14 +19,14 @@ namespace flip {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (default: hardware concurrency, at least 1).
+  /// Starts threads - 1 workers (0 = hardware concurrency, at least 1).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return workers_.size() + 1; }
 
   /// Runs body(i) for i in [0, count) and blocks until all iterations
   /// finish. body must be safe to call concurrently for distinct i. The
@@ -35,10 +36,10 @@ class ThreadPool {
   /// The caller publishes min(count, size()) - 1 openings, runs indices
   /// with the idle workers that take one, closes the openings and waits
   /// for the workers that joined. Calls may overlap (nested in a body, or
-  /// from a second thread). A worker joins only while idle and while fewer
-  /// than size() - 1 workers run indices, leaving a core to the outermost
-  /// caller; a waiting caller runs nothing else. So no thread inside a body
-  /// gets another call's indices, and nesting cannot deadlock.
+  /// from a second thread). Only an idle worker joins, and a waiting caller
+  /// runs nothing else, so no thread inside a body gets another call's
+  /// indices, nesting cannot deadlock, and a call and the calls nested in
+  /// it on this pool run on at most size() threads.
   template <typename Body>
   void parallel_for(std::size_t count, Body&& body) {
     using Fn = std::remove_reference_t<Body>;
@@ -49,12 +50,16 @@ class ThreadPool {
   /// Process-wide shared pool for callers that don't manage their own.
   static ThreadPool& shared();
 
-  /// Process-wide pool with exactly `threads` workers (0 = shared()).
+  /// Process-wide pool of exactly `threads` threads (0 = shared()).
   /// Pools are created on first use and then persist, so repeated sweeps
   /// with the same --threads reuse one set of workers — and with them every
   /// thread_local per-worker scratch — instead of spawning and joining a
   /// fresh pool each time.
   static ThreadPool& sized(std::size_t threads);
+
+  /// The pool of the innermost call this thread runs an index of, or
+  /// shared() outside any call.
+  static ThreadPool& current();
 
  private:
   using Thunk = void (*)(void*, std::size_t);
@@ -74,11 +79,7 @@ class ThreadPool {
   };
 
   void run(std::size_t count, void* body, Thunk thunk);
-  /// Whether an idle worker may join a call now; call with mutex_ held.
-  bool may_join() const {
-    return open_ != nullptr && joined_ + 1 < workers_.size();
-  }
-  /// Runs indices of `call` until none is left.
+  /// Runs indices of `call` until none is left, with current() this pool.
   void drain(Call& call);
   void worker_loop();
 
@@ -88,9 +89,6 @@ class ThreadPool {
   std::condition_variable left_;    ///< callers: a call's last joiner left
   bool stopping_ = false;  ///< guarded by mutex_
   Call* open_ = nullptr;   ///< the newest call with openings; mutex_
-  /// Workers inside drain(). A worker leaves it without the mutex, then
-  /// re-checks may_join() itself.
-  std::atomic<std::size_t> joined_{0};
 };
 
 }  // namespace flip

@@ -25,11 +25,11 @@ CounterRng agent_setup_rng(const StreamKey& key, AgentId agent) {
   return CounterRng(round_stream_key(key, RngPurpose::kSetup, 0), agent);
 }
 
-/// The pool the sharded breathe phases run on: the process-wide shared
-/// pool (whose workers persist, so their scratch recycles across trials),
-/// or none when the trial is unsharded.
+/// The pool the sharded breathe phases run on: the one whose call runs the
+/// trial (shared() outside any call), so a sweep's --threads bounds its
+/// shard phases too; or none when the trial is unsharded.
 ThreadPool* shard_pool(std::size_t shards) {
-  return shards > 1 ? &ThreadPool::shared() : nullptr;
+  return shards > 1 ? &ThreadPool::current() : nullptr;
 }
 
 /// The convergence-round probe statistic: first stable crossing of 99%

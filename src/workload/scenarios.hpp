@@ -48,7 +48,7 @@ struct BroadcastScenario {
   EngineMode engine = EngineMode::kBatch;
   /// Intra-trial shard count for the batch substrate (1 = unsharded).
   /// Results are bit-identical for every value; >1 splits each round's
-  /// route/deliver work across the shared ThreadPool's workers.
+  /// route/deliver work across ThreadPool::current(), the trial's pool.
   std::size_t shards = 1;
   /// Dynamic environment (core/environment.hpp): a per-round eps schedule
   /// (runs through CorrelatedBurstChannel; mutually exclusive with

@@ -79,8 +79,8 @@ TEST(SweepDeterminismTest, EngineSubstratesAgreeOnSweepResults) {
 
 // The full parallelism matrix: trial-level threads x intra-trial shards.
 // Every combination must reproduce the serial, unsharded sweep exactly —
-// including the oversubscribed corner (8 trial workers each fanning out 8
-// shard tasks onto the shared pool).
+// including the corner where 8 trial threads each fan out 8 shards onto
+// the same 8-thread pool.
 TEST(SweepDeterminismTest, ThreadsByShardsMatrixAgreesExactly) {
   SweepSpec spec;
   spec.scenario = "broadcast_small";

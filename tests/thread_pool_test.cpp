@@ -4,10 +4,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include "sim/trial.hpp"
 
 namespace flip {
 namespace {
@@ -122,7 +126,7 @@ TEST(ThreadPoolTest, NestedParallelForPropagatesInnerException) {
 // with fewer trials than workers still spreads each trial's shards. Outer
 // index 1 returns at once; the inner call of outer index 0 completes only
 // if its caller and two idle workers really run at once, whichever thread
-// runs it (three workers at most run indices, a core left to the caller).
+// runs it (the pool's four threads are the outer caller and three workers).
 TEST(ThreadPoolTest, NestedCallUsesIdleWorkers) {
   ThreadPool pool(4);
   const auto deadline = Clock::now() + std::chrono::seconds(10);
@@ -219,6 +223,121 @@ TEST(ThreadPoolTest, FourIndicesRendezvousOnFourThreads) {
     if (meet(started, 4, deadline)) ++met;
   });
   EXPECT_EQ(met.load(), 4);
+}
+
+// A pool of k threads is its caller and k - 1 workers: ThreadPool(1) has
+// no worker and runs every index on the thread that calls it.
+TEST(ThreadPoolTest, OneThreadPoolRunsEveryIndexOnItsCaller) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> foreign{0};
+  std::atomic<int> runs{0};
+  pool.parallel_for(64, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) ++foreign;
+    ++runs;
+  });
+  EXPECT_EQ(runs.load(), 64);
+  EXPECT_EQ(foreign.load(), 0);
+}
+
+TEST(ThreadPoolTest, CurrentIsSharedOutsideAnyCall) {
+  EXPECT_EQ(&ThreadPool::current(), &ThreadPool::shared());
+  ThreadPool pool(2);
+  pool.parallel_for(4, [](std::size_t) {});
+  EXPECT_EQ(&ThreadPool::current(), &ThreadPool::shared());
+}
+
+// Inside a body current() is the pool, on the caller and on the workers:
+// the four bodies meet, so four threads run them.
+TEST(ThreadPoolTest, CurrentIsThePoolOnTheCallerAndOnWorkers) {
+  ThreadPool pool(4);
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  std::atomic<int> started{0};
+  std::atomic<int> met{0};
+  std::atomic<int> wrong{0};
+  pool.parallel_for(4, [&](std::size_t) {
+    if (meet(started, 4, deadline)) ++met;
+    if (&ThreadPool::current() != &pool) ++wrong;
+  });
+  EXPECT_EQ(met.load(), 4);
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+// Calls that run inline, on one index or on a one-thread pool, set
+// current() all the same.
+TEST(ThreadPoolTest, CurrentIsThePoolInInlineCalls) {
+  ThreadPool wide(4);
+  ThreadPool single(1);
+  std::atomic<int> wrong{0};
+  wide.parallel_for(1, [&](std::size_t) {
+    if (&ThreadPool::current() != &wide) ++wrong;
+  });
+  single.parallel_for(8, [&](std::size_t) {
+    if (&ThreadPool::current() != &single) ++wrong;
+  });
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(&ThreadPool::current(), &ThreadPool::shared());
+}
+
+// A call on pool b inside a body of pool a sees b in its bodies and a
+// again once it returns, also when one of its bodies threw.
+TEST(ThreadPoolTest, NestedCallOnAnotherPoolRestoresCurrent) {
+  ThreadPool a(2);
+  ThreadPool b(3);
+  std::atomic<int> wrong{0};
+  std::atomic<int> caught{0};
+  a.parallel_for(4, [&](std::size_t outer) {
+    b.parallel_for(6, [&](std::size_t) {
+      if (&ThreadPool::current() != &b) ++wrong;
+    });
+    if (&ThreadPool::current() != &a) ++wrong;
+    try {
+      b.parallel_for(6, [&](std::size_t inner) {
+        if (&ThreadPool::current() != &b) ++wrong;
+        if (inner == outer) throw std::runtime_error("inner boom");
+      });
+    } catch (const std::runtime_error&) {
+      ++caught;
+    }
+    if (&ThreadPool::current() != &a) ++wrong;
+  });
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(caught.load(), 4);
+  EXPECT_THROW(b.parallel_for(6,
+                              [](std::size_t inner) {
+                                if (inner == 5) throw std::runtime_error("x");
+                              }),
+               std::runtime_error);
+  EXPECT_EQ(&ThreadPool::current(), &ThreadPool::shared());
+}
+
+// What a sharded trial relies on to run its shard phases on the pool that
+// runs it: inside run_trials on ThreadPool(2), every trial's
+// current().parallel_for(4, ...) runs on the pool's two threads and no
+// other, whichever trial runs where.
+TEST(ThreadPoolTest, TrialsRunTheirNestedCallsOnTheirOwnPool) {
+  ThreadPool pool(2);
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
+  std::atomic<int> wrong{0};
+  TrialOptions options;
+  options.trials = 8;
+  options.pool = &pool;
+  run_trials(
+      [&](std::uint64_t, std::size_t) {
+        if (&ThreadPool::current() != &pool) ++wrong;
+        ThreadPool::current().parallel_for(4, [&](std::size_t) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          const std::lock_guard lock(mutex);
+          threads.insert(std::this_thread::get_id());
+        });
+        return TrialOutcome{};
+      },
+      options);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GE(threads.size(), 1u);
+  EXPECT_LE(threads.size(), 2u);
 }
 
 }  // namespace

@@ -281,8 +281,8 @@ int main(int argc, char** argv) {
                   &flags.trials);
   parser.add_uint64("--seed", "master seed, decimal or 0x hex (default 0x5eed)",
                     &flags.seed);
-  parser.add_size("--threads", "worker threads (default: hardware), in "
-                  "1..hardware concurrency",
+  parser.add_size("--threads", "threads per sweep, shard phases included "
+                  "(default: hardware), in 1..hardware concurrency",
                   &flags.threads);
   parser.add_size("--shards",
                   "intra-trial shards per execution (default 1, max 256; "
